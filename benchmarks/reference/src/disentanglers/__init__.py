@@ -1,0 +1,81 @@
+"""Numerical laboratory for qubit disentangling strategies.
+
+Implements and cross-verifies four ways of pulling an unknown qubit back out
+of its symmetric N-qubit dilution: measure-and-prepare, the optimal covariant
+device, the state-swapping device, and an exact-but-probabilistic C-NOT
+network.  Every closed-form fidelity ships with an independent quadrature or
+search oracle.
+"""
+
+from .core import (
+    BlochQuadrature,
+    CapacityError,
+    DensityOperator,
+    DickeVector,
+    DomainError,
+    FullStateVector,
+    PureQubit,
+    bloch_average,
+    dicke_to_statevector,
+    dilute_angle,
+    diluted_avg_fidelity,
+    fidelity_pure,
+    reduced_qubit,
+    symmetric_marginal,
+    symmetric_state,
+)
+from .devices import (
+    DeviceTransform,
+    GramSummary,
+    OptimizationError,
+    UnitarityError,
+    apply_entangler,
+    apply_transform,
+    covariance_spread,
+    device_avg_fidelity,
+    entangler_pointwise_fidelity,
+    gram_summary,
+    moment_integrals,
+    optimize_average,
+    optimize_universal,
+    pointwise_fidelity,
+    random_transform,
+    swap_disentangler,
+    swap_entangler,
+    unitarity_residuals,
+    universal_coefficients,
+    universal_disentangler,
+    universal_entangler,
+)
+from .measurement import (
+    EstimateRecord,
+    ProjectorPair,
+    averaged_estimator,
+    dilution_overlap,
+    estimator_output,
+    measurement_avg_fidelity,
+    measurement_outcomes,
+    optimal_measurement_bound,
+    optimal_measurement_bound_numeric,
+    prepared_state,
+    projector_pair,
+    strategy_integral,
+)
+from .network import (
+    CnotCascade,
+    DecompositionError,
+    OutcomeDecomposition,
+    ShotCounts,
+    apply_cnot,
+    cnot_cascade,
+    decompose,
+    post_selected_state,
+    postselect_basis,
+    run_cascade,
+    sample_shots,
+    success_probability,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,0 +1,386 @@
+"""Command-line frontend: fidelity tables, verification suite, network runs.
+
+Three subcommands:
+
+  table    write the per-N fidelity curves of the five strategies as CSV
+  verify   run the closed-form/quadrature/optimizer/network cross-checks
+  network  run the probabilistic disentangler and report sampled statistics
+
+Data goes to the chosen file or stdout; diagnostics go to stderr.  Exit codes:
+0 success, 1 verification failure, 2 usage or I/O error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import devices, measurement, network
+from .core import (
+    BlochQuadrature,
+    DickeVector,
+    PureQubit,
+    bloch_average,
+    dilute_angle,
+    diluted_avg_fidelity,
+    fidelity_pure,
+)
+
+MAX_TABLE_N = 10 ** 6
+
+
+@dataclass(frozen=True)
+class FidelityRow:
+    """One table row: the five strategy fidelities at a given qubit count."""
+
+    n: int
+    f0_diluted: float
+    f1_measure: float
+    fmax_measure: float
+    f2_universal: float
+    f3_swap: float
+
+    def __post_init__(self) -> None:
+        vals = (self.f0_diluted, self.f1_measure, self.fmax_measure,
+                self.f2_universal, self.f3_swap)
+        if not all(0.5 <= v <= 1.0 for v in vals):
+            raise ValueError(f"fidelities out of [1/2, 1] at n={self.n}: {vals}")
+        if self.n >= 2 and not (self.f1_measure < self.fmax_measure
+                                < self.f2_universal < self.f3_swap):
+            raise ValueError(f"strategy ordering violated at n={self.n}")
+
+
+def fidelity_row(n: int) -> FidelityRow:
+    gamma, _ = devices.universal_coefficients(n)
+    return FidelityRow(n, diluted_avg_fidelity(n),
+                       measurement.measurement_avg_fidelity(n),
+                       measurement.optimal_measurement_bound(n),
+                       gamma ** 2, measurement.dilution_overlap(n))
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".12g")
+
+
+def cmd_table(n_min: int, n_max: int, output: str | None) -> int:
+    """Write the fidelity table as CSV (12 significant digits, LF endings)."""
+    if not 1 <= n_min <= n_max <= MAX_TABLE_N:
+        print(f"table: need 1 <= n-min <= n-max <= {MAX_TABLE_N}", file=sys.stderr)
+        return 2
+    lines = ["N,F0_diluted,F1_measure,Fmax_measure,F2_universal,F3_swap"]
+    for n in range(n_min, n_max + 1):
+        r = fidelity_row(n)
+        lines.append(",".join([str(n), _fmt(r.f0_diluted), _fmt(r.f1_measure),
+                               _fmt(r.fmax_measure), _fmt(r.f2_universal),
+                               _fmt(r.f3_swap)]))
+    text = "\n".join(lines) + "\n"
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"table: cannot write {output}: {exc}", file=sys.stderr)
+            return 2
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# verification checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def _check(name: str, residual: float, tol: float) -> CheckResult:
+    return CheckResult(name, residual <= tol, f"residual={residual:.3e} tol={tol:.0e}")
+
+
+def _check_endpoints() -> CheckResult:
+    got = np.array([diluted_avg_fidelity(1),
+                    measurement.measurement_avg_fidelity(1),
+                    measurement.optimal_measurement_bound(1),
+                    devices.universal_coefficients(1)[0] ** 2,
+                    measurement.dilution_overlap(1)])
+    want = np.array([1.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
+    return _check("endpoint-values-n1", float(np.max(np.abs(got - want))), 1e-12)
+
+
+def _check_asymptotes() -> CheckResult:
+    n = MAX_TABLE_N
+    vals = np.array([diluted_avg_fidelity(n),
+                     measurement.measurement_avg_fidelity(n),
+                     measurement.optimal_measurement_bound(n),
+                     devices.universal_coefficients(n)[0] ** 2,
+                     measurement.dilution_overlap(n)])
+    return _check("asymptotic-limits-n1e6", float(np.max(np.abs(vals - 0.5))), 2e-3)
+
+
+def _check_ordering() -> CheckResult:
+    min_gap = np.inf
+    for n in range(2, 51):
+        r = fidelity_row(n)  # raises if the ordering invariant breaks
+        min_gap = min(min_gap, r.fmax_measure - r.f1_measure,
+                      r.f2_universal - r.fmax_measure, r.f3_swap - r.f2_universal)
+    return CheckResult("strategy-ordering-2-50", bool(min_gap > 1e-6),
+                       f"min gap={min_gap:.3e} (needs > 1e-06)")
+
+
+def _overlap_sq(th: np.ndarray, n: int) -> np.ndarray:
+    tbar = dilute_angle(th, n)
+    return np.cos((th - tbar) / 2.0) ** 2
+
+
+def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
+    res_f0 = res_overlap = res_f1 = res_moments = 0.0
+    for n in (2, 3, 5, 10, 25):
+        def diluted_integrand(th, ph, n=n):
+            tbar = dilute_angle(th, n)
+            cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
+            r00 = cb * cb + sb * sb * (n - 1.0) / n
+            r11 = sb * sb / n
+            r01 = cb * sb / np.sqrt(n)
+            c, s = np.cos(th / 2.0), np.sin(th / 2.0)
+            return c * c * r00 + s * s * r11 + 2.0 * c * s * r01
+
+        res_f0 = max(res_f0, abs(diluted_avg_fidelity(n)
+                                 - bloch_average(diluted_integrand, quad)))
+        res_overlap = max(res_overlap, abs(
+            measurement.dilution_overlap(n)
+            - bloch_average(lambda th, ph, n=n: _overlap_sq(th, n), quad)))
+        res_f1 = max(res_f1, abs(
+            measurement.measurement_avg_fidelity(n)
+            - bloch_average(lambda th, ph, n=n: (1.0 + _overlap_sq(th, n)) / 3.0,
+                            quad)))
+
+        weight = lambda th, n=n: 1.0 / (n * np.cos(th / 2.0) ** 2
+                                        + np.sin(th / 2.0) ** 2)
+        quads = [2.0 * bloch_average(
+            lambda th, ph, f=f, n=n: weight(th, n) * f(th), quad)
+            for f in (lambda th: np.cos(th / 2.0) ** 4,
+                      lambda th: np.sin(th / 2.0) ** 4,
+                      lambda th: np.sin(th / 2.0) ** 2 * np.cos(th / 2.0) ** 2)]
+        res_moments = max(res_moments, float(np.max(np.abs(
+            np.array(devices.moment_integrals(n)) - np.array(quads)))))
+
+    return [_check("oracle-diluted-average", res_f0, 1e-9),
+            _check("oracle-dilution-overlap", res_overlap, 1e-9),
+            _check("oracle-measurement-average", res_f1, 1e-9),
+            _check("oracle-moment-integrals", res_moments, 1e-10)]
+
+
+def _check_device_average_oracle(quad: BlochQuadrature, seed: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (2, 3, 5, 10, 25):
+        for _ in range(5):
+            t = devices.random_transform(n, rng)
+            closed = devices.device_avg_fidelity(t)
+            via_quad = bloch_average(
+                lambda th, ph: devices.pointwise_fidelity(t, th, ph), quad)
+            worst = max(worst, abs(closed - via_quad))
+    return _check("oracle-device-average", worst, 1e-9)
+
+
+def _check_pointwise_dual_route(seed: int) -> CheckResult:
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        t = devices.random_transform(n, rng)
+        th = float(rng.uniform(0.0, np.pi))
+        ph = float(rng.uniform(0.0, 2.0 * np.pi))
+        closed = devices.pointwise_fidelity(t, th, ph)
+        psi_bar = PureQubit.from_angles(dilute_angle(th, n), ph)
+        big = DickeVector(n, psi_bar.alpha, psi_bar.beta)
+        _, rho = devices.apply_transform(t, big)
+        direct = fidelity_pure(PureQubit.from_angles(th, ph), rho)
+        worst = max(worst, abs(closed - direct))
+    return _check("pointwise-closed-vs-direct", worst, 1e-11)
+
+
+def _check_covariance() -> list[CheckResult]:
+    worst = max(devices.covariance_spread(devices.universal_disentangler(n), 1000)
+                for n in (2, 5, 10))
+    swap_spread = devices.covariance_spread(devices.swap_disentangler(2), 1000)
+    return [_check("universal-covariance-spread", worst, 1e-12),
+            CheckResult("swap-state-dependence", bool(swap_spread > 0.01),
+                        f"spread={swap_spread:.3e} (needs > 1e-02)")]
+
+
+def _check_unitary_images() -> CheckResult:
+    worst = 0.0
+    for n in range(1, 51):
+        for build in (devices.universal_disentangler, devices.universal_entangler):
+            im = build(n).images()
+            worst = max(worst, float(np.max(np.abs(im.conj() @ im.T - np.eye(2)))))
+    return _check("unitary-images-n-le-50", worst, 1e-12)
+
+
+def _check_network(seed: int) -> list[CheckResult]:
+    rng = np.random.default_rng(seed + 2)
+    worst_fid = worst_prob = 0.0
+    for n in range(2, 13):
+        for _ in range(20):
+            psi = PureQubit(float(rng.uniform(0.0, np.pi)),
+                            float(rng.uniform(0.0, 2.0 * np.pi)))
+            out = network.run_cascade(psi, n)
+            dec = network.decompose(out, n)
+            recovered = network.post_selected_state(out, n)
+            fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
+            worst_fid = max(worst_fid, abs(fid - 1.0))
+            worst_prob = max(worst_prob, abs(
+                abs(dec.amp_plus_psi) ** 2
+                - network.success_probability(psi.theta, n)))
+    counts = network.sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, seed)
+    p = 0.25
+    sigma = np.sqrt(p * (1 - p) / 10 ** 5)
+    dev = abs(counts.plus / 10 ** 5 - p)
+    return [_check("network-postselect-fidelity", worst_fid, 1e-12),
+            _check("network-success-probability", worst_prob, 1e-12),
+            CheckResult("network-shot-sampling", bool(dev <= 3 * sigma),
+                        f"|freq-p|={dev:.3e} (needs <= 3 sigma = {3 * sigma:.3e})")]
+
+
+def _check_bound_numeric(ns: tuple[int, ...]) -> CheckResult:
+    worst = max(abs(measurement.optimal_measurement_bound_numeric(n)
+                    - measurement.optimal_measurement_bound(n)) for n in ns)
+    return _check(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", worst, 2e-3)
+
+
+def _check_optimizers(seed: int) -> list[CheckResult]:
+    worst_avg = worst_uni = -np.inf
+    exceed = -np.inf
+    for n in (2, 3, 5, 10):
+        _, val = devices.optimize_average(n, restarts=8, seed=seed)
+        target = measurement.dilution_overlap(n)
+        worst_avg = max(worst_avg, abs(val - target))
+        exceed = max(exceed, val - target)
+        _, val_u = devices.optimize_universal(n, restarts=8, seed=seed)
+        target_u = devices.universal_coefficients(n)[0] ** 2
+        worst_uni = max(worst_uni, abs(val_u - target_u))
+        exceed = max(exceed, val_u - target_u)
+    return [_check("optimizer-average-attains", worst_avg, 1e-6),
+            _check("optimizer-universal-attains", worst_uni, 1e-6),
+            CheckResult("optimizer-never-exceeds", bool(exceed <= 1e-6),
+                        f"max excess={exceed:.3e} (needs <= 1e-06)")]
+
+
+def cmd_verify(level: str, seed: int) -> int:
+    """Run the cross-check suite; exit 0 iff every check passes.
+
+    A check that raises (e.g. a corrupted build tripping a unitarity guard)
+    counts as a failure; only harness-level trouble yields exit code 2.
+    """
+    if level not in ("fast", "full"):
+        print(f"verify: unknown level {level!r}", file=sys.stderr)
+        return 2
+    try:
+        quad = BlochQuadrature()
+        groups = [
+            ("endpoint-values-n1", _check_endpoints),
+            ("asymptotic-limits-n1e6", _check_asymptotes),
+            ("strategy-ordering-2-50", _check_ordering),
+            ("closed-form-oracles", lambda: _check_closed_form_oracles(quad)),
+            ("oracle-device-average",
+             lambda: _check_device_average_oracle(quad, seed)),
+            ("pointwise-closed-vs-direct", lambda: _check_pointwise_dual_route(seed)),
+            ("covariance", _check_covariance),
+            ("unitary-images", _check_unitary_images),
+            ("network", lambda: _check_network(seed)),
+        ]
+        if level == "fast":
+            groups.append(("measurement-bound-numeric",
+                           lambda: _check_bound_numeric((2,))))
+        else:
+            groups.append(("measurement-bound-numeric",
+                           lambda: _check_bound_numeric((1, 2, 3, 5, 8))))
+            groups.append(("optimizers", lambda: _check_optimizers(seed)))
+
+        checks: list[CheckResult] = []
+        for name, thunk in groups:
+            try:
+                result = thunk()
+                checks += result if isinstance(result, list) else [result]
+            except Exception as exc:
+                checks.append(CheckResult(name, False, f"raised {exc!r}"))
+    except Exception as exc:  # harness failure, not a failed tolerance
+        print(f"verify: internal error: {exc}", file=sys.stderr)
+        return 2
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:34s}  {c.detail}")
+    failed = sum(not c.passed for c in checks)
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    return 0 if failed == 0 else 1
+
+
+def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
+    """Run the probabilistic disentangler once and report its statistics."""
+    if not (0.0 <= theta <= np.pi and 0.0 <= phi < 2.0 * np.pi
+            and 1 <= n <= network.MAX_CASCADE_QUBITS and shots >= 1):
+        print("network: need 0 <= theta <= pi, 0 <= phi < 2 pi, "
+              f"1 <= n <= {network.MAX_CASCADE_QUBITS}, shots >= 1",
+              file=sys.stderr)
+        return 2
+    psi = PureQubit(theta, phi)
+    p = network.success_probability(theta, n)
+    out = network.run_cascade(psi, n)
+    if n >= 2:
+        recovered = network.post_selected_state(out, n)
+    else:
+        recovered = PureQubit.from_amplitudes(out.amps)
+    fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
+    counts = network.sample_shots(psi, n, shots, seed)
+    freq = counts.plus / shots
+    stderr_bin = float(np.sqrt(p * (1.0 - p) / shots))
+    print(f"exact_success_probability = {_fmt(p)}")
+    print(f"empirical_plus_fraction = {_fmt(freq)}")
+    print(f"binomial_standard_error = {_fmt(stderr_bin)}")
+    print(f"post_selected_fidelity = {_fmt(fid)}")
+    print(f"shots = {shots}  plus = {counts.plus}  minus = {counts.minus}  "
+          f"rng = {counts.generator}  seed = {seed}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="disentanglers",
+        description="Fidelity tables, cross-checks, and network runs for "
+                    "qubit disentangling strategies.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_table = sub.add_parser("table", help="write the per-N fidelity CSV")
+    p_table.add_argument("--n-min", type=int, default=1)
+    p_table.add_argument("--n-max", type=int, default=50)
+    p_table.add_argument("--output", type=str, default=None,
+                         help="CSV path (default: stdout)")
+
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify.add_argument("--level", choices=("fast", "full"), default="fast")
+    p_verify.add_argument("--seed", type=int, default=42)
+
+    p_net = sub.add_parser("network", help="run the probabilistic disentangler")
+    p_net.add_argument("--theta", type=float, required=True)
+    p_net.add_argument("--phi", type=float, default=0.0)
+    p_net.add_argument("--n", type=int, required=True)
+    p_net.add_argument("--shots", type=int, default=1000)
+    p_net.add_argument("--seed", type=int, default=0)
+
+    args = parser.parse_args(argv)
+    if args.command == "table":
+        return cmd_table(args.n_min, args.n_max, args.output)
+    if args.command == "verify":
+        return cmd_verify(args.level, args.seed)
+    return cmd_network(args.theta, args.phi, args.n, args.shots, args.seed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

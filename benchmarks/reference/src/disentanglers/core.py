@@ -1,0 +1,264 @@
+"""Qubit states, symmetric dilution, partial traces, and sphere quadrature.
+
+A single qubit |psi(theta, phi)> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
+spread symmetrically over N qubits stays inside the two-dimensional span of
+the fully symmetric states with zero or one excitation, so most of the
+machinery here works with two complex amplitudes regardless of N.  Dense
+statevectors are only materialized where an honest brute-force cross-check
+(partial trace, gate network) is wanted.
+
+Conventions fixed throughout the package:
+  * qubit 1 is the most significant bit of a statevector index,
+  * pure states are compared through |<a|b>|^2, never amplitude-wise,
+  * sphere averages use the normalized measure sin(theta) dtheta dphi / (4 pi).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+TWO_PI = 2.0 * np.pi
+
+MAX_STATEVECTOR_QUBITS = 24
+
+
+class DomainError(ValueError):
+    """An argument is outside the range an operation is defined on."""
+
+
+class CapacityError(ValueError):
+    """A request would exceed the dense-statevector size cap."""
+
+
+def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
+    if not cond:
+        raise exc(msg)
+
+
+@dataclass(frozen=True)
+class PureQubit:
+    """Bloch-parameterized pure qubit with theta in [0, pi], phi in [0, 2 pi)."""
+
+    theta: float
+    phi: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require(0.0 <= self.theta <= np.pi, f"theta={self.theta} outside [0, pi]")
+        _require(0.0 <= self.phi < TWO_PI, f"phi={self.phi} outside [0, 2 pi)")
+
+    @property
+    def alpha(self) -> float:
+        return float(np.cos(self.theta / 2.0))
+
+    @property
+    def beta(self) -> complex:
+        return complex(np.exp(1j * self.phi) * np.sin(self.theta / 2.0))
+
+    def amplitudes(self) -> np.ndarray:
+        return np.array([self.alpha, self.beta], dtype=complex)
+
+    @classmethod
+    def from_angles(cls, theta: float, phi: float) -> "PureQubit":
+        """Build with phi reduced mod 2 pi (theta must already be in range)."""
+        return cls(float(theta), float(phi) % TWO_PI)
+
+    @classmethod
+    def from_amplitudes(cls, vec: np.ndarray) -> "PureQubit":
+        """Extract Bloch angles from a 2-vector, discarding the global phase."""
+        v = np.asarray(vec, dtype=complex)
+        _require(v.shape == (2,), "expected a 2-component amplitude vector")
+        norm = np.linalg.norm(v)
+        _require(norm > 0, "cannot extract angles from the zero vector")
+        v = v / norm
+        theta = 2.0 * np.arctan2(abs(v[1]), abs(v[0]))
+        phi = 0.0 if abs(v[1]) < 1e-15 else float(np.angle(v[1]) - np.angle(v[0]))
+        return cls.from_angles(min(max(theta, 0.0), np.pi), phi)
+
+
+@dataclass(frozen=True)
+class DickeVector:
+    """N-qubit state c0 |N;0> + c1 |N;1> in the symmetric zero/one-excitation span."""
+
+    n: int
+    c0: complex
+    c1: complex
+
+    def __post_init__(self) -> None:
+        _require(self.n >= 1, f"need n >= 1, got {self.n}")
+        norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
+        _require(abs(norm2 - 1.0) < 1e-12, f"amplitudes not normalized: |c|^2 = {norm2}")
+
+    def amplitudes(self) -> np.ndarray:
+        return np.array([self.c0, self.c1], dtype=complex)
+
+    def overlap(self, other: "DickeVector") -> complex:
+        _require(self.n == other.n, "qubit counts differ")
+        return complex(np.conj(self.c0) * other.c0 + np.conj(self.c1) * other.c1)
+
+
+@dataclass(frozen=True)
+class FullStateVector:
+    """Dense 2^n statevector; index bit k-1 (from the top) is the state of qubit k."""
+
+    n: int
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        _require(1 <= self.n <= MAX_STATEVECTOR_QUBITS,
+                 f"n={self.n} outside [1, {MAX_STATEVECTOR_QUBITS}]", CapacityError)
+        a = np.asarray(self.amps, dtype=complex)
+        _require(a.shape == (2 ** self.n,), f"expected {2 ** self.n} amplitudes")
+        norm = np.linalg.norm(a)
+        _require(abs(norm - 1.0) < 1e-10 * 2 ** (self.n / 2.0),
+                 f"statevector norm {norm} != 1")
+        a.setflags(write=False)
+        object.__setattr__(self, "amps", a)
+
+    @classmethod
+    def from_amplitudes(cls, amps: np.ndarray) -> "FullStateVector":
+        amps = np.asarray(amps, dtype=complex)
+        n = int(round(np.log2(amps.size)))
+        return cls(n, amps)
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """Hermitian, unit-trace, positive-semidefinite matrix."""
+
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.entries, dtype=complex)
+        _require(m.shape == (self.dim, self.dim), f"expected {self.dim}x{self.dim} matrix")
+        _require(np.max(np.abs(m - m.conj().T)) < 1e-10, "matrix is not Hermitian")
+        _require(abs(np.trace(m).real - 1.0) < 1e-10, f"trace {np.trace(m)} != 1")
+        _require(float(np.linalg.eigvalsh(m).min()) > -1e-10, "matrix is not PSD")
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def from_matrix(cls, entries: np.ndarray) -> "DensityOperator":
+        entries = np.asarray(entries, dtype=complex)
+        return cls(entries.shape[0], entries)
+
+
+def dilute_angle(theta, n: int):
+    """Polar angle of the symmetric N-qubit image of a qubit at `theta`.
+
+    cos(out/2) = sqrt(N) cos(theta/2) / sqrt(sin^2(theta/2) + N cos^2(theta/2)),
+    with sin(out/2) >= 0.  Accepts scalars or arrays.
+    """
+    _require(n >= 1, f"need n >= 1, got {n}")
+    th = np.asarray(theta, dtype=float)
+    _require(bool(np.all((th >= 0.0) & (th <= np.pi))), "theta outside [0, pi]")
+    c = np.cos(th / 2.0)
+    s = np.sin(th / 2.0)
+    cos_half = np.sqrt(n) * c / np.sqrt(s * s + n * c * c)
+    out = 2.0 * np.arccos(np.clip(cos_half, -1.0, 1.0))
+    return out if out.ndim else float(out)
+
+
+def symmetric_state(psi: PureQubit, n: int) -> DickeVector:
+    """Symmetric N-qubit dilution of a single qubit (identity for n=1)."""
+    tbar = dilute_angle(psi.theta, n)
+    return DickeVector(n, np.cos(tbar / 2.0), np.exp(1j * psi.phi) * np.sin(tbar / 2.0))
+
+
+def dicke_to_statevector(v: DickeVector) -> FullStateVector:
+    """Expand the two-amplitude symmetric state into a dense 2^n statevector."""
+    _require(v.n <= MAX_STATEVECTOR_QUBITS,
+             f"n={v.n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector cap",
+             CapacityError)
+    amps = np.zeros(2 ** v.n, dtype=complex)
+    amps[0] = v.c0
+    share = v.c1 / np.sqrt(v.n)
+    for k in range(1, v.n + 1):
+        amps[1 << (v.n - k)] = share
+    return FullStateVector(v.n, amps)
+
+
+def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:
+    """Partial trace down to qubit `which` (1-indexed, qubit 1 = top bit)."""
+    _require(1 <= which <= state.n, f"qubit index {which} outside 1..{state.n}")
+    tensor = state.amps.reshape((2,) * state.n)
+    m = np.moveaxis(tensor, which - 1, 0).reshape(2, -1)
+    return DensityOperator(2, m @ m.conj().T)
+
+
+def symmetric_marginal(v: DickeVector) -> DensityOperator:
+    """Single-qubit marginal of the symmetric state, in closed form.
+
+    Equals `reduced_qubit` of the dense expansion for any qubit index, but is
+    valid at any N.  The three-term decomposition below is not a convex
+    mixture (the middle weight is negative for N > 1); only the sum is a state.
+    """
+    n = v.n
+    cb2 = abs(v.c0) ** 2
+    sb2 = abs(v.c1) ** 2
+    psi = np.array([v.c0, v.c1], dtype=complex)
+    rho = ((n - 1) / n) * np.diag([1.0, 0.0]).astype(complex)
+    rho += ((1 - np.sqrt(n)) / n) * np.diag([cb2, sb2])
+    rho += (1 / np.sqrt(n)) * np.outer(psi, psi.conj())
+    return DensityOperator(2, rho)
+
+
+def fidelity_pure(psi: PureQubit, rho: DensityOperator) -> float:
+    """<psi| rho |psi> for a qubit density operator."""
+    _require(rho.dim == 2, f"expected a qubit operator, got dim {rho.dim}")
+    v = psi.amplitudes()
+    val = complex(v.conj() @ rho.entries @ v)
+    assert abs(val.imag) < 1e-12
+    return val.real
+
+
+@dataclass(frozen=True, eq=False)
+class BlochQuadrature:
+    """Gauss-Legendre (in cos theta) x trapezoid (in phi) rule on the sphere.
+
+    Weights are normalized to the measure sin(theta) dtheta dphi / (4 pi), so
+    they sum to one.  Exact for integrands polynomial of degree <= 2 n_theta - 1
+    in cos(theta) and bandlimited below n_phi in phi.
+    """
+
+    n_theta: int = 64
+    n_phi: int = 64
+    theta_nodes: np.ndarray = field(init=False, repr=False)
+    theta_weights: np.ndarray = field(init=False, repr=False)
+    phi_nodes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _require(self.n_theta >= 2 and self.n_phi >= 2, "need at least 2 nodes per axis")
+        u, wu = np.polynomial.legendre.leggauss(self.n_theta)
+        for name, arr in (("theta_nodes", np.arccos(u)),
+                          ("theta_weights", wu / 2.0),
+                          ("phi_nodes", TWO_PI * np.arange(self.n_phi) / self.n_phi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        assert abs(self.theta_weights.sum() - 1.0) < 1e-13
+
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Meshed (theta, phi, weight) arrays of shape (n_theta, n_phi)."""
+        th, ph = np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
+        w = np.outer(self.theta_weights, np.full(self.n_phi, 1.0 / self.n_phi))
+        return th, ph, w
+
+
+def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  quad: BlochQuadrature) -> float:
+    """Average f(theta, phi) over the sphere; f must broadcast over arrays."""
+    th, ph, w = quad.grid()
+    vals = np.broadcast_to(np.asarray(f(th, ph), dtype=float), th.shape)
+    return float(np.sum(w * vals))
+
+
+def diluted_avg_fidelity(n: int) -> float:
+    """Mean fidelity (N^2 - 1 - 2 ln N) / (2 (N-1)^2) between one qubit of the
+    symmetric dilution and the original; 1 at N=1, 1/2 as N grows."""
+    _require(n >= 1, f"need n >= 1, got {n}")
+    if n == 1:
+        return 1.0
+    return (n * n - 1.0 - 2.0 * np.log(n)) / (2.0 * (n - 1.0) ** 2)

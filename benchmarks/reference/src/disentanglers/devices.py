@@ -1,0 +1,357 @@
+"""Coherent disentangling and entangling devices on the symmetric sector.
+
+A device is a unitary acting on (symmetric sector) x (machine), fixed by four
+unnormalized machine vectors: the zero-excitation input maps to
+|0>|D1> + |1>|D2> and the one-excitation input to |0>|D3> + |1>|D4>, up to the
+spectator zero-excitation factor on the remaining qubits.  Unitarity on the
+two-dimensional input sector pins down three Gram constraints; everything
+measurable about a device (pointwise and average fidelity) is a function of
+the Gram data alone.
+
+The same four-vector data read in the opposite direction (qubit sector in,
+symmetric sector out) describes an entangler, so builders are shared.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import minimize
+
+from .core import (
+    DensityOperator,
+    DickeVector,
+    PureQubit,
+    _require,
+    dilute_angle,
+)
+
+MACHINE_DIM = 4
+
+UNITARITY_TOL = 1e-8
+
+
+class UnitarityError(ValueError):
+    """A device transform violates the unitarity constraints."""
+
+
+class OptimizationError(RuntimeError):
+    """A constrained device search failed to produce a feasible optimum."""
+
+
+@dataclass(frozen=True, eq=False)
+class DeviceTransform:
+    """Four machine vectors defining a sector-preserving device unitary."""
+
+    n: int
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    d4: np.ndarray
+
+    def __post_init__(self) -> None:
+        _require(self.n >= 1, f"need n >= 1, got {self.n}")
+        for name in ("d1", "d2", "d3", "d4"):
+            v = np.asarray(getattr(self, name), dtype=complex)
+            _require(v.shape == (MACHINE_DIM,), f"{name} must have {MACHINE_DIM} components")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    def vectors(self) -> np.ndarray:
+        return np.stack([self.d1, self.d2, self.d3, self.d4])
+
+    def images(self) -> np.ndarray:
+        """Images of the two sector basis states as rows, in the flat
+        (output level, machine) ordering."""
+        return np.stack([np.concatenate([self.d1, self.d2]),
+                         np.concatenate([self.d3, self.d4])])
+
+
+@dataclass(frozen=True, eq=False)
+class GramSummary:
+    """Norms and inner products of the machine vectors, plus the derived
+    overlap parameters used by the average-fidelity formula.
+
+    `x` normalizes the symmetrized D4/D1 overlap by ||D4||^2 and is only
+    meaningful for matched norms; `u` normalizes by ||D1|| ||D4|| and always
+    lies in [-1, 1].
+    """
+
+    norms_sq: np.ndarray
+    gram: np.ndarray
+    x: float
+    u: float
+    eta1: float
+    eta4: float
+
+
+def gram_summary(t: DeviceTransform) -> GramSummary:
+    v = t.vectors()
+    gram = v.conj() @ v.T
+    norms_sq = np.real(np.diag(gram)).copy()
+    eta1, eta4 = float(norms_sq[0]), float(norms_sq[3])
+    re41 = float(np.real(gram[3, 0]))
+    x = re41 / eta4 if eta4 > 1e-30 else 0.0
+    denom = np.sqrt(eta1 * eta4)
+    u = float(np.clip(re41 / denom, -1.0, 1.0)) if denom > 1e-30 else 0.0
+    return GramSummary(norms_sq, gram, x, u, eta1, eta4)
+
+
+def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
+    """Deviations from the three unitarity constraints:
+    | ||D1||^2 + ||D2||^2 - 1 |, | ||D3||^2 + ||D4||^2 - 1 |, |<D1|D3> + <D2|D4>|."""
+    g = gram_summary(t)
+    return (abs(g.norms_sq[0] + g.norms_sq[1] - 1.0),
+            abs(g.norms_sq[2] + g.norms_sq[3] - 1.0),
+            abs(g.gram[0, 2] + g.gram[1, 3]))
+
+
+def _check_unitary(t: DeviceTransform) -> None:
+    res = unitarity_residuals(t)
+    if max(res) >= UNITARITY_TOL:
+        raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
+
+
+def _joint(t: DeviceTransform, a0: complex, a1: complex) -> np.ndarray:
+    """Joint (2, machine) output for sector amplitudes (a0, a1)."""
+    return np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
+
+
+def apply_transform(t: DeviceTransform,
+                    big_psi: DickeVector) -> tuple[np.ndarray, DensityOperator]:
+    """Run the device on a symmetric-sector input.
+
+    Returns the joint (qubit, machine) pure state as a (2, 4) array and the
+    qubit density operator left after tracing out the machine.
+    """
+    _require(t.n == big_psi.n, "transform and input qubit counts differ")
+    _check_unitary(t)
+    joint = _joint(t, big_psi.c0, big_psi.c1)
+    rho = joint @ joint.conj().T
+    return joint, DensityOperator(2, rho)
+
+
+def apply_entangler(t: DeviceTransform,
+                    psi: PureQubit) -> tuple[np.ndarray, DensityOperator]:
+    """Run the device as an entangler on a single-qubit input.
+
+    The rows of the joint state and the 2x2 output operator refer to the
+    symmetric N-qubit sector basis (zero- and one-excitation states).
+    """
+    _check_unitary(t)
+    joint = _joint(t, psi.alpha, psi.beta)
+    rho = joint @ joint.conj().T
+    return joint, DensityOperator(2, rho)
+
+
+def _sector_fidelity(t: DeviceTransform, in0, in1, out0, out1):
+    """<target| rho |target> in closed form from the Gram data.
+
+    rho is the sector output operator for input amplitudes (in0, in1) and the
+    target has amplitudes (out0, out1).  All four amplitude arguments may be
+    arrays; the result broadcasts.  Equals the matrix route through
+    `apply_transform` to rounding.
+    """
+    g = gram_summary(t).gram
+    a0c, a1 = np.conj(in0), np.asarray(in1)
+    p00 = np.abs(in0) ** 2
+    p11 = np.abs(in1) ** 2
+    cross = a0c * a1
+    rho00 = p00 * g[0, 0].real + p11 * g[2, 2].real + 2.0 * np.real(cross * g[0, 2])
+    rho11 = p00 * g[1, 1].real + p11 * g[3, 3].real + 2.0 * np.real(cross * g[1, 3])
+    rho01 = (p00 * g[1, 0] + cross * g[1, 2]
+             + np.conj(cross) * g[3, 0] + p11 * g[3, 2])
+    val = (np.abs(out0) ** 2 * rho00 + np.abs(out1) ** 2 * rho11
+           + 2.0 * np.real(np.conj(out0) * np.asarray(out1) * rho01))
+    return val if np.ndim(val) else float(val)
+
+
+def pointwise_fidelity(t: DeviceTransform, theta, phi):
+    """Fidelity of the disentangled qubit against the original at one input
+    orientation; broadcasts over angle arrays."""
+    th = np.asarray(theta, dtype=float)
+    alpha = np.cos(th / 2.0)
+    beta = np.exp(1j * np.asarray(phi)) * np.sin(th / 2.0)
+    tbar = dilute_angle(th, t.n)
+    abar = np.cos(tbar / 2.0)
+    bbar = np.exp(1j * np.asarray(phi)) * np.sin(tbar / 2.0)
+    return _sector_fidelity(t, abar, bbar, alpha, beta)
+
+
+def entangler_pointwise_fidelity(t: DeviceTransform, theta, phi):
+    """Fidelity of the entangler output against the ideal symmetric dilution
+    of the input qubit; broadcasts over angle arrays."""
+    th = np.asarray(theta, dtype=float)
+    alpha = np.cos(th / 2.0)
+    beta = np.exp(1j * np.asarray(phi)) * np.sin(th / 2.0)
+    tbar = dilute_angle(th, t.n)
+    abar = np.cos(tbar / 2.0)
+    bbar = np.exp(1j * np.asarray(phi)) * np.sin(tbar / 2.0)
+    return _sector_fidelity(t, alpha, beta, abar, bbar)
+
+
+def universal_coefficients(n: int) -> tuple[float, float]:
+    """Amplitude pair (gamma, delta) of the covariant optimum:
+    gamma^2 = (N+1) / (2 (N+1-sqrt(N))), delta = sqrt(1 - gamma^2)."""
+    _require(n >= 1, f"need n >= 1, got {n}")
+    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n)))
+    return float(np.sqrt(g2)), float(np.sqrt(max(1.0 - g2, 0.0)))
+
+
+def _basis(k: int) -> np.ndarray:
+    e = np.zeros(MACHINE_DIM, dtype=complex)
+    e[k] = 1.0
+    return e
+
+
+def universal_disentangler(n: int) -> DeviceTransform:
+    """Covariant optimum: constant fidelity gamma^2 for every input."""
+    gamma, delta = universal_coefficients(n)
+    return DeviceTransform(n, gamma * _basis(0), delta * _basis(1),
+                           delta * _basis(2), gamma * _basis(0))
+
+
+def swap_disentangler(n: int) -> DeviceTransform:
+    """State-swapping device: decouples the machine and leaves the qubit in
+    the diluted pure state.  Maximizes the sphere-averaged fidelity."""
+    e0 = _basis(0)
+    zero = np.zeros(MACHINE_DIM, dtype=complex)
+    return DeviceTransform(n, e0, zero, zero, e0)
+
+
+def universal_entangler(n: int) -> DeviceTransform:
+    """Covariant entangler; same machine-vector data as the disentangler,
+    read with the qubit sector as input."""
+    return universal_disentangler(n)
+
+
+def swap_entangler(n: int) -> DeviceTransform:
+    """State-swapping entangler: writes the qubit amplitudes onto the
+    symmetric sector unchanged."""
+    return swap_disentangler(n)
+
+
+def covariance_spread(t: DeviceTransform, samples: int = 1000) -> float:
+    """max - min of the pointwise fidelity over a deterministic golden-spiral
+    covering of the sphere; zero means input-state independence."""
+    _require(samples >= 100, f"need at least 100 samples, got {samples}")
+    k = np.arange(samples)
+    theta = np.arccos(1.0 - 2.0 * (k + 0.5) / samples)
+    phi = (k * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi)
+    vals = pointwise_fidelity(t, theta, phi)
+    return float(np.max(vals) - np.min(vals))
+
+
+def moment_integrals(n: int) -> tuple[float, float, float]:
+    """Polar moments of the diluted ensemble against cos^4, sin^4, and
+    sin^2 cos^2 of the half-angle.
+
+    These are integrals of sin(theta) dtheta / (N cos^2(theta/2) +
+    sin^2(theta/2)) times the respective half-angle factor, in closed form.
+    They obey N m1 + m2 + (N+1) m3 = 2 and are (2/3, 2/3, 1/3) at N=1.
+    """
+    _require(n >= 1, f"need n >= 1, got {n}")
+    if n == 1:
+        return 2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
+    d = (n - 1.0) ** 3
+    ln = np.log(n)
+    m1 = (3.0 - 4.0 * n + n * n + 2.0 * ln) / d
+    m2 = (-1.0 + 4.0 * n - 3.0 * n * n + 2.0 * n * n * ln) / d
+    m3 = (-1.0 + n * n - 2.0 * n * ln) / d
+    return float(m1), float(m2), float(m3)
+
+
+def device_avg_fidelity(t: DeviceTransform) -> float:
+    """Sphere-averaged disentangling fidelity from the Gram data:
+    (1/2) [ m1 N ||D1||^2 + m2 ||D4||^2
+            + m3 ( ||D3||^2 + N ||D2||^2 + 2 sqrt(N) Re <D1|D4> ) ]."""
+    _check_unitary(t)
+    m1, m2, m3 = moment_integrals(t.n)
+    g = gram_summary(t)
+    return 0.5 * (m1 * t.n * g.norms_sq[0] + m2 * g.norms_sq[3]
+                  + m3 * (g.norms_sq[2] + t.n * g.norms_sq[1]
+                          + 2.0 * np.sqrt(t.n) * float(np.real(g.gram[0, 3]))))
+
+
+def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
+    """Random device satisfying the unitarity constraints exactly: the two
+    sector images are orthonormalized columns of a Gaussian complex matrix."""
+    z = rng.standard_normal((2 * MACHINE_DIM, 2)) + 1j * rng.standard_normal(
+        (2 * MACHINE_DIM, 2))
+    q, _ = np.linalg.qr(z)
+    return DeviceTransform(n, q[:MACHINE_DIM, 0], q[MACHINE_DIM:, 0],
+                           q[:MACHINE_DIM, 1], q[MACHINE_DIM:, 1])
+
+
+def _general_family(params: np.ndarray) -> tuple[float, float, complex, complex]:
+    """Map unconstrained parameters to (eta1, eta4, w, d2 phase); the machine
+    vectors built from these satisfy the unitarity constraints exactly."""
+    a, b, c, d, chi = params
+    eta1 = np.sin(a) ** 2
+    eta4 = np.sin(b) ** 2
+    w = np.sin(c) * np.exp(1j * d)
+    return float(eta1), float(eta4), complex(w), complex(np.exp(1j * chi))
+
+
+def _build_general(n: int, params: np.ndarray) -> DeviceTransform:
+    eta1, eta4, w, ph2 = _general_family(params)
+    d1 = np.sqrt(eta1) * _basis(0)
+    d4 = np.sqrt(eta4) * (w * _basis(0) + np.sqrt(1.0 - abs(w) ** 2) * _basis(1))
+    d2 = np.sqrt(1.0 - eta1) * ph2 * _basis(2)
+    d3 = np.sqrt(1.0 - eta4) * _basis(3)
+    return DeviceTransform(n, d1, d2, d3, d4)
+
+
+def _build_covariant(n: int, params: np.ndarray) -> DeviceTransform:
+    """Covariant family: phase-independence of the fidelity and matched norms
+    hold by construction, so the single live parameter is the normalized
+    D4/D1 overlap x = cos(omega)."""
+    omega, ph1, ph2 = params
+    x = float(np.cos(omega))
+    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n) * x))
+    g = np.sqrt(g2)
+    rest = np.sqrt(max(1.0 - x * x, 0.0))
+    d1 = g * (x * _basis(0) + rest * np.exp(1j * ph1) * _basis(1))
+    d4 = g * _basis(0)
+    d2 = np.sqrt(max(1.0 - g2, 0.0)) * np.exp(1j * ph2) * _basis(2)
+    d3 = np.sqrt(max(1.0 - g2, 0.0)) * _basis(3)
+    return DeviceTransform(n, d1, d2, d3, d4)
+
+
+def _restart_search(build, n: int, dim: int, restarts: int,
+                    seed: int) -> tuple[DeviceTransform, float]:
+    rng = np.random.default_rng(seed)
+    best_val = -np.inf
+    best_t = None
+    for _ in range(restarts):
+        x0 = rng.uniform(0.0, np.pi, size=dim)
+        res = minimize(lambda p: -device_avg_fidelity(build(n, p)), x0,
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-8, "fatol": 1e-13,
+                                "maxfev": 4000, "maxiter": 4000})
+        if -res.fun > best_val:
+            best_val = float(-res.fun)
+            best_t = build(n, res.x)
+    if best_t is None or not np.isfinite(best_val):
+        raise OptimizationError("device search produced no feasible optimum")
+    return best_t, best_val
+
+
+def optimize_average(n: int, restarts: int = 8,
+                     seed: int = 0) -> tuple[DeviceTransform, float]:
+    """Maximize the sphere-averaged fidelity over all unitarity-constrained
+    devices.  The optimum is the state-swapping device."""
+    _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
+    return _restart_search(_build_general, n, 5, restarts, seed)
+
+
+def optimize_universal(n: int, restarts: int = 8,
+                       seed: int = 0) -> tuple[DeviceTransform, float]:
+    """Maximize the (constant) fidelity over covariant devices.  The optimum
+    is the universal disentangler with gamma^2 fidelity."""
+    _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
+    t, val = _restart_search(_build_covariant, n, 3, restarts, seed)
+    if max(unitarity_residuals(t)) > UNITARITY_TOL:
+        raise OptimizationError("covariant optimum violates unitarity")
+    return t, val
