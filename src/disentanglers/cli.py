@@ -253,7 +253,7 @@ def _check_network(seed: int) -> list[CheckResult]:
 def _check_bound_numeric(ns: tuple[int, ...]) -> CheckResult:
     worst = max(abs(measurement.optimal_measurement_bound_numeric(n)
                     - measurement.optimal_measurement_bound(n)) for n in ns)
-    return _check(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", worst, 2e-3)
+    return _check(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", worst, 1e-9)
 
 
 def _check_optimizers(seed: int) -> list[CheckResult]:

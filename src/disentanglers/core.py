@@ -62,8 +62,13 @@ class PureQubit:
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "PureQubit":
-        """Build with phi reduced mod 2 pi (theta must already be in range)."""
-        return cls(float(theta), float(phi) % TWO_PI)
+        """Build with phi reduced mod 2 pi (theta must already be in range).
+
+        A phi a rounding error below a multiple of 2 pi reduces to exactly
+        2 pi in floating point; that value is folded back to 0.
+        """
+        phi = float(phi) % TWO_PI
+        return cls(float(theta), 0.0 if phi == TWO_PI else phi)
 
     @classmethod
     def from_amplitudes(cls, vec: np.ndarray) -> "PureQubit":

@@ -6,7 +6,9 @@ unnormalized machine vectors: the zero-excitation input maps to
 spectator zero-excitation factor on the remaining qubits.  Unitarity on the
 two-dimensional input sector pins down three Gram constraints; everything
 measurable about a device (pointwise and average fidelity) is a function of
-the Gram data alone.
+the Gram data alone.  The average fidelity needs only five Gram scalars, so
+the optimizers search those directly from each family's parameters and
+build a device only for the optimum they return.
 
 The same four-vector data read in the opposite direction (qubit sector in,
 symmetric sector out) describes an entangler, so builders are shared.
@@ -107,10 +109,13 @@ def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
             abs(g.gram[0, 2] + g.gram[1, 3]))
 
 
-def _check_unitary(t: DeviceTransform) -> None:
-    res = unitarity_residuals(t)
+def _check_residuals(res: tuple[float, ...]) -> None:
     if max(res) >= UNITARITY_TOL:
         raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
+
+
+def _check_unitary(t: DeviceTransform) -> None:
+    _check_residuals(unitarity_residuals(t))
 
 
 def _joint(t: DeviceTransform, a0: complex, a1: complex) -> np.ndarray:
@@ -262,16 +267,23 @@ def moment_integrals(n: int) -> tuple[float, float, float]:
     return float(m1), float(m2), float(m3)
 
 
-def device_avg_fidelity(t: DeviceTransform) -> float:
+def _avg_fidelity(n: int, moments: tuple[float, float, float], d1_sq: float,
+                  d2_sq: float, d3_sq: float, d4_sq: float, re14: float) -> float:
     """Sphere-averaged disentangling fidelity from the Gram data:
     (1/2) [ m1 N ||D1||^2 + m2 ||D4||^2
             + m3 ( ||D3||^2 + N ||D2||^2 + 2 sqrt(N) Re <D1|D4> ) ]."""
+    m1, m2, m3 = moments
+    return 0.5 * (m1 * n * d1_sq + m2 * d4_sq
+                  + m3 * (d3_sq + n * d2_sq + 2.0 * np.sqrt(n) * re14))
+
+
+def device_avg_fidelity(t: DeviceTransform) -> float:
+    """Sphere-averaged disentangling fidelity of a unitarity-checked device,
+    from its Gram data (see `_avg_fidelity`)."""
     _check_unitary(t)
-    m1, m2, m3 = moment_integrals(t.n)
     g = gram_summary(t)
-    return 0.5 * (m1 * t.n * g.norms_sq[0] + m2 * g.norms_sq[3]
-                  + m3 * (g.norms_sq[2] + t.n * g.norms_sq[1]
-                          + 2.0 * np.sqrt(t.n) * float(np.real(g.gram[0, 3]))))
+    return _avg_fidelity(t.n, moment_integrals(t.n), *g.norms_sq,
+                         float(np.real(g.gram[0, 3])))
 
 
 def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
@@ -303,55 +315,94 @@ def _build_general(n: int, params: np.ndarray) -> DeviceTransform:
     return DeviceTransform(n, d1, d2, d3, d4)
 
 
+def _gram_general(n: int, params: np.ndarray) -> tuple[float, ...]:
+    """Gram scalars (||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>) of
+    `_build_general(n, params)`, without building it.  The two norm
+    constraints are checked; the cross constraint <D1|D3> + <D2|D4> = 0 holds
+    identically, since D1, D4 lie in span(e0, e1) and D2, D3 on e2, e3."""
+    eta1, eta4, w, ph2 = _general_family(params)
+    w_sq = abs(w) ** 2
+    d1_sq = eta1
+    d2_sq = (1.0 - eta1) * abs(ph2) ** 2
+    d3_sq = 1.0 - eta4
+    d4_sq = eta4 * (w_sq + (1.0 - w_sq))
+    _check_residuals((abs(d1_sq + d2_sq - 1.0), abs(d3_sq + d4_sq - 1.0)))
+    return d1_sq, d2_sq, d3_sq, d4_sq, float(np.sqrt(eta1 * eta4) * w.real)
+
+
+def _covariant_family(n: int, omega: float) -> tuple[float, float, float]:
+    """Map omega to (x, gamma^2, delta^2) with x = cos(omega)."""
+    x = float(np.cos(omega))
+    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n) * x))
+    return x, g2, max(1.0 - g2, 0.0)
+
+
 def _build_covariant(n: int, params: np.ndarray) -> DeviceTransform:
     """Covariant family: phase-independence of the fidelity and matched norms
     hold by construction, so the single live parameter is the normalized
     D4/D1 overlap x = cos(omega)."""
     omega, ph1, ph2 = params
-    x = float(np.cos(omega))
-    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n) * x))
+    x, g2, delta2 = _covariant_family(n, omega)
     g = np.sqrt(g2)
     rest = np.sqrt(max(1.0 - x * x, 0.0))
     d1 = g * (x * _basis(0) + rest * np.exp(1j * ph1) * _basis(1))
     d4 = g * _basis(0)
-    d2 = np.sqrt(max(1.0 - g2, 0.0)) * np.exp(1j * ph2) * _basis(2)
-    d3 = np.sqrt(max(1.0 - g2, 0.0)) * _basis(3)
+    d2 = np.sqrt(delta2) * np.exp(1j * ph2) * _basis(2)
+    d3 = np.sqrt(delta2) * _basis(3)
     return DeviceTransform(n, d1, d2, d3, d4)
 
 
-def _restart_search(build, n: int, dim: int, restarts: int,
+def _gram_covariant(n: int, params: np.ndarray) -> tuple[float, ...]:
+    """Gram scalars of `_build_covariant(n, params)`, in the order and with
+    the checks of `_gram_general`; D1, D4 lie in span(e0, e1) and D2, D3 on
+    e2, e3 here too."""
+    x, g2, delta2 = _covariant_family(n, params[0])
+    d1_sq = g2 * (x * x + max(1.0 - x * x, 0.0))
+    _check_residuals((abs(d1_sq + delta2 - 1.0), abs(delta2 + g2 - 1.0)))
+    return d1_sq, delta2, delta2, g2, g2 * x
+
+
+def _restart_search(build, gram, n: int, dim: int, restarts: int,
                     seed: int) -> tuple[DeviceTransform, float]:
+    """Nelder-Mead from `restarts` seeded starts on the Gram-data objective
+    `gram` of the family `build`; the best optimum is built, checked and
+    evaluated through `device_avg_fidelity`."""
     rng = np.random.default_rng(seed)
+    moments = moment_integrals(n)
     best_val = -np.inf
-    best_t = None
+    best_x = None
+    converged = 0
     for _ in range(restarts):
         x0 = rng.uniform(0.0, np.pi, size=dim)
-        res = minimize(lambda p: -device_avg_fidelity(build(n, p)), x0,
+        res = minimize(lambda p: -_avg_fidelity(n, moments, *gram(n, p)), x0,
                        method="Nelder-Mead",
                        options={"xatol": 1e-8, "fatol": 1e-13,
                                 "maxfev": 4000, "maxiter": 4000})
+        converged += bool(res.success)
         if -res.fun > best_val:
             best_val = float(-res.fun)
-            best_t = build(n, res.x)
-    if best_t is None or not np.isfinite(best_val):
+            best_x = res.x
+    if converged == 0:
+        raise OptimizationError(f"none of {restarts} device-search restarts converged")
+    if best_x is None or not np.isfinite(best_val):
         raise OptimizationError("device search produced no feasible optimum")
-    return best_t, best_val
+    best_t = build(n, best_x)
+    return best_t, device_avg_fidelity(best_t)
 
 
 def optimize_average(n: int, restarts: int = 8,
                      seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the sphere-averaged fidelity over all unitarity-constrained
-    devices.  The optimum is the state-swapping device."""
+    devices.  The optimum is the state-swapping device.  Raises
+    OptimizationError when no restart converges."""
     _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
-    return _restart_search(_build_general, n, 5, restarts, seed)
+    return _restart_search(_build_general, _gram_general, n, 5, restarts, seed)
 
 
 def optimize_universal(n: int, restarts: int = 8,
                        seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the (constant) fidelity over covariant devices.  The optimum
-    is the universal disentangler with gamma^2 fidelity."""
+    is the universal disentangler with gamma^2 fidelity.  Raises
+    OptimizationError when no restart converges."""
     _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
-    t, val = _restart_search(_build_covariant, n, 3, restarts, seed)
-    if max(unitarity_residuals(t)) > UNITARITY_TOL:
-        raise OptimizationError("covariant optimum violates unitarity")
-    return t, val
+    return _restart_search(_build_covariant, _gram_covariant, n, 3, restarts, seed)

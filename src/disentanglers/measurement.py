@@ -5,6 +5,11 @@ aligned with a random orientation, then re-prepares a single qubit along the
 observed outcome.  Averaging over orientations and inputs gives a closed-form
 mean fidelity; a supremum over all preparation rules gives the best any
 measurement-based strategy can do.
+
+That bound has a closed form and a numerical oracle.  The oracle takes the
+supremum over the re-prepared qubit exactly, since |<psi|eta>|^2 =
+(1 + r_psi . r_eta) / 2 is linear in the Bloch vector of eta, and searches
+only the apparatus polar angle numerically.
 """
 
 from __future__ import annotations
@@ -155,14 +160,10 @@ def _ensemble_tables(n: int, quad: BlochQuadrature):
     }
 
 
-def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
-                      phi_meas: float, n: int, quad: BlochQuadrature):
-    """Joint success-fidelity integral of one outcome branch.
-
-    Averages |<Psi|xi_j>|^2 |<psi|eta(theta_prep, phi_prep)>|^2 over the input
-    ensemble, where xi_j sits at the apparatus orientation and eta is the
-    re-prepared qubit.  The preparation angles may be arrays (broadcast).
-    """
+def _branch_weights(j: int, theta_meas: float, phi_meas: float, n: int,
+                    quad: BlochQuadrature) -> np.ndarray:
+    """Quadrature weight times outcome-j probability |<Psi|xi_j>|^2 on the
+    input grid, for the apparatus at (theta_meas, phi_meas)."""
     _require(j in (0, 1), f"outcome index {j} not in {{0, 1}}")
     t = _ensemble_tables(n, quad)
     cm, sm = np.cos(theta_meas / 2.0), np.sin(theta_meas / 2.0)
@@ -173,7 +174,19 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     else:
         amp = (t["cb"] * sm) ** 2 + (t["sb"] * cm) ** 2
         cross = -2.0 * t["cb"] * t["sb"] * cm * sm
-    p = amp[:, None] + cross[:, None] * cos_dm[None, :]
+    return t["w"] * (amp[:, None] + cross[:, None] * cos_dm[None, :])
+
+
+def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
+                      phi_meas: float, n: int, quad: BlochQuadrature):
+    """Joint success-fidelity integral of one outcome branch.
+
+    Averages |<Psi|xi_j>|^2 |<psi|eta(theta_prep, phi_prep)>|^2 over the input
+    ensemble, where xi_j sits at the apparatus orientation and eta is the
+    re-prepared qubit.  The preparation angles may be arrays (broadcast).
+    """
+    wp = _branch_weights(j, theta_meas, phi_meas, n, quad)
+    t = _ensemble_tables(n, quad)
 
     tp = np.asarray(theta_prep, dtype=float)
     pp = np.asarray(phi_prep, dtype=float)
@@ -185,57 +198,56 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     c, s = t["c"][None, :, None], t["s"][None, :, None]
     q = (c * cp) ** 2 + (s * sp) ** 2 + 2.0 * c * cp * s * sp * cos_dp
 
-    vals = np.einsum("tp,ktp->k", t["w"] * p, q)
+    vals = np.einsum("tp,ktp->k", wp, q)
     return vals.reshape(shape) if shape else float(vals[0])
 
 
-def _branch_supremum(j: int, theta_meas: float, n: int, quad: BlochQuadrature,
-                     resolution: int, xatol: float) -> float:
-    """sup over preparation angles of one branch integral, at fixed apparatus.
+def _branch_supremum(j: int, theta_meas: float, n: int,
+                     quad: BlochQuadrature) -> float:
+    """sup over preparation directions of one branch integral, exactly.
 
-    The integrand depends on the azimuths only through their difference, with
-    a definite-sign coefficient, so the azimuthal supremum is at offset 0 or
-    pi; the polar angle is scanned on a grid and refined.
+    |<psi|eta>|^2 = (1 + r_psi . r_eta) / 2, so the branch integral equals
+    (P + R . r_eta) / 2, with P = sum w p_j the weighted outcome probability
+    and R = sum w p_j r_psi the weighted Bloch vector of the inputs.  Over
+    unit r_eta the supremum is (P + |R|) / 2, attained at r_eta = R / |R|
+    (Massar & Popescu, PRL 74, 1259 (1995)).  The apparatus azimuth is fixed
+    at zero.
     """
-    grid = np.linspace(0.0, np.pi, resolution)
-    best = -np.inf
-    for dphi in (0.0, np.pi):
-        vals = strategy_integral(j, grid, dphi, theta_meas, 0.0, n, quad)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, resolution - 1)]
-        if hi > lo:
-            res = minimize_scalar(
-                lambda tpp: -strategy_integral(j, tpp, dphi, theta_meas, 0.0, n, quad),
-                bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-            best = max(best, float(-res.fun))
-    return best
+    wp = _branch_weights(j, theta_meas, 0.0, n, quad)
+    t = _ensemble_tables(n, quad)
+    sin_th = 2.0 * t["c"] * t["s"]
+    cos_th = t["c"] ** 2 - t["s"] ** 2
+    by_phi = sin_th @ wp
+    big_r = np.array([by_phi @ t["cos_ph"], by_phi @ t["sin_ph"],
+                      cos_th @ wp.sum(axis=1)])
+    return 0.5 * (float(wp.sum()) + float(np.linalg.norm(big_r)))
 
 
 def optimal_measurement_bound_numeric(n: int, resolution: int = 64,
                                       quad: BlochQuadrature | None = None) -> float:
-    """Re-derive the measurement bound by nested supremum search.
+    """Re-derive the measurement bound by an apparatus-angle search.
 
-    Both branch suprema are taken over the preparation angles, then their sum
-    is maximized over the apparatus polar angle (the apparatus azimuth is
-    fixed at zero; the ensemble is azimuthally covariant).
+    For each apparatus polar angle both branch suprema over the re-prepared
+    qubit are taken exactly from the input ensemble's weighted Bloch vectors
+    (`_branch_supremum`); their sum is then maximized numerically over that
+    angle, on a `resolution`-point grid refined by a bounded scalar search.
+    The apparatus azimuth is fixed at zero: the ensemble is azimuthally
+    covariant.
     """
     _require(resolution >= 32, f"resolution {resolution} < 32")
     if quad is None:
         quad = BlochQuadrature()
 
-    def h_sum(theta_meas: float, xatol: float) -> float:
-        return sum(_branch_supremum(j, theta_meas, n, quad, resolution, xatol)
-                   for j in (0, 1))
+    def h_sum(theta_meas: float) -> float:
+        return sum(_branch_supremum(j, theta_meas, n, quad) for j in (0, 1))
 
     grid = np.linspace(0.0, np.pi, resolution)
-    coarse = [h_sum(tm, 1e-4) for tm in grid]
+    coarse = [h_sum(tm) for tm in grid]
     k = int(np.argmax(coarse))
-    best = h_sum(grid[k], 1e-7)
+    best = coarse[k]
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, resolution - 1)]
     if hi > lo:
-        res = minimize_scalar(lambda tm: -h_sum(tm, 1e-7),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-6})
+        res = minimize_scalar(lambda tm: -h_sum(tm), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-6})
         best = max(best, float(-res.fun))
     return best

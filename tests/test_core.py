@@ -48,6 +48,18 @@ class TestPureQubit:
             overlap = abs(np.vdot(psi.amplitudes(), back.amplitudes())) ** 2
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [-1e-17, -5e-324, -0.0])
+    def test_from_angles_folds_azimuth_just_below_zero(self, phi):
+        # (-1e-17) % (2 pi) rounds to exactly 2 pi, which is out of range
+        psi = PureQubit.from_angles(1.0, phi)
+        assert psi.phi == 0.0
+        assert psi.theta == 1.0
+
+    def test_from_amplitudes_folds_azimuth_just_below_zero(self):
+        psi = PureQubit.from_amplitudes(np.array([1.0, 0.5 - 1e-17j]))
+        assert psi.phi == 0.0
+        assert psi.theta == pytest.approx(2.0 * np.arctan(0.5), abs=1e-15)
+
 
 class TestDiluteAngle:
     def test_poles_fixed(self):

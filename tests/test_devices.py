@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from disentanglers import devices
 from disentanglers import (
     BlochQuadrature,
     DeviceTransform,
     DomainError,
+    OptimizationError,
     PureQubit,
     UnitarityError,
     apply_entangler,
@@ -220,6 +222,35 @@ class TestGramSummary:
             g = gram_summary(random_transform(3, rng))
             assert np.linalg.eigvalsh(g.gram).min() > -1e-12
             assert -1.0 <= g.u <= 1.0
+
+
+class TestFamilyObjectives:
+    @pytest.mark.parametrize("build,gram,dim", [
+        (devices._build_general, devices._gram_general, 5),
+        (devices._build_covariant, devices._gram_covariant, 3)])
+    def test_gram_objective_matches_built_device(self, build, gram, dim):
+        # angles are drawn well outside one period, negative ones included
+        rng = np.random.default_rng(16)
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            params = rng.uniform(-4 * np.pi, 4 * np.pi, size=dim)
+            via_gram = devices._avg_fidelity(n, moment_integrals(n), *gram(n, params))
+            assert via_gram == pytest.approx(device_avg_fidelity(build(n, params)),
+                                             abs=1e-14)
+
+    def test_no_converged_restart_raises(self, monkeypatch):
+        real = devices.minimize
+
+        def unconverged(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(devices, "minimize", unconverged)
+        with pytest.raises(OptimizationError):
+            optimize_average(2, restarts=8, seed=0)
+        with pytest.raises(OptimizationError):
+            optimize_universal(2, restarts=8, seed=0)
 
 
 class TestOptimizeAverage:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from disentanglers import measurement
 from disentanglers import (
     BlochQuadrature,
     DickeVector,
@@ -184,7 +185,7 @@ class TestOptimalBound:
     def test_numeric_matches_closed_form(self):
         for n in (1, 2):
             got = optimal_measurement_bound_numeric(n)
-            assert got == pytest.approx(optimal_measurement_bound(n), abs=1e-3)
+            assert got == pytest.approx(optimal_measurement_bound(n), abs=1e-9)
 
     def test_numeric_dominates_projective(self):
         for n in (2, 5, 10):
@@ -196,15 +197,29 @@ class TestOptimalBound:
             optimal_measurement_bound_numeric(2, resolution=16)
 
     def test_inner_supremum_covers_full_plane(self):
-        # the two-azimuth reduction must dominate a coarse 2-D scan
-        n, tm = 3, 1.2
-        tgrid = np.linspace(0, np.pi, 16)
-        pgrid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        tt, pp = np.meshgrid(tgrid, pgrid, indexing="ij")
-        scan0 = float(np.max(strategy_integral(0, tt, pp, tm, 0.0, n, QUAD)))
-        best0 = max(float(np.max(strategy_integral(0, tgrid, dphi, tm, 0.0, n, QUAD)))
-                    for dphi in (0.0, np.pi))
-        assert best0 >= scan0 - 1e-12
+        # the exact branch supremum (P + |R|) / 2 dominates a dense 2-D scan
+        # of the preparation sphere and is attained at the direction R / |R|
+        tgrid = np.linspace(0, np.pi, 65)
+        pgrid = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        th, ph, _ = QUAD.grid()
+        for n in (1, 3, 10):
+            for tm in (0.0, 0.4, 1.2, np.pi / 2, 2.9):
+                for j in (0, 1):
+                    best = measurement._branch_supremum(j, tm, n, QUAD)
+                    scan = max(float(np.max(strategy_integral(j, tgrid, p, tm, 0.0,
+                                                              n, QUAD)))
+                               for p in pgrid)
+                    assert best >= scan - 1e-14
+
+                    wp = measurement._branch_weights(j, tm, 0.0, n, QUAD)
+                    big_r = [np.sum(wp * np.sin(th) * np.cos(ph)),
+                             np.sum(wp * np.sin(th) * np.sin(ph)),
+                             np.sum(wp * np.cos(th))]
+                    r = np.linalg.norm(big_r)
+                    t_prep = float(np.arccos(np.clip(big_r[2] / r, -1.0, 1.0)))
+                    p_prep = float(np.arctan2(big_r[1], big_r[0]))
+                    attained = strategy_integral(j, t_prep, p_prep, tm, 0.0, n, QUAD)
+                    assert best == pytest.approx(attained, abs=1e-14)
 
 
 class TestSymmetricStateConsistency:
