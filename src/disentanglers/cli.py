@@ -22,8 +22,10 @@ from . import devices, measurement, network
 from .core import (
     BlochQuadrature,
     DickeVector,
+    FullStateVector,
     PureQubit,
     bloch_average,
+    dicke_to_statevector,
     dilute_angle,
     diluted_avg_fidelity,
     fidelity_pure,
@@ -225,6 +227,33 @@ def _check_unitary_images() -> CheckResult:
     return _check("unitary-images-n-le-50", worst, 1e-12)
 
 
+def _check_cascade_action() -> CheckResult:
+    """The composed parity permutation against the gate-level cascade, and
+    its action on the two sector basis vectors, for n = 2..12."""
+    mismatched = []
+    worst = 0.0
+    for n in range(2, 13):
+        perm = network._cascade_permutation(n)
+        # distinct amplitudes, so equal outputs mean equal permutations
+        labels = np.arange(1.0, 2 ** n + 1.0)
+        state = FullStateVector(n, labels / np.linalg.norm(labels))
+        gated = state
+        for control, target in network.cnot_cascade(n).gates:
+            gated = network.apply_cnot(gated, control, target)
+        if not np.array_equal(state.amps[perm], gated.amps):
+            mismatched.append(n)
+        for (c0, c1), expect in (
+                ((1.0, 0.0), network._dicke_with_last(n, 1.0, 0.0, 0)),
+                ((0.0, 1.0), network._dicke_with_last(
+                    n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1))):
+            basis = dicke_to_statevector(DickeVector(n, c0, c1))
+            worst = max(worst, float(np.max(np.abs(basis.amps[perm] - expect))))
+    gates = (f"differs from gate-by-gate at n={mismatched}" if mismatched
+             else "equals gate-by-gate")
+    return CheckResult("network-cascade-action", not mismatched and worst <= 1e-12,
+                       f"residual={worst:.3e} tol=1e-12, {gates}")
+
+
 def _check_network(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 2)
     worst_fid = worst_prob = 0.0
@@ -295,6 +324,7 @@ def cmd_verify(level: str, seed: int) -> int:
             ("pointwise-closed-vs-direct", lambda: _check_pointwise_dual_route(seed)),
             ("covariance", _check_covariance),
             ("unitary-images", _check_unitary_images),
+            ("network-cascade-action", _check_cascade_action),
             ("network", lambda: _check_network(seed)),
         ]
         if level == "fast":
@@ -346,7 +376,7 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
     print(f"binomial_standard_error = {_fmt(stderr_bin)}")
     print(f"post_selected_fidelity = {_fmt(fid)}")
     print(f"shots = {shots}  plus = {counts.plus}  minus = {counts.minus}  "
-          f"rng = {counts.generator}  seed = {seed}")
+          f"rng = pcg64  seed = {seed}")
     return 0
 
 

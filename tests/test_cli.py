@@ -1,8 +1,14 @@
 """Command-line frontend: CSV contract, verification suite, network report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import disentanglers
 from disentanglers import cli, devices
 from disentanglers.cli import FidelityRow, cmd_network, cmd_table, fidelity_row, main
 
@@ -141,3 +147,25 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestOptimizedInterpreter:
+    """Stripping `assert` (python -O) must not change any result."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--level", "fast"],
+        ["network", "--theta", "1.1", "--phi", "2.3", "--n", "20",
+         "--shots", "1000", "--seed", "3"],
+    ], ids=["verify-fast", "network-n20"])
+    def test_stdout_identical_under_dash_O(self, args):
+        src = str(Path(disentanglers.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(*flags):
+            return subprocess.run(
+                [sys.executable, *flags, "-m", "disentanglers.cli", *args],
+                env=env, capture_output=True, timeout=300, check=True).stdout
+
+        plain = run()
+        assert plain
+        assert run("-O") == plain

@@ -20,6 +20,7 @@ from disentanglers import (
     symmetric_marginal,
     symmetric_state,
 )
+from disentanglers.core import MAX_STATEVECTOR_QUBITS, STATEVECTOR_NORM_TOL
 
 QUAD = BlochQuadrature()
 
@@ -143,6 +144,27 @@ class TestDickeToStatevector:
             dicke_to_statevector(DickeVector(25, 1.0, 0.0))
         with pytest.raises(CapacityError):
             FullStateVector(25, np.zeros(2 ** 25))
+
+
+class TestFullStateVector:
+    def test_norm_tolerance_never_looser_than_before(self):
+        # the earlier tolerance was 1e-10 * 2^(n/2): 1.4e-10 at n=1, 4e-7 at n=24
+        for n in range(1, MAX_STATEVECTOR_QUBITS + 1):
+            assert STATEVECTOR_NORM_TOL <= 1e-10 * 2 ** (n / 2.0)
+        assert STATEVECTOR_NORM_TOL < 1e-9
+
+    def test_rejects_norm_off_by_1e9_at_n20(self):
+        n = 20
+        exact = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+        assert FullStateVector(n, exact).n == n
+        with pytest.raises(DomainError):
+            FullStateVector(n, exact * (1.0 + 1e-9))
+
+    def test_accepts_normalized_dense_states(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 8, 16):
+            amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            FullStateVector(n, amps / np.linalg.norm(amps))
 
 
 class TestReducedQubit:
@@ -270,3 +292,54 @@ class TestDilutedAvgFidelity:
         quad = BlochQuadrature(64, 8)
         got = bloch_average(np.vectorize(pipeline), quad)
         assert got == pytest.approx(diluted_avg_fidelity(n), abs=1e-9)
+
+
+def _count_entry_points():
+    from disentanglers import (
+        DeviceTransform,
+        cnot_cascade,
+        dilution_overlap,
+        measurement_avg_fidelity,
+        moment_integrals,
+        optimal_measurement_bound,
+        success_probability,
+        universal_coefficients,
+    )
+
+    zero = np.zeros(4)
+    return {
+        "dilute_angle": lambda n: dilute_angle(1.0, n),
+        "diluted_avg_fidelity": diluted_avg_fidelity,
+        "DickeVector": lambda n: DickeVector(n, 1.0, 0.0),
+        "DeviceTransform": lambda n: DeviceTransform(n, zero, zero, zero, zero),
+        "universal_coefficients": universal_coefficients,
+        "moment_integrals": moment_integrals,
+        "dilution_overlap": dilution_overlap,
+        "measurement_avg_fidelity": measurement_avg_fidelity,
+        "optimal_measurement_bound": optimal_measurement_bound,
+        "cnot_cascade": cnot_cascade,
+        "success_probability": lambda n: success_probability(1.0, n),
+    }
+
+
+class TestIntegerCount:
+    @pytest.mark.parametrize("name", sorted(_count_entry_points()))
+    def test_rejects_non_counts(self, name):
+        entry = _count_entry_points()[name]
+        for bad in (2.5, 2.0, np.float64(3.0), True, 0, -1, np.int64(0), "3", None):
+            with pytest.raises(DomainError):
+                entry(bad)
+
+    @pytest.mark.parametrize("name", sorted(_count_entry_points()))
+    def test_accepts_python_and_numpy_integers(self, name):
+        entry = _count_entry_points()[name]
+        for good in (3, np.int64(3), np.int32(3), np.uint8(3)):
+            entry(good)
+
+    def test_reported_cases(self):
+        from disentanglers import universal_coefficients
+
+        with pytest.raises(DomainError, match="integer"):
+            universal_coefficients(2.5)
+        with pytest.raises(DomainError, match="integer"):
+            dilute_angle(1.0, 2.5)

@@ -18,6 +18,8 @@ from disentanglers import (
     sample_shots,
     success_probability,
 )
+from disentanglers import cli, network
+from disentanglers.network import _cascade_permutation, _dicke_with_last
 
 
 def random_qubit(rng):
@@ -74,6 +76,37 @@ class TestCascade:
         for c, t in rng.permutation(gates):
             shuffled = apply_cnot(shuffled, int(c), int(t))
         assert np.array_equal(forward.amps, shuffled.amps)
+
+    def test_permutation_matches_gate_by_gate(self):
+        rng = np.random.default_rng(28)
+        for n in range(1, 13):
+            perm = _cascade_permutation(n)
+            for _ in range(3):
+                state = random_state(rng, n)
+                gated = state
+                for c, t in cnot_cascade(n).gates:
+                    gated = apply_cnot(gated, c, t)
+                assert np.array_equal(state.amps[perm], gated.amps)
+
+    def test_basis_action_up_to_cap(self):
+        for n in range(2, 21):
+            out0 = run_cascade(PureQubit(0.0, 0.0), n)
+            assert np.max(np.abs(out0.amps - _dicke_with_last(n, 1.0, 0.0, 0))) <= 1e-12
+            out1 = run_cascade(PureQubit(np.pi, 0.0), n)
+            expect1 = _dicke_with_last(n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1)
+            assert np.max(np.abs(out1.amps - expect1)) <= 1e-12
+
+    def test_verify_fails_when_a_gate_is_dropped(self, monkeypatch, capsys):
+        true_perm = network._cascade_permutation
+
+        def without_first_gate(n):
+            # undo the (1, n) gate: XOR the target with qubit 1 once more
+            return true_perm(n) ^ ((np.arange(2 ** n) >> (n - 1)) & 1)
+
+        monkeypatch.setattr(network, "_cascade_permutation", without_first_gate)
+        assert not cli._check_cascade_action().passed
+        assert cli.cmd_verify("fast", 42) == 1
+        assert "FAIL  network-cascade-action" in capsys.readouterr().out
 
     def test_zero_input(self):
         out = run_cascade(PureQubit(0.0, 0.0), 3)
@@ -148,6 +181,8 @@ class TestDecompose:
             decompose(out, n)  # raises if residual exceeds its bound
 
     def test_normalization_matches_closed_form(self):
+        # the branch scale sqrt(N) / |amp_plus_psi| relating the success
+        # amplitude to the input orientation
         rng = np.random.default_rng(25)
         for _ in range(50):
             n = int(rng.integers(2, 10))
@@ -155,7 +190,7 @@ class TestDecompose:
             dec = decompose(run_cascade(psi, n), n)
             c2 = np.cos(psi.theta / 2) ** 2
             expected = np.sqrt(n * n * c2 + n * (1 - c2))
-            assert dec.normalization == pytest.approx(expected, abs=1e-10)
+            assert np.sqrt(n) / abs(dec.amp_plus_psi) == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_state_outside_branch_subspace(self):
         amps = np.zeros(8, dtype=complex)
@@ -221,7 +256,10 @@ class TestSampleShots:
         a = sample_shots(PureQubit(1.0, 0.3), 3, 1000, seed=99)
         b = sample_shots(PureQubit(1.0, 0.3), 3, 1000, seed=99)
         assert (a.plus, a.minus) == (b.plus, b.minus)
-        assert a.generator == "pcg64"
+        # the counts are those of numpy's PCG64 stream at that seed
+        p = success_probability(1.0, 3)
+        draws = np.random.Generator(np.random.PCG64(99)).random(1000)
+        assert a.plus == int(np.count_nonzero(draws < p))
 
     def test_shot_count_validated(self):
         with pytest.raises(DomainError):
