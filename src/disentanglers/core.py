@@ -40,10 +40,13 @@ def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
         raise exc(msg)
 
 
-def _require_count(n) -> None:
-    """Raise DomainError unless n is an integer (not a bool) with n >= 1."""
+def _require_count(n) -> int:
+    """Return n as a Python int; raise DomainError unless n is an integer
+    (not a bool) with n >= 1.  Callers compute with the returned value, so
+    a narrow numpy integer such as np.uint8(16) cannot wrap in n * n."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class DickeVector:
     c1: complex
 
     def __post_init__(self) -> None:
-        _require_count(self.n)
+        object.__setattr__(self, "n", _require_count(self.n))
         norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
         _require(abs(norm2 - 1.0) < 1e-12, f"amplitudes not normalized: |c|^2 = {norm2}")
 
@@ -133,14 +136,16 @@ class FullStateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        _require(1 <= self.n <= MAX_STATEVECTOR_QUBITS,
-                 f"n={self.n} outside [1, {MAX_STATEVECTOR_QUBITS}]", CapacityError)
+        n = _require_count(self.n)
+        _require(n <= MAX_STATEVECTOR_QUBITS,
+                 f"n={n} outside [1, {MAX_STATEVECTOR_QUBITS}]", CapacityError)
         a = np.asarray(self.amps, dtype=complex)
-        _require(a.shape == (2 ** self.n,), f"expected {2 ** self.n} amplitudes")
+        _require(a.shape == (2 ** n,), f"expected {2 ** n} amplitudes")
         norm = np.linalg.norm(a)
         _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL,
                  f"statevector norm {norm} != 1")
         a.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", a)
 
     @classmethod
@@ -178,7 +183,7 @@ def dilute_angle(theta, n: int):
     cos(out/2) = sqrt(N) cos(theta/2) / sqrt(sin^2(theta/2) + N cos^2(theta/2)),
     with sin(out/2) >= 0.  Accepts scalars or arrays.
     """
-    _require_count(n)
+    n = _require_count(n)
     th = np.asarray(theta, dtype=float)
     _require(bool(np.all((th >= 0.0) & (th <= np.pi))), "theta outside [0, pi]")
     c = np.cos(th / 2.0)
@@ -284,7 +289,7 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def diluted_avg_fidelity(n: int) -> float:
     """Mean fidelity (N^2 - 1 - 2 ln N) / (2 (N-1)^2) between one qubit of the
     symmetric dilution and the original; 1 at N=1, 1/2 as N grows."""
-    _require_count(n)
+    n = _require_count(n)
     if n == 1:
         return 1.0
     return (n * n - 1.0 - 2.0 * np.log(n)) / (2.0 * (n - 1.0) ** 2)

@@ -54,7 +54,7 @@ class DeviceTransform:
     d4: np.ndarray
 
     def __post_init__(self) -> None:
-        _require_count(self.n)
+        object.__setattr__(self, "n", _require_count(self.n))
         for name in ("d1", "d2", "d3", "d4"):
             v = np.asarray(getattr(self, name), dtype=complex)
             _require(v.shape == (MACHINE_DIM,), f"{name} must have {MACHINE_DIM} components")
@@ -200,7 +200,7 @@ def entangler_pointwise_fidelity(t: DeviceTransform, theta, phi):
 def universal_coefficients(n: int) -> tuple[float, float]:
     """Amplitude pair (gamma, delta) of the covariant optimum:
     gamma^2 = (N+1) / (2 (N+1-sqrt(N))), delta = sqrt(1 - gamma^2)."""
-    _require_count(n)
+    n = _require_count(n)
     g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n)))
     return float(np.sqrt(g2)), float(np.sqrt(max(1.0 - g2, 0.0)))
 
@@ -257,7 +257,7 @@ def moment_integrals(n: int) -> tuple[float, float, float]:
     sin^2(theta/2)) times the respective half-angle factor, in closed form.
     They obey N m1 + m2 + (N+1) m3 = 2 and are (2/3, 2/3, 1/3) at N=1.
     """
-    _require_count(n)
+    n = _require_count(n)
     if n == 1:
         return 2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
     d = (n - 1.0) ** 3

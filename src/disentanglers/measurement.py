@@ -127,7 +127,7 @@ def dilution_overlap(n: int) -> float:
     Closed form (N^2 + 4 N^{3/2} - 4 N^{1/2} - 1 + 2 N ln N) /
     (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2.
     """
-    _require_count(n)
+    n = _require_count(n)
     if n == 1:
         return 1.0
     rt = np.sqrt(n)
@@ -143,7 +143,7 @@ def measurement_avg_fidelity(n: int) -> float:
 def optimal_measurement_bound(n: int) -> float:
     """Upper bound on any measure-and-prepare strategy's average fidelity:
     (1/2) [1 + sqrt(N) (N^2 - 1 - 2 N ln N) / (N-1)^3], with limit 2/3 at N=1."""
-    _require_count(n)
+    n = _require_count(n)
     if n == 1:
         return 2.0 / 3.0
     return 0.5 * (1.0 + np.sqrt(n) * (n * n - 1.0 - 2.0 * n * np.log(n)) / (n - 1.0) ** 3)

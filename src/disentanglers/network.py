@@ -46,7 +46,7 @@ class CnotCascade:
 
 
 def cnot_cascade(n: int) -> CnotCascade:
-    _require_count(n)
+    n = _require_count(n)
     return CnotCascade(n, tuple((k, n) for k in range(1, n)))
 
 
@@ -113,7 +113,7 @@ def run_cascade(psi: PureQubit, n: int) -> FullStateVector:
     (sqrt(n-1) one-excitation + blanks)|1> / sqrt(n)), are checked by
     `verify` and the tests, not on every call.
     """
-    _require_count(n)
+    n = _require_count(n)
     _require(n <= MAX_CASCADE_QUBITS,
              f"n={n} exceeds the {MAX_CASCADE_QUBITS}-qubit cascade cap",
              CapacityError)
@@ -127,6 +127,7 @@ def postselect_basis(n: int) -> tuple[FullStateVector, FullStateVector]:
     success = (sqrt(n-1) one-excitation + zero-excitation) / sqrt(n),
     failure = (sqrt(n-1) zero-excitation - one-excitation) / sqrt(n).
     """
+    n = _require_count(n)
     _require(n >= 2, f"need n >= 2, got {n}")
     rt = np.sqrt(n)
     plus = dicke_to_statevector(DickeVector(n - 1, 1.0 / rt, np.sqrt(n - 1.0) / rt))
@@ -169,7 +170,7 @@ def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
 def success_probability(theta: float, n: int) -> float:
     """Chance the post-selection succeeds:
     1 / (N cos^2(theta/2) + sin^2(theta/2)), between 1/N and 1."""
-    _require_count(n)
+    n = _require_count(n)
     _require(0.0 <= theta <= np.pi, f"theta={theta} outside [0, pi]")
     c2 = np.cos(theta / 2.0) ** 2
     return float(1.0 / (n * c2 + (1.0 - c2)))

@@ -302,12 +302,17 @@ def _count_entry_points():
         measurement_avg_fidelity,
         moment_integrals,
         optimal_measurement_bound,
+        postselect_basis,
+        run_cascade,
         success_probability,
         universal_coefficients,
     )
 
     zero = np.zeros(4)
     return {
+        "FullStateVector": lambda n: FullStateVector(n, np.eye(8)[0]),
+        "postselect_basis": postselect_basis,
+        "run_cascade": lambda n: run_cascade(PureQubit(1.0, 0.0), n),
         "dilute_angle": lambda n: dilute_angle(1.0, n),
         "diluted_avg_fidelity": diluted_avg_fidelity,
         "DickeVector": lambda n: DickeVector(n, 1.0, 0.0),
@@ -335,6 +340,24 @@ class TestIntegerCount:
         entry = _count_entry_points()[name]
         for good in (3, np.int64(3), np.int32(3), np.uint8(3)):
             entry(good)
+
+    @pytest.mark.parametrize("narrow", [np.uint8(16), np.int8(12), np.uint8(200)])
+    def test_narrow_integers_do_not_wrap(self, narrow):
+        from disentanglers import (
+            dilution_overlap,
+            optimal_measurement_bound,
+            success_probability,
+            universal_coefficients,
+        )
+
+        # n * n in uint8 is 0 at n = 16; the count is widened before use
+        for closed_form in (diluted_avg_fidelity, dilution_overlap,
+                            optimal_measurement_bound, universal_coefficients,
+                            lambda n: success_probability(1.0, n),
+                            lambda n: dilute_angle(1.0, n)):
+            assert closed_form(narrow) == closed_form(int(narrow))
+        assert type(DickeVector(narrow, 1.0, 0.0).n) is int
+        assert type(FullStateVector(np.uint8(3), np.eye(8)[0]).n) is int
 
     def test_reported_cases(self):
         from disentanglers import universal_coefficients
