@@ -41,11 +41,9 @@ from .devices import (
     pointwise_fidelity,
     random_transform,
     swap_disentangler,
-    swap_entangler,
     unitarity_residuals,
     universal_coefficients,
     universal_disentangler,
-    universal_entangler,
 )
 from .measurement import (
     EstimateRecord,

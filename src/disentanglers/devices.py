@@ -11,7 +11,8 @@ the optimizers search those directly from each family's parameters and
 build a device only for the optimum they return.
 
 The same four-vector data read in the opposite direction (qubit sector in,
-symmetric sector out) describes an entangler, so builders are shared.
+symmetric sector out) describes an entangler: `apply_entangler` and
+`entangler_pointwise_fidelity` take the disentangler builders' devices.
 """
 
 from __future__ import annotations
@@ -73,32 +74,17 @@ class DeviceTransform:
 
 @dataclass(frozen=True, eq=False)
 class GramSummary:
-    """Norms and inner products of the machine vectors, plus the derived
-    overlap parameters used by the average-fidelity formula.
-
-    `x` normalizes the symmetrized D4/D1 overlap by ||D4||^2 and is only
-    meaningful for matched norms; `u` normalizes by ||D1|| ||D4|| and always
-    lies in [-1, 1].
-    """
+    """Inner products <Di|Dj> of the four machine vectors and their squared
+    norms ||Di||^2 (the real diagonal)."""
 
     norms_sq: np.ndarray
     gram: np.ndarray
-    x: float
-    u: float
-    eta1: float
-    eta4: float
 
 
 def gram_summary(t: DeviceTransform) -> GramSummary:
     v = t.vectors()
     gram = v.conj() @ v.T
-    norms_sq = np.real(np.diag(gram)).copy()
-    eta1, eta4 = float(norms_sq[0]), float(norms_sq[3])
-    re41 = float(np.real(gram[3, 0]))
-    x = re41 / eta4 if eta4 > 1e-30 else 0.0
-    denom = np.sqrt(eta1 * eta4)
-    u = float(np.clip(re41 / denom, -1.0, 1.0)) if denom > 1e-30 else 0.0
-    return GramSummary(norms_sq, gram, x, u, eta1, eta4)
+    return GramSummary(np.real(np.diag(gram)).copy(), gram)
 
 
 def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
@@ -119,9 +105,15 @@ def _check_unitary(t: DeviceTransform) -> None:
     _check_residuals(unitarity_residuals(t))
 
 
-def _joint(t: DeviceTransform, a0: complex, a1: complex) -> np.ndarray:
-    """Joint (2, machine) output for sector amplitudes (a0, a1)."""
-    return np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
+def _sector_output(t: DeviceTransform, a0: complex,
+                   a1: complex) -> tuple[np.ndarray, DensityOperator]:
+    """Joint (2, machine) output for sector amplitudes (a0, a1) of a
+    unitarity-checked device, and the 2x2 operator left after tracing out
+    the machine."""
+    _check_unitary(t)
+    joint = np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
+    rho = joint @ joint.conj().T
+    return joint, DensityOperator(2, rho)
 
 
 def apply_transform(t: DeviceTransform,
@@ -132,10 +124,7 @@ def apply_transform(t: DeviceTransform,
     qubit density operator left after tracing out the machine.
     """
     _require(t.n == big_psi.n, "transform and input qubit counts differ")
-    _check_unitary(t)
-    joint = _joint(t, big_psi.c0, big_psi.c1)
-    rho = joint @ joint.conj().T
-    return joint, DensityOperator(2, rho)
+    return _sector_output(t, big_psi.c0, big_psi.c1)
 
 
 def apply_entangler(t: DeviceTransform,
@@ -145,10 +134,7 @@ def apply_entangler(t: DeviceTransform,
     The rows of the joint state and the 2x2 output operator refer to the
     symmetric N-qubit sector basis (zero- and one-excitation states).
     """
-    _check_unitary(t)
-    joint = _joint(t, psi.alpha, psi.beta)
-    rho = joint @ joint.conj().T
-    return joint, DensityOperator(2, rho)
+    return _sector_output(t, psi.alpha, psi.beta)
 
 
 def _sector_fidelity(t: DeviceTransform, in0, in1, out0, out1):
@@ -173,28 +159,30 @@ def _sector_fidelity(t: DeviceTransform, in0, in1, out0, out1):
     return val if np.ndim(val) else float(val)
 
 
-def pointwise_fidelity(t: DeviceTransform, theta, phi):
-    """Fidelity of the disentangled qubit against the original at one input
-    orientation; broadcasts over angle arrays."""
+def _qubit_and_dilution(n: int, theta, phi):
+    """Amplitude pairs of the qubit at (theta, phi) and of its symmetric
+    N-qubit dilution; broadcasts over angle arrays."""
     th = np.asarray(theta, dtype=float)
     alpha = np.cos(th / 2.0)
     beta = np.exp(1j * np.asarray(phi)) * np.sin(th / 2.0)
-    tbar = dilute_angle(th, t.n)
+    tbar = dilute_angle(th, n)
     abar = np.cos(tbar / 2.0)
     bbar = np.exp(1j * np.asarray(phi)) * np.sin(tbar / 2.0)
-    return _sector_fidelity(t, abar, bbar, alpha, beta)
+    return (alpha, beta), (abar, bbar)
+
+
+def pointwise_fidelity(t: DeviceTransform, theta, phi):
+    """Fidelity of the disentangled qubit against the original at one input
+    orientation; broadcasts over angle arrays."""
+    qubit, diluted = _qubit_and_dilution(t.n, theta, phi)
+    return _sector_fidelity(t, *diluted, *qubit)
 
 
 def entangler_pointwise_fidelity(t: DeviceTransform, theta, phi):
     """Fidelity of the entangler output against the ideal symmetric dilution
     of the input qubit; broadcasts over angle arrays."""
-    th = np.asarray(theta, dtype=float)
-    alpha = np.cos(th / 2.0)
-    beta = np.exp(1j * np.asarray(phi)) * np.sin(th / 2.0)
-    tbar = dilute_angle(th, t.n)
-    abar = np.cos(tbar / 2.0)
-    bbar = np.exp(1j * np.asarray(phi)) * np.sin(tbar / 2.0)
-    return _sector_fidelity(t, alpha, beta, abar, bbar)
+    qubit, diluted = _qubit_and_dilution(t.n, theta, phi)
+    return _sector_fidelity(t, *qubit, *diluted)
 
 
 def universal_coefficients(n: int) -> tuple[float, float]:
@@ -224,18 +212,6 @@ def swap_disentangler(n: int) -> DeviceTransform:
     e0 = _basis(0)
     zero = np.zeros(MACHINE_DIM, dtype=complex)
     return DeviceTransform(n, e0, zero, zero, e0)
-
-
-def universal_entangler(n: int) -> DeviceTransform:
-    """Covariant entangler; same machine-vector data as the disentangler,
-    read with the qubit sector as input."""
-    return universal_disentangler(n)
-
-
-def swap_entangler(n: int) -> DeviceTransform:
-    """State-swapping entangler: writes the qubit amplitudes onto the
-    symmetric sector unchanged."""
-    return swap_disentangler(n)
 
 
 def covariance_spread(t: DeviceTransform, samples: int = 1000) -> float:

@@ -64,9 +64,7 @@ def projector_pair(theta_p: float, phi_p: float, n: int) -> ProjectorPair:
     c, s = np.cos(theta_p / 2.0), np.sin(theta_p / 2.0)
     xi0 = DickeVector(n, c, np.exp(1j * phi_p) * s)
     xi1 = DickeVector(n, np.exp(-1j * phi_p) * s, -c)
-    pair = ProjectorPair(theta_p, phi_p, n, xi0, xi1)
-    assert np.max(np.abs(pair.gram() - np.eye(2))) < 1e-12
-    return pair
+    return ProjectorPair(theta_p, phi_p, n, xi0, xi1)
 
 
 def prepared_state(theta_p: float, phi_p: float, outcome: int) -> PureQubit:
@@ -83,7 +81,6 @@ def measurement_outcomes(big_psi: DickeVector,
     _require(big_psi.n == pair.n, "qubit counts differ")
     p0 = abs(pair.xi0.overlap(big_psi)) ** 2
     p1 = abs(pair.xi1.overlap(big_psi)) ** 2
-    assert abs(p0 + p1 - 1.0) < 1e-12
     return (EstimateRecord(0, p0, prepared_state(pair.theta_p, pair.phi_p, 0)),
             EstimateRecord(1, p1, prepared_state(pair.theta_p, pair.phi_p, 1)))
 
@@ -100,10 +97,14 @@ def estimator_output(big_psi: DickeVector, pair: ProjectorPair) -> DensityOperat
 def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOperator:
     """Estimator output averaged over all apparatus orientations.
 
-    The orientation integrand is a low-degree trigonometric polynomial, so the
-    quadrature is exact and the result must collapse to
+    The orientation integrand has azimuthal frequencies up to 2, and its
+    azimuth-independent part is a quadratic in cos(theta), so every grid with
+    n_phi >= 3 integrates it exactly and the result collapses to
     (1/3) |psi><psi| + (1/3) I with psi carrying the input's two amplitudes.
+    Raises DomainError for n_phi < 3, where the frequency-2 terms alias.
     """
+    _require(quad.n_phi >= 3,
+             f"n_phi={quad.n_phi} < 3 cannot integrate the frequency-2 azimuth")
     th, ph, w = quad.grid()
     c, s = np.cos(th / 2.0), np.sin(th / 2.0)
     e = np.exp(1j * ph)
@@ -114,10 +115,6 @@ def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOp
     outer1 = np.array([[s * s, -c * s * np.conj(e)], [-c * s * e, c * c]])
     rho = np.einsum("tp,abtp->ab", w * p0, outer0) + np.einsum(
         "tp,abtp->ab", w * p1, outer1)
-
-    psi = big_psi.amplitudes()
-    expected = np.outer(psi, psi.conj()) / 3.0 + np.eye(2) / 3.0
-    assert np.max(np.abs(rho - expected)) < 1e-8
     return DensityOperator(2, rho)
 
 

@@ -1,178 +1,61 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Each test prints one pass line (visible with -s or -rA); pytest failure
-output marks the criterion that broke.
+The criteria are the `cli._check_*` functions that `verify` runs; each test
+calls them with its own samples and time limit.  Each test prints one pass
+line (visible with -s or -rA); pytest failure output names the check that
+broke.
 """
 
 import time
 
-import numpy as np
-import pytest
-
-from disentanglers import (
-    BlochQuadrature,
-    PureQubit,
-    bloch_average,
-    covariance_spread,
-    decompose,
-    device_avg_fidelity,
-    dilute_angle,
-    diluted_avg_fidelity,
-    dilution_overlap,
-    measurement_avg_fidelity,
-    moment_integrals,
-    optimal_measurement_bound,
-    optimal_measurement_bound_numeric,
-    optimize_average,
-    optimize_universal,
-    pointwise_fidelity,
-    post_selected_state,
-    random_transform,
-    run_cascade,
-    sample_shots,
-    success_probability,
-    swap_disentangler,
-    universal_coefficients,
-    universal_disentangler,
-    universal_entangler,
-)
+from disentanglers import BlochQuadrature, cli
 
 QUAD = BlochQuadrature()
 
 
-def report(k, label, elapsed, limit):
+def run_criterion(k, label, limit, *checks):
+    """Run the checks, require every result to pass within `limit` seconds,
+    and print the criterion's pass line."""
+    start = time.time()
+    results = [r for check in checks for r in check()]
+    elapsed = time.time() - start
+    failed = [r for r in results if not r.passed]
+    assert not failed, failed
+    assert elapsed < limit
     print(f"ACCEPTANCE {k} ({label}): PASS in {elapsed:.2f}s (limit {limit}s)")
 
 
-def all_closed_forms(n):
-    return np.array([diluted_avg_fidelity(n), measurement_avg_fidelity(n),
-                     optimal_measurement_bound(n),
-                     universal_coefficients(n)[0] ** 2, dilution_overlap(n)])
-
-
 def test_criterion_1_endpoint_values():
-    start = time.time()
-    got = all_closed_forms(1)
-    assert np.array_equal(got, [1.0, 2 / 3, 2 / 3, 1.0, 1.0])
-    large = all_closed_forms(10 ** 6)
-    assert np.max(np.abs(large - 0.5)) < 2e-3
-    elapsed = time.time() - start
-    assert elapsed < 1.0
-    report(1, "endpoint and asymptotic values", elapsed, 1)
+    run_criterion(1, "endpoint and asymptotic values", 1,
+                  cli._check_endpoints, cli._check_asymptotes)
 
 
 def test_criterion_2_strategy_ordering():
-    start = time.time()
-    for n in range(2, 51):
-        f1 = measurement_avg_fidelity(n)
-        fmax = optimal_measurement_bound(n)
-        g2 = universal_coefficients(n)[0] ** 2
-        f3 = dilution_overlap(n)
-        assert fmax - f1 > 1e-6
-        assert g2 - fmax > 1e-6
-        assert f3 - g2 > 1e-6
-    elapsed = time.time() - start
-    assert elapsed < 1.0
-    report(2, "strategy ordering 2..50", elapsed, 1)
+    run_criterion(2, "strategy ordering 2..50", 1, cli._check_ordering)
 
 
 def test_criterion_3_oracle_equivalence():
-    start = time.time()
-    rng = np.random.default_rng(123)
-    for n in (2, 3, 5, 10, 25):
-        tbar = lambda th: dilute_angle(th, n)
-
-        def diluted_integrand(th, ph):
-            tb = tbar(th)
-            cb, sb = np.cos(tb / 2), np.sin(tb / 2)
-            r00 = cb * cb + sb * sb * (n - 1) / n
-            r11 = sb * sb / n
-            r01 = cb * sb / np.sqrt(n)
-            c, s = np.cos(th / 2), np.sin(th / 2)
-            return c * c * r00 + s * s * r11 + 2 * c * s * r01
-
-        assert abs(diluted_avg_fidelity(n)
-                   - bloch_average(diluted_integrand, QUAD)) < 1e-9
-
-        overlap_sq = lambda th, ph: np.cos((th - tbar(th)) / 2) ** 2
-        assert abs(dilution_overlap(n) - bloch_average(overlap_sq, QUAD)) < 1e-9
-        assert abs(measurement_avg_fidelity(n) - bloch_average(
-            lambda th, ph: (1 + overlap_sq(th, ph)) / 3, QUAD)) < 1e-9
-
-        assert abs(optimal_measurement_bound_numeric(n, quad=QUAD)
-                   - optimal_measurement_bound(n)) < 1e-9
-
-        weight = lambda th: 1.0 / (n * np.cos(th / 2) ** 2 + np.sin(th / 2) ** 2)
-        quads = [2 * bloch_average(lambda th, ph, f=f: weight(th) * f(th), QUAD)
-                 for f in (lambda th: np.cos(th / 2) ** 4,
-                           lambda th: np.sin(th / 2) ** 4,
-                           lambda th: np.sin(th / 2) ** 2 * np.cos(th / 2) ** 2)]
-        assert np.max(np.abs(np.array(moment_integrals(n)) - quads)) < 1e-9
-
-        for _ in range(5):
-            t = random_transform(n, rng)
-            closed = device_avg_fidelity(t)
-            viaq = bloch_average(lambda th, ph: pointwise_fidelity(t, th, ph), QUAD)
-            assert abs(closed - viaq) < 1e-9
-    elapsed = time.time() - start
-    assert elapsed < 30.0
-    report(3, "closed forms vs quadrature oracles", elapsed, 30)
+    run_criterion(3, "closed forms vs quadrature oracles", 30,
+                  lambda: cli._check_closed_form_oracles(QUAD),
+                  lambda: cli._check_bound_numeric((2, 3, 5, 10, 25)),
+                  lambda: cli._check_device_average_oracle(QUAD, 123),
+                  lambda: cli._check_pointwise_dual_route(124))
 
 
 def test_criterion_4_optimality_rederivation():
-    start = time.time()
-    for n in (2, 3, 5, 10):
-        swap_target = dilution_overlap(n)
-        universal_target = universal_coefficients(n)[0] ** 2
-        for seed in range(20):
-            _, val = optimize_average(n, restarts=8, seed=seed)
-            assert abs(val - swap_target) < 1e-6
-            assert val <= swap_target + 1e-6
-            _, val_u = optimize_universal(n, restarts=8, seed=seed)
-            assert abs(val_u - universal_target) < 1e-6
-            assert val_u <= universal_target + 1e-6
-    elapsed = time.time() - start
-    assert elapsed < 300.0
-    report(4, "optimizers attain analytic optima, 20 seeds", elapsed, 300)
+    run_criterion(4, "optimizers attain analytic optima, 20 seeds", 300,
+                  lambda: cli._check_optimizers(tuple(range(20))))
 
 
 def test_criterion_5_network_exactness():
-    start = time.time()
-    rng = np.random.default_rng(77)
-    angles = [(float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi)))
-              for _ in range(100)]
-    for n in range(2, 13):
-        for theta, phi in angles:
-            psi = PureQubit(theta, phi)
-            out = run_cascade(psi, n)
-            rec = post_selected_state(out, n)
-            fid = abs(np.vdot(psi.amplitudes(), rec.amplitudes())) ** 2
-            assert abs(fid - 1.0) < 1e-12
-            dec = decompose(out, n)
-            assert abs(abs(dec.amp_plus_psi) ** 2
-                       - success_probability(theta, n)) < 1e-12
-    counts = sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, seed=2026)
-    sigma = np.sqrt(0.25 * 0.75 / 10 ** 5)
-    assert abs(counts.plus / 10 ** 5 - 0.25) <= 3 * sigma
-    elapsed = time.time() - start
-    assert elapsed < 60.0
-    report(5, "probabilistic network exactness", elapsed, 60)
+    run_criterion(5, "probabilistic network exactness", 60,
+                  cli._check_cascade_action,
+                  lambda: cli._check_network(77, 100, 2026))
 
 
 def test_criterion_6_covariance():
-    start = time.time()
-    for n in (2, 5, 10):
-        assert covariance_spread(universal_disentangler(n), 1000) < 1e-12
-    assert covariance_spread(swap_disentangler(2), 1000) > 0.01
-    elapsed = time.time() - start
-    assert elapsed < 5.0
-    report(6, "covariant vs state-dependent spread", elapsed, 5)
+    run_criterion(6, "covariant vs state-dependent spread", 5, cli._check_covariance)
 
 
-@pytest.mark.parametrize("build", [universal_disentangler, universal_entangler])
-def test_criterion_7_unitarity(build):
-    start = time.time()
-    for n in range(1, 51):
-        im = build(n).images()
-        assert np.max(np.abs(im.conj() @ im.T - np.eye(2))) < 1e-12
-    report(7, f"orthonormal images ({build.__name__})", time.time() - start, 60)
+def test_criterion_7_unitarity():
+    run_criterion(7, "orthonormal images", 60, cli._check_unitary_images)

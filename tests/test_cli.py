@@ -1,5 +1,6 @@
 """Command-line frontend: CSV contract, verification suite, network report."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -169,3 +170,12 @@ class TestOptimizedInterpreter:
         plain = run()
         assert plain
         assert run("-O") == plain
+
+    def test_no_assert_statements_in_src(self):
+        # invariants must be explicit checks, which -O cannot strip
+        package = Path(disentanglers.__file__).resolve().parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+        assert not found

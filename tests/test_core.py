@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from disentanglers import (
     BlochQuadrature,
@@ -241,6 +243,13 @@ class TestFidelityPure:
         rho = DensityOperator(2, np.array([[0.5, 1 / 6], [1 / 6, 0.5]]))
         assert fidelity_pure(psi, rho) == pytest.approx(2 / 3, abs=1e-14)
 
+    def test_imaginary_part_within_hermiticity_tolerance(self):
+        # 9e-11 of anti-Hermitian part is accepted by the constructor and
+        # gives <psi|rho|psi> an imaginary part of -4.5e-11
+        rho = DensityOperator(2, np.array([[0.5, 0.1], [0.1 + 9e-11, 0.5]]))
+        psi = PureQubit(np.pi / 2, np.pi / 2)
+        assert fidelity_pure(psi, rho) == pytest.approx(0.5, abs=1e-15)
+
     def test_dimension_mismatch(self):
         rho4 = DensityOperator(4, np.eye(4) / 4)
         with pytest.raises(DomainError):
@@ -249,9 +258,11 @@ class TestFidelityPure:
 
 class TestBlochQuadrature:
     def test_weights_normalized(self):
-        q = BlochQuadrature(16, 8)
-        _, _, w = q.grid()
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
+        for n_theta, n_phi in ((16, 8), (2, 2), (64, 64)):
+            q = BlochQuadrature(n_theta, n_phi)
+            _, _, w = q.grid()
+            assert q.theta_weights.sum() == pytest.approx(1.0, abs=1e-13)
+            assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
 
     def test_node_counts_validated(self):
         with pytest.raises(DomainError):
@@ -366,3 +377,36 @@ class TestIntegerCount:
             universal_coefficients(2.5)
         with pytest.raises(DomainError, match="integer"):
             dilute_angle(1.0, 2.5)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=300)
+
+POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
+AZIMUTH = st.one_of(
+    st.sampled_from([0.0, float(np.nextafter(2 * np.pi, 0.0)), -1e-17]),
+    st.floats(-4 * np.pi, 4 * np.pi))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(theta=POLAR, phi=AZIMUTH)
+    def test_amplitudes_round_trip(self, theta, phi):
+        psi = PureQubit.from_angles(theta, phi)
+        back = PureQubit.from_amplitudes(psi.amplitudes())
+        overlap = abs(np.vdot(psi.amplitudes(), back.amplitudes())) ** 2
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    @PROPERTY
+    @given(n=st.integers(1, 10),
+           parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_symmetric_marginal_is_every_partial_trace(self, n, parts):
+        c = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+        norm = np.linalg.norm(c)
+        assume(norm > 1e-3)
+        v = DickeVector(n, *(c / norm))
+        closed = symmetric_marginal(v).entries
+        dense = dicke_to_statevector(v)
+        for k in range(1, n + 1):
+            brute = reduced_qubit(dense, k).entries
+            assert np.max(np.abs(brute - closed)) < 1e-12

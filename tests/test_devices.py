@@ -27,12 +27,10 @@ from disentanglers import (
     pointwise_fidelity,
     random_transform,
     swap_disentangler,
-    swap_entangler,
     symmetric_state,
     unitarity_residuals,
     universal_coefficients,
     universal_disentangler,
-    universal_entangler,
 )
 
 QUAD = BlochQuadrature()
@@ -209,19 +207,25 @@ class TestDeviceAvgFidelity:
             assert abs(closed - via_quad) < 1e-9
 
 
+def overlap_14(g):
+    """Re <D4|D1> normalized by ||D1|| ||D4||; 1 for matched parallel vectors."""
+    return g.gram[3, 0].real / np.sqrt(g.norms_sq[0] * g.norms_sq[3])
+
+
 class TestGramSummary:
     def test_universal_parameters(self):
         g = gram_summary(universal_disentangler(4))
-        assert g.x == pytest.approx(1.0, abs=1e-14)
-        assert g.u == pytest.approx(1.0, abs=1e-14)
-        assert g.eta1 == pytest.approx(g.eta4, abs=1e-14)
+        assert g.gram[3, 0].real / g.norms_sq[3] == pytest.approx(1.0, abs=1e-14)
+        assert overlap_14(g) == pytest.approx(1.0, abs=1e-14)
+        assert g.norms_sq[0] == pytest.approx(g.norms_sq[3], abs=1e-14)
+        assert np.array_equal(g.norms_sq, np.real(np.diag(g.gram)))
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             g = gram_summary(random_transform(3, rng))
             assert np.linalg.eigvalsh(g.gram).min() > -1e-12
-            assert -1.0 <= g.u <= 1.0
+            assert abs(overlap_14(g)) <= 1.0 + 1e-15
 
 
 class TestFamilyObjectives:
@@ -258,9 +262,9 @@ class TestOptimizeAverage:
         t, val = optimize_average(2, restarts=8, seed=7)
         assert val == pytest.approx(OVERLAP_N2, abs=1e-6)
         g = gram_summary(t)
-        assert abs(g.eta1 - 1.0) < 1e-4
-        assert abs(g.eta4 - 1.0) < 1e-4
-        assert abs(g.u - 1.0) < 1e-4
+        assert abs(g.norms_sq[0] - 1.0) < 1e-4
+        assert abs(g.norms_sq[3] - 1.0) < 1e-4
+        assert abs(overlap_14(g) - 1.0) < 1e-4
 
     def test_dominates_universal_feasible_point(self):
         _, val = optimize_average(5, restarts=8, seed=3)
@@ -287,7 +291,7 @@ class TestOptimizeUniversal:
         g = gram_summary(t)
         assert g.norms_sq[1] == pytest.approx(0.05409709377719385, abs=1e-4)
         assert g.norms_sq[2] == pytest.approx(0.05409709377719385, abs=1e-4)
-        assert abs(g.x - 1.0) < 1e-4
+        assert abs(g.gram[3, 0].real / g.norms_sq[3] - 1.0) < 1e-4
 
     def test_optimum_is_covariant(self):
         t, _ = optimize_universal(3, restarts=8, seed=5)
@@ -305,8 +309,10 @@ class TestOptimizeUniversal:
 
 
 class TestEntanglers:
+    """The disentangler devices read as entanglers (qubit sector in)."""
+
     def test_universal_entangler_constant_fidelity(self):
-        t = universal_entangler(3)
+        t = universal_disentangler(3)
         k = np.arange(1000)
         theta = np.arccos(1 - 2 * (k + 0.5) / 1000)
         phi = (k * np.pi * (np.sqrt(5) - 1)) % (2 * np.pi)
@@ -315,19 +321,19 @@ class TestEntanglers:
         assert vals[0] == pytest.approx(GAMMA2_N3, abs=1e-12)
 
     def test_universal_entangler_exact_at_n1(self):
-        vals = entangler_pointwise_fidelity(universal_entangler(1),
+        vals = entangler_pointwise_fidelity(universal_disentangler(1),
                                             np.linspace(0, np.pi, 11), 0.2)
         assert np.allclose(vals, 1.0, atol=1e-13)
 
     def test_entangler_output_operator(self):
         n = 4
         gamma, delta = universal_coefficients(n)
-        _, rho = apply_entangler(universal_entangler(n), PureQubit(0.0, 0.0))
+        _, rho = apply_entangler(universal_disentangler(n), PureQubit(0.0, 0.0))
         assert np.allclose(rho.entries, np.diag([gamma ** 2, delta ** 2]),
                            atol=1e-14)
 
     def test_swap_entangler_pointwise(self):
-        t = swap_entangler(2)
+        t = swap_disentangler(2)
         assert entangler_pointwise_fidelity(t, 0.0, 0.0) == pytest.approx(1.0)
         assert entangler_pointwise_fidelity(t, np.pi, 0.0) == pytest.approx(1.0)
         th = 1.1
@@ -337,13 +343,13 @@ class TestEntanglers:
 
     def test_swap_entangler_average(self):
         got = bloch_average(
-            lambda th, ph: entangler_pointwise_fidelity(swap_entangler(2), th, ph),
+            lambda th, ph: entangler_pointwise_fidelity(swap_disentangler(2), th, ph),
             QUAD)
         assert got == pytest.approx(OVERLAP_N2, abs=1e-9)
 
 
 class TestSectorImages:
-    @pytest.mark.parametrize("build", [universal_disentangler, universal_entangler])
+    @pytest.mark.parametrize("build", [universal_disentangler, swap_disentangler])
     def test_images_orthonormal(self, build):
         for n in range(1, 51):
             im = build(n).images()

@@ -105,11 +105,30 @@ class TestAveragedEstimator:
         for _ in range(100):
             n = int(rng.integers(1, 11))
             big = random_dicke(rng, n)
-            rho = averaged_estimator(big, QUAD)  # self-checks against closed form
+            rho = averaged_estimator(big, QUAD)
             psi = big.amplitudes()
             expected = np.outer(psi, psi.conj()) / 3 + np.eye(2) / 3
             assert np.max(np.abs(rho.entries - expected)) < 1e-8
             assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_needs_three_azimuth_nodes(self):
+        big = DickeVector(2, np.cos(0.3), np.sin(0.3))
+        for n_theta in (2, 3):
+            with pytest.raises(DomainError):
+                averaged_estimator(big, BlochQuadrature(n_theta, 2))
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(2, 3), (3, 3), (2, 4), (5, 7), (64, 64)])
+    def test_collapses_on_coarse_grids(self, n_theta, n_phi):
+        # the azimuthal integrand has frequency 2, so n_phi = 3 is exact
+        quad = BlochQuadrature(n_theta, n_phi)
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            big = random_dicke(rng, int(rng.integers(1, 11)))
+            psi = big.amplitudes()
+            expected = np.outer(psi, psi.conj()) / 3 + np.eye(2) / 3
+            rho = averaged_estimator(big, quad)
+            assert np.max(np.abs(rho.entries - expected)) < 1e-13
 
 
 class TestOverlapAndAverageFidelity:
