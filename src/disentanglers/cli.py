@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -108,24 +108,16 @@ def _check(name: str, residual: float, tol: float) -> CheckResult:
     return CheckResult(name, bool(residual <= tol), f"residual={residual:.3e} tol={tol:.0e}")
 
 
-def _closed_forms(n: int) -> np.ndarray:
-    """The five strategy fidelities at n, in table column order."""
-    return np.array([diluted_avg_fidelity(n),
-                     measurement.measurement_avg_fidelity(n),
-                     measurement.optimal_measurement_bound(n),
-                     devices.universal_coefficients(n)[0] ** 2,
-                     measurement.dilution_overlap(n)])
-
-
 def _check_endpoints() -> list[CheckResult]:
-    """The n=1 values, exactly."""
+    """The n=1 values of the five table columns, exactly."""
+    got = np.array(astuple(fidelity_row(1))[1:])
     want = np.array([1.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
-    return [_check("endpoint-values-n1",
-                   float(np.max(np.abs(_closed_forms(1) - want))), 0.0)]
+    return [_check("endpoint-values-n1", float(np.max(np.abs(got - want))), 0.0)]
 
 
 def _check_asymptotes() -> list[CheckResult]:
-    residual = float(np.max(np.abs(_closed_forms(MAX_TABLE_N) - 0.5)))
+    got = np.array(astuple(fidelity_row(MAX_TABLE_N))[1:])
+    residual = float(np.max(np.abs(got - 0.5)))
     return [_check("asymptotic-limits-n1e6", residual, 2e-3)]
 
 
@@ -234,6 +226,13 @@ def _check_unitary_images() -> list[CheckResult]:
     return [_check("unitary-images-n-le-50", worst, 1e-12)]
 
 
+def _dicke_with_last(n: int, c0: complex, c1: complex, last: int) -> np.ndarray:
+    """Dense amplitudes of (c0 |n-1;0> + c1 |n-1;1>) tensor |last>."""
+    left = dicke_to_statevector(DickeVector(n - 1, c0, c1)).amps
+    qubit = np.array([1.0 - last, last], dtype=complex)
+    return np.kron(left, qubit)
+
+
 def _check_cascade_action() -> list[CheckResult]:
     """The composed parity permutation against the gate-level cascade for
     n = 1..12, and its action on the two sector basis vectors for n = 2..12."""
@@ -252,8 +251,8 @@ def _check_cascade_action() -> list[CheckResult]:
         if n == 1:
             continue
         for (c0, c1), expect in (
-                ((1.0, 0.0), network._dicke_with_last(n, 1.0, 0.0, 0)),
-                ((0.0, 1.0), network._dicke_with_last(
+                ((1.0, 0.0), _dicke_with_last(n, 1.0, 0.0, 0)),
+                ((0.0, 1.0), _dicke_with_last(
                     n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1))):
             basis = dicke_to_statevector(DickeVector(n, c0, c1))
             worst = max(worst, float(np.max(np.abs(basis.amps[perm] - expect))))
@@ -276,8 +275,7 @@ def _check_network(seed: int, angles_per_n: int,
                             float(rng.uniform(0.0, 2.0 * np.pi)))
             out = network.run_cascade(psi, n)
             dec = network.decompose(out, n)
-            recovered = network.post_selected_state(out, n)
-            fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
+            fid = abs(np.vdot(psi.amplitudes(), dec.recovered.amplitudes())) ** 2
             worst_fid = max(worst_fid, abs(fid - 1.0))
             worst_prob = max(worst_prob, abs(
                 abs(dec.amp_plus_psi) ** 2

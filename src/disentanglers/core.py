@@ -188,16 +188,24 @@ def symmetric_state(psi: PureQubit, n: int) -> DickeVector:
     return DickeVector(n, np.cos(tbar / 2.0), np.exp(1j * psi.phi) * np.sin(tbar / 2.0))
 
 
+def _dicke_support(v: DickeVector) -> tuple[np.ndarray, np.ndarray]:
+    """The n+1 nonzero entries of the dense expansion of `v`, rows ascending:
+    c0 at row 0 (no excitation), then c1 / sqrt(n) at rows 1, 2, 4, ..., 2^(n-1)
+    (the single excitation on qubit n, n-1, ..., 1)."""
+    rows = np.concatenate(([0], 2 ** np.arange(v.n)))
+    amps = np.full(v.n + 1, v.c1 / np.sqrt(v.n), dtype=complex)
+    amps[0] = v.c0
+    return rows, amps
+
+
 def dicke_to_statevector(v: DickeVector) -> FullStateVector:
     """Expand the two-amplitude symmetric state into a dense 2^n statevector."""
     _require(v.n <= MAX_STATEVECTOR_QUBITS,
              f"n={v.n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector cap",
              CapacityError)
+    rows, vals = _dicke_support(v)
     amps = np.zeros(2 ** v.n, dtype=complex)
-    amps[0] = v.c0
-    share = v.c1 / np.sqrt(v.n)
-    for k in range(1, v.n + 1):
-        amps[1 << (v.n - k)] = share
+    amps[rows] = vals
     return FullStateVector(v.n, amps)
 
 

@@ -41,16 +41,11 @@ class ProjectorPair:
     xi0: DickeVector
     xi1: DickeVector
 
-    def gram(self) -> np.ndarray:
-        vecs = (self.xi0, self.xi1)
-        return np.array([[a.overlap(b) for b in vecs] for a in vecs])
-
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One measurement outcome: its index, probability, and the re-prepared qubit."""
+    """One measurement outcome: its probability and the re-prepared qubit."""
 
-    outcome: int
     probability: float
     prepared: PureQubit
 
@@ -81,8 +76,8 @@ def measurement_outcomes(big_psi: DickeVector,
     _require(big_psi.n == pair.n, "qubit counts differ")
     p0 = abs(pair.xi0.overlap(big_psi)) ** 2
     p1 = abs(pair.xi1.overlap(big_psi)) ** 2
-    return (EstimateRecord(0, p0, prepared_state(pair.theta_p, pair.phi_p, 0)),
-            EstimateRecord(1, p1, prepared_state(pair.theta_p, pair.phi_p, 1)))
+    return (EstimateRecord(p0, prepared_state(pair.theta_p, pair.phi_p, 0)),
+            EstimateRecord(p1, prepared_state(pair.theta_p, pair.phi_p, 1)))
 
 
 def estimator_output(big_psi: DickeVector, pair: ProjectorPair) -> DensityOperator:

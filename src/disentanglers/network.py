@@ -18,6 +18,7 @@ from .core import (
     DickeVector,
     FullStateVector,
     PureQubit,
+    _dicke_support,
     _require,
     _require_count,
     dicke_to_statevector,
@@ -54,12 +55,13 @@ def cnot_cascade(n: int) -> CnotCascade:
 class OutcomeDecomposition:
     """Amplitudes of the two post-selection branches of a network output.
 
-    `amp_plus_psi` multiplies (success branch) x (recovered qubit);
+    `amp_plus_psi` multiplies (success branch) x (`recovered` qubit);
     `amp_minus` multiplies (failure branch) x (reference state).
     """
 
     amp_plus_psi: complex
     amp_minus: complex
+    recovered: PureQubit
 
     def __post_init__(self) -> None:
         total = abs(self.amp_plus_psi) ** 2 + abs(self.amp_minus) ** 2
@@ -76,13 +78,6 @@ def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVe
     cbit = (idx >> (n - control)) & 1
     perm = idx ^ (cbit << (n - target))
     return FullStateVector(n, state.amps[perm])
-
-
-def _dicke_with_last(n: int, c0: complex, c1: complex, last: int) -> np.ndarray:
-    """Dense amplitudes of (c0 |n-1;0> + c1 |n-1;1>) tensor |last>."""
-    left = dicke_to_statevector(DickeVector(n - 1, c0, c1)).amps
-    qubit = np.array([1.0 - last, last], dtype=complex)
-    return np.kron(left, qubit)
 
 
 def _cascade_permutation(n: int) -> np.ndarray:
@@ -121,7 +116,7 @@ def run_cascade(psi: PureQubit, n: int) -> FullStateVector:
     return FullStateVector(n, dicke.amps[_cascade_permutation(n)])
 
 
-def postselect_basis(n: int) -> tuple[FullStateVector, FullStateVector]:
+def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
     """Orthonormal success/failure vectors on the leading n-1 qubits.
 
     success = (sqrt(n-1) one-excitation + zero-excitation) / sqrt(n),
@@ -130,28 +125,37 @@ def postselect_basis(n: int) -> tuple[FullStateVector, FullStateVector]:
     n = _require_count(n)
     _require(n >= 2, f"need n >= 2, got {n}")
     rt = np.sqrt(n)
-    plus = dicke_to_statevector(DickeVector(n - 1, 1.0 / rt, np.sqrt(n - 1.0) / rt))
-    minus = dicke_to_statevector(DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
-    return plus, minus
+    return (DickeVector(n - 1, 1.0 / rt, np.sqrt(n - 1.0) / rt),
+            DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
 
 
 def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float]:
     """Project the output onto the two branches; returns the last-qubit
-    vectors riding on each branch and the norm of what is left over."""
+    vectors riding on each branch and the norm of what is left over.
+
+    Both basis vectors live on the n rows of the (2^(n-1), 2) amplitude
+    matrix that hold the zero- and one-excitation states of the leading
+    qubits, so only those rows are projected.  The residual is the norm of
+    one copy of the matrix with those rows replaced by their remainder, not
+    sqrt(|m|^2 - |branches|^2), whose 1e-16 rounding reads as about 1e-8.
+    """
     plus, minus = postselect_basis(output.n)
+    rows, p = _dicke_support(plus)
+    _, q = _dicke_support(minus)
     m = output.amps.reshape(-1, 2)
-    branch_plus = plus.amps.conj() @ m
-    branch_minus = minus.amps.conj() @ m
-    recon = np.outer(plus.amps, branch_plus) + np.outer(minus.amps, branch_minus)
-    residual = float(np.linalg.norm(m - recon))
-    return branch_plus, branch_minus, residual
+    block = m[rows]
+    branch_plus = p.conj() @ block
+    branch_minus = q.conj() @ block
+    rest = m.copy()
+    rest[rows] = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
+    return branch_plus, branch_minus, float(np.linalg.norm(rest))
 
 
 def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
     """Resolve a network output into its success and failure branches.
 
-    The failure branch must carry the reference state on the last qubit and
-    nothing may fall outside the two-branch subspace.
+    The one checked projection: the failure branch must carry the reference
+    state on the last qubit, and nothing may fall outside the two branches.
     """
     _require(output.n == n, "qubit count mismatch")
     branch_plus, branch_minus, residual = _branches(output)
@@ -159,12 +163,11 @@ def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
         raise DecompositionError(f"residual {residual} outside the branch subspace")
     if abs(branch_minus[1]) > 1e-10:
         raise DecompositionError("failure branch is not proportional to |0>")
-    plus_norm = float(np.linalg.norm(branch_plus))
-    if plus_norm < 1e-15:
+    if np.linalg.norm(branch_plus) < 1e-15:
         raise DecompositionError("success branch has zero weight")
-    unit = PureQubit.from_amplitudes(branch_plus).amplitudes()
-    amp_plus = complex(unit.conj() @ branch_plus)
-    return OutcomeDecomposition(amp_plus, complex(branch_minus[0]))
+    recovered = PureQubit.from_amplitudes(branch_plus)
+    amp_plus = complex(recovered.amplitudes().conj() @ branch_plus)
+    return OutcomeDecomposition(amp_plus, complex(branch_minus[0]), recovered)
 
 
 def success_probability(theta: float, n: int) -> float:
@@ -177,15 +180,9 @@ def success_probability(theta: float, n: int) -> float:
 
 
 def post_selected_state(output: FullStateVector, n: int) -> PureQubit:
-    """Last-qubit state conditioned on the success branch; reproduces the
-    original input exactly (up to global phase)."""
-    _require(output.n == n, "qubit count mismatch")
-    branch_plus, _, residual = _branches(output)
-    if residual > 1e-10:
-        raise DecompositionError(f"residual {residual} outside the branch subspace")
-    if np.linalg.norm(branch_plus) < 1e-15:
-        raise DecompositionError("success branch has zero weight")
-    return PureQubit.from_amplitudes(branch_plus)
+    """Last-qubit state conditioned on the success branch, as checked by
+    `decompose`; reproduces the original input exactly (up to global phase)."""
+    return decompose(output, n).recovered
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,23 @@
 """C-NOT cascade, post-selection branches, and shot sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disentanglers import (
     CapacityError,
     DecompositionError,
+    DickeVector,
     DomainError,
     FullStateVector,
     PureQubit,
     apply_cnot,
     cnot_cascade,
     decompose,
+    dicke_to_statevector,
     post_selected_state,
     postselect_basis,
     run_cascade,
@@ -19,7 +25,7 @@ from disentanglers import (
     success_probability,
 )
 from disentanglers import cli, network
-from disentanglers.network import _dicke_with_last
+from disentanglers.cli import _dicke_with_last
 
 
 def random_qubit(rng):
@@ -133,19 +139,67 @@ class TestCascade:
 class TestPostselectBasis:
     def test_n2_vectors(self):
         plus, minus = postselect_basis(2)
-        assert np.allclose(plus.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert np.allclose(minus.amps, [1 / np.sqrt(2), -1 / np.sqrt(2)])
+        assert isinstance(plus, DickeVector) and isinstance(minus, DickeVector)
+        assert plus.n == minus.n == 1
+        assert np.allclose(plus.amplitudes(), [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert np.allclose(minus.amplitudes(), [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
     def test_orthonormal(self):
         for n in range(2, 13):
             plus, minus = postselect_basis(n)
-            assert abs(np.vdot(plus.amps, minus.amps)) < 1e-12
-            assert np.linalg.norm(plus.amps) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(minus.amps) == pytest.approx(1.0, abs=1e-12)
+            assert plus.n == minus.n == n - 1
+            assert abs(plus.overlap(minus)) < 1e-12
+            assert abs(plus.overlap(plus)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(minus.overlap(minus)) == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_two_qubits(self):
         with pytest.raises(DomainError):
             postselect_basis(1)
+
+
+def dense_branches(output):
+    """The projection written out on the dense 2^(n-1) basis vectors, with
+    the full 2^n reconstruction: the reference for `network._branches`."""
+    plus, minus = (dicke_to_statevector(v).amps for v in postselect_basis(output.n))
+    m = output.amps.reshape(-1, 2)
+    branch_plus = plus.conj() @ m
+    branch_minus = minus.conj() @ m
+    recon = np.outer(plus, branch_plus) + np.outer(minus, branch_minus)
+    return branch_plus, branch_minus, float(np.linalg.norm(m - recon))
+
+
+class TestBranches:
+    def assert_matches_dense(self, output):
+        got = network._branches(output)
+        want = dense_branches(output)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-15
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-15
+        assert abs(got[2] - want[2]) <= 1e-15
+
+    def test_cascade_outputs_match_dense_projection(self):
+        rng = np.random.default_rng(28)
+        for n in range(2, 21):
+            self.assert_matches_dense(run_cascade(random_qubit(rng), n))
+
+    def test_random_states_match_dense_projection(self):
+        # from n = 3 on the residual is of order one; at n = 2 the two
+        # branches span the leading qubit and nothing is left over
+        rng = np.random.default_rng(29)
+        for n in range(2, 13):
+            out = random_state(rng, n)
+            if n > 2:
+                assert network._branches(out)[2] > 0.1
+            self.assert_matches_dense(out)
+
+    def test_decompose_copies_the_output_at_most_once(self):
+        out = run_cascade(PureQubit(1.1, 0.4), 20)
+        tracemalloc.start()
+        try:
+            decompose(out, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.amps.nbytes
 
 
 class TestDecompose:
@@ -233,6 +287,35 @@ class TestPostSelectedState:
         psi = PureQubit(np.pi / 2, np.pi / 3)
         rec = post_selected_state(run_cascade(psi, 4), 4)
         assert rec.phi == pytest.approx(np.pi / 3, abs=1e-12)
+
+    def test_equals_decompose_recovered(self):
+        out = run_cascade(PureQubit(0.8, 5.1), 7)
+        assert post_selected_state(out, 7) == decompose(out, 7).recovered
+
+    def test_rejects_failure_branch_carrying_one(self):
+        # (success x |0> + failure x |1>) / sqrt(2): inside the branch
+        # subspace, but the failure branch does not carry the reference state
+        out = FullStateVector(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
+        with pytest.raises(DecompositionError, match="failure branch"):
+            post_selected_state(out, 2)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=300)
+
+POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(theta=POLAR, phi=st.floats(-4 * np.pi, 4 * np.pi), n=st.integers(2, 12))
+    def test_cascade_recovers_input(self, theta, phi, n):
+        psi = PureQubit.from_angles(theta, phi)
+        dec = decompose(run_cascade(psi, n), n)
+        fid = abs(np.vdot(psi.amplitudes(), dec.recovered.amplitudes())) ** 2
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert abs(dec.amp_plus_psi) ** 2 == pytest.approx(
+            success_probability(theta, n), abs=1e-12)
 
 
 class TestSampleShots:
