@@ -26,7 +26,6 @@ from .core import (
 )
 from .devices import (
     DeviceTransform,
-    GramSummary,
     OptimizationError,
     UnitarityError,
     apply_entangler,
@@ -60,7 +59,6 @@ from .measurement import (
     strategy_integral,
 )
 from .network import (
-    CnotCascade,
     DecompositionError,
     OutcomeDecomposition,
     ShotCounts,

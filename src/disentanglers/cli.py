@@ -21,7 +21,9 @@ import numpy as np
 from . import devices, measurement, network
 from .core import (
     BlochQuadrature,
+    CapacityError,
     DickeVector,
+    DomainError,
     FullStateVector,
     PureQubit,
     bloch_average,
@@ -29,6 +31,7 @@ from .core import (
     dilute_angle,
     diluted_avg_fidelity,
     fidelity_pure,
+    symmetric_state,
 )
 
 MAX_TABLE_N = 10 ** 6
@@ -201,18 +204,17 @@ def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
         th = float(rng.uniform(0.0, np.pi))
         ph = float(rng.uniform(0.0, 2.0 * np.pi))
         closed = devices.pointwise_fidelity(t, th, ph)
-        psi_bar = PureQubit.from_angles(dilute_angle(th, n), ph)
-        big = DickeVector(n, psi_bar.alpha, psi_bar.beta)
-        _, rho = devices.apply_transform(t, big)
-        direct = fidelity_pure(PureQubit.from_angles(th, ph), rho)
+        psi = PureQubit.from_angles(th, ph)
+        _, rho = devices.apply_transform(t, symmetric_state(psi, n))
+        direct = fidelity_pure(psi, rho)
         worst = max(worst, abs(closed - direct))
     return [_check("pointwise-closed-vs-direct", worst, 1e-11)]
 
 
 def _check_covariance() -> list[CheckResult]:
-    worst = max(devices.covariance_spread(devices.universal_disentangler(n), 1000)
+    worst = max(devices.covariance_spread(devices.universal_disentangler(n))
                 for n in (2, 5, 10))
-    swap_spread = devices.covariance_spread(devices.swap_disentangler(2), 1000)
+    swap_spread = devices.covariance_spread(devices.swap_disentangler(2))
     return [_check("universal-covariance-spread", worst, 1e-12),
             CheckResult("swap-state-dependence", bool(swap_spread > 0.01),
                         f"spread={swap_spread:.3e} (needs > 1e-02)")]
@@ -244,7 +246,7 @@ def _check_cascade_action() -> list[CheckResult]:
         labels = np.arange(1.0, 2 ** n + 1.0)
         state = FullStateVector(n, labels / np.linalg.norm(labels))
         gated = state
-        for control, target in network.cnot_cascade(n).gates:
+        for control, target in network.cnot_cascade(n):
             gated = network.apply_cnot(gated, control, target)
         if not np.array_equal(state.amps[perm], gated.amps):
             mismatched.append(n)
@@ -304,9 +306,9 @@ def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
         target = measurement.dilution_overlap(n)
         target_u = devices.universal_coefficients(n)[0] ** 2
         for seed in seeds:
-            _, val = devices.optimize_average(n, restarts=8, seed=seed)
+            _, val = devices.optimize_average(n, seed=seed)
             worst_avg = max(worst_avg, abs(val - target))
-            _, val_u = devices.optimize_universal(n, restarts=8, seed=seed)
+            _, val_u = devices.optimize_universal(n, seed=seed)
             worst_uni = max(worst_uni, abs(val_u - target_u))
             exceed = max(exceed, val - target, val_u - target_u)
     return [_check("optimizer-average-attains", worst_avg, 1e-6),
@@ -365,22 +367,19 @@ def cmd_verify(level: str, seed: int) -> int:
 
 
 def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
-    """Run the probabilistic disentangler once and report its statistics."""
-    if not (0.0 <= theta <= np.pi and 0.0 <= phi < 2.0 * np.pi
-            and 1 <= n <= network.MAX_CASCADE_QUBITS and shots >= 1):
-        print("network: need 0 <= theta <= pi, 0 <= phi < 2 pi, "
-              f"1 <= n <= {network.MAX_CASCADE_QUBITS}, shots >= 1",
-              file=sys.stderr)
+    """Run the probabilistic disentangler once and report its statistics; the
+    library calls check the arguments, and their errors exit 2 via stderr."""
+    try:
+        psi = PureQubit(theta, phi)
+        p = network.success_probability(theta, n)
+        counts = network.sample_shots(psi, n, shots, seed)
+        out = network.run_cascade(psi, n)
+        recovered = (network.post_selected_state(out, n) if n >= 2
+                     else PureQubit.from_amplitudes(out.amps))
+    except (DomainError, CapacityError) as exc:
+        print(f"network: {exc}", file=sys.stderr)
         return 2
-    psi = PureQubit(theta, phi)
-    p = network.success_probability(theta, n)
-    out = network.run_cascade(psi, n)
-    if n >= 2:
-        recovered = network.post_selected_state(out, n)
-    else:
-        recovered = PureQubit.from_amplitudes(out.amps)
     fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
-    counts = network.sample_shots(psi, n, shots, seed)
     freq = counts.plus / shots
     stderr_bin = float(np.sqrt(p * (1.0 - p) / shots))
     print(f"exact_success_probability = {_fmt(p)}")

@@ -151,14 +151,13 @@ class FullStateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix."""
 
-    dim: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
-        _require(m.shape == (self.dim, self.dim), f"expected {self.dim}x{self.dim} matrix")
+        _require(m.shape == (2, 2), f"expected a 2x2 matrix, got shape {m.shape}")
         _require(np.max(np.abs(m - m.conj().T)) < 1e-10, "matrix is not Hermitian")
         _require(abs(np.trace(m).real - 1.0) < 1e-10, f"trace {np.trace(m)} != 1")
         _require(float(np.linalg.eigvalsh(m).min()) > -1e-10, "matrix is not PSD")
@@ -214,7 +213,7 @@ def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:
     _require(1 <= which <= state.n, f"qubit index {which} outside 1..{state.n}")
     tensor = state.amps.reshape((2,) * state.n)
     m = np.moveaxis(tensor, which - 1, 0).reshape(2, -1)
-    return DensityOperator(2, m @ m.conj().T)
+    return DensityOperator(m @ m.conj().T)
 
 
 def symmetric_marginal(v: DickeVector) -> DensityOperator:
@@ -231,7 +230,7 @@ def symmetric_marginal(v: DickeVector) -> DensityOperator:
     rho = ((n - 1) / n) * np.diag([1.0, 0.0]).astype(complex)
     rho += ((1 - np.sqrt(n)) / n) * np.diag([cb2, sb2])
     rho += (1 / np.sqrt(n)) * np.outer(psi, psi.conj())
-    return DensityOperator(2, rho)
+    return DensityOperator(rho)
 
 
 def fidelity_pure(psi: PureQubit, rho: DensityOperator) -> float:
@@ -242,7 +241,6 @@ def fidelity_pure(psi: PureQubit, rho: DensityOperator) -> float:
     1e-10 Hermiticity tolerance: below 5e-11 when the diagonal of rho is
     real, and below 1e-10 (the 2x2 row-sum bound) in any case.
     """
-    _require(rho.dim == 2, f"expected a qubit operator, got dim {rho.dim}")
     v = psi.amplitudes()
     return complex(v.conj() @ rho.entries @ v).real
 

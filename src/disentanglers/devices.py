@@ -35,6 +35,8 @@ MACHINE_DIM = 4
 
 UNITARITY_TOL = 1e-8
 
+RESTARTS = 8
+
 
 class UnitarityError(ValueError):
     """A device transform violates the unitarity constraints."""
@@ -72,28 +74,19 @@ class DeviceTransform:
                          np.concatenate([self.d3, self.d4])])
 
 
-@dataclass(frozen=True, eq=False)
-class GramSummary:
-    """Inner products <Di|Dj> of the four machine vectors and their squared
-    norms ||Di||^2 (the real diagonal)."""
-
-    norms_sq: np.ndarray
-    gram: np.ndarray
-
-
-def gram_summary(t: DeviceTransform) -> GramSummary:
+def gram_summary(t: DeviceTransform) -> np.ndarray:
+    """Gram matrix <Di|Dj> of the four machine vectors; ||Di||^2 on its diagonal."""
     v = t.vectors()
-    gram = v.conj() @ v.T
-    return GramSummary(np.real(np.diag(gram)).copy(), gram)
+    return v.conj() @ v.T
 
 
 def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
     """Deviations from the three unitarity constraints:
     | ||D1||^2 + ||D2||^2 - 1 |, | ||D3||^2 + ||D4||^2 - 1 |, |<D1|D3> + <D2|D4>|."""
     g = gram_summary(t)
-    return (abs(g.norms_sq[0] + g.norms_sq[1] - 1.0),
-            abs(g.norms_sq[2] + g.norms_sq[3] - 1.0),
-            abs(g.gram[0, 2] + g.gram[1, 3]))
+    return (abs(g[0, 0].real + g[1, 1].real - 1.0),
+            abs(g[2, 2].real + g[3, 3].real - 1.0),
+            abs(g[0, 2] + g[1, 3]))
 
 
 def _check_residuals(res: tuple[float, ...]) -> None:
@@ -113,7 +106,7 @@ def _sector_output(t: DeviceTransform, a0: complex,
     _check_unitary(t)
     joint = np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
     rho = joint @ joint.conj().T
-    return joint, DensityOperator(2, rho)
+    return joint, DensityOperator(rho)
 
 
 def apply_transform(t: DeviceTransform,
@@ -145,7 +138,7 @@ def _sector_fidelity(t: DeviceTransform, in0, in1, out0, out1):
     arrays; the result broadcasts.  Equals the matrix route through
     `apply_transform` to rounding.
     """
-    g = gram_summary(t).gram
+    g = gram_summary(t)
     a0c, a1 = np.conj(in0), np.asarray(in1)
     p00 = np.abs(in0) ** 2
     p11 = np.abs(in1) ** 2
@@ -214,12 +207,11 @@ def swap_disentangler(n: int) -> DeviceTransform:
     return DeviceTransform(n, e0, zero, zero, e0)
 
 
-def covariance_spread(t: DeviceTransform, samples: int = 1000) -> float:
-    """max - min of the pointwise fidelity over a deterministic golden-spiral
-    covering of the sphere; zero means input-state independence."""
-    _require(samples >= 100, f"need at least 100 samples, got {samples}")
-    k = np.arange(samples)
-    theta = np.arccos(1.0 - 2.0 * (k + 0.5) / samples)
+def covariance_spread(t: DeviceTransform) -> float:
+    """max - min of the pointwise fidelity over a deterministic 1000-point
+    golden-spiral covering of the sphere; zero means input-state independence."""
+    k = np.arange(1000)
+    theta = np.arccos(1.0 - 2.0 * (k + 0.5) / k.size)
     phi = (k * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi)
     vals = pointwise_fidelity(t, theta, phi)
     return float(np.max(vals) - np.min(vals))
@@ -259,8 +251,8 @@ def device_avg_fidelity(t: DeviceTransform) -> float:
     from its Gram data (see `_avg_fidelity`)."""
     _check_unitary(t)
     g = gram_summary(t)
-    return _avg_fidelity(t.n, moment_integrals(t.n), *g.norms_sq,
-                         float(np.real(g.gram[0, 3])))
+    return _avg_fidelity(t.n, moment_integrals(t.n), *g.diagonal().real,
+                         float(np.real(g[0, 3])))
 
 
 def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
@@ -339,9 +331,9 @@ def _gram_covariant(n: int, params: np.ndarray) -> tuple[float, ...]:
     return d1_sq, delta2, delta2, g2, g2 * x
 
 
-def _restart_search(build, gram, n: int, dim: int, restarts: int,
+def _restart_search(build, gram, n: int, dim: int,
                     seed: int) -> tuple[DeviceTransform, float]:
-    """Nelder-Mead from `restarts` seeded starts on the Gram-data objective
+    """Nelder-Mead from `RESTARTS` seeded starts on the Gram-data objective
     `gram` of the family `build`; the best optimum is built, checked and
     evaluated through `device_avg_fidelity`."""
     rng = np.random.default_rng(seed)
@@ -349,7 +341,7 @@ def _restart_search(build, gram, n: int, dim: int, restarts: int,
     best_val = -np.inf
     best_x = None
     converged = 0
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         x0 = rng.uniform(0.0, np.pi, size=dim)
         res = minimize(lambda p: -_avg_fidelity(n, moments, *gram(n, p)), x0,
                        method="Nelder-Mead",
@@ -360,26 +352,22 @@ def _restart_search(build, gram, n: int, dim: int, restarts: int,
             best_val = float(-res.fun)
             best_x = res.x
     if converged == 0:
-        raise OptimizationError(f"none of {restarts} device-search restarts converged")
+        raise OptimizationError(f"none of {RESTARTS} device-search restarts converged")
     if best_x is None or not np.isfinite(best_val):
         raise OptimizationError("device search produced no feasible optimum")
     best_t = build(n, best_x)
     return best_t, device_avg_fidelity(best_t)
 
 
-def optimize_average(n: int, restarts: int = 8,
-                     seed: int = 0) -> tuple[DeviceTransform, float]:
+def optimize_average(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the sphere-averaged fidelity over all unitarity-constrained
     devices.  The optimum is the state-swapping device.  Raises
     OptimizationError when no restart converges."""
-    _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
-    return _restart_search(_build_general, _gram_general, n, 5, restarts, seed)
+    return _restart_search(_build_general, _gram_general, n, 5, seed)
 
 
-def optimize_universal(n: int, restarts: int = 8,
-                       seed: int = 0) -> tuple[DeviceTransform, float]:
+def optimize_universal(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the (constant) fidelity over covariant devices.  The optimum
     is the universal disentangler with gamma^2 fidelity.  Raises
     OptimizationError when no restart converges."""
-    _require(restarts >= 8, f"need at least 8 restarts, got {restarts}")
-    return _restart_search(_build_covariant, _gram_covariant, n, 3, restarts, seed)
+    return _restart_search(_build_covariant, _gram_covariant, n, 3, seed)

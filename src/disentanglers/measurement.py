@@ -37,7 +37,6 @@ class ProjectorPair:
 
     theta_p: float
     phi_p: float
-    n: int
     xi0: DickeVector
     xi1: DickeVector
 
@@ -59,7 +58,7 @@ def projector_pair(theta_p: float, phi_p: float, n: int) -> ProjectorPair:
     c, s = np.cos(theta_p / 2.0), np.sin(theta_p / 2.0)
     xi0 = DickeVector(n, c, np.exp(1j * phi_p) * s)
     xi1 = DickeVector(n, np.exp(-1j * phi_p) * s, -c)
-    return ProjectorPair(theta_p, phi_p, n, xi0, xi1)
+    return ProjectorPair(theta_p, phi_p, xi0, xi1)
 
 
 def prepared_state(theta_p: float, phi_p: float, outcome: int) -> PureQubit:
@@ -73,7 +72,7 @@ def prepared_state(theta_p: float, phi_p: float, outcome: int) -> PureQubit:
 def measurement_outcomes(big_psi: DickeVector,
                          pair: ProjectorPair) -> tuple[EstimateRecord, EstimateRecord]:
     """Outcome probabilities and prepared qubits for one apparatus orientation."""
-    _require(big_psi.n == pair.n, "qubit counts differ")
+    _require(big_psi.n == pair.xi0.n, "qubit counts differ")
     p0 = abs(pair.xi0.overlap(big_psi)) ** 2
     p1 = abs(pair.xi1.overlap(big_psi)) ** 2
     return (EstimateRecord(p0, prepared_state(pair.theta_p, pair.phi_p, 0)),
@@ -86,7 +85,7 @@ def estimator_output(big_psi: DickeVector, pair: ProjectorPair) -> DensityOperat
     for rec in measurement_outcomes(big_psi, pair):
         v = rec.prepared.amplitudes()
         rho += rec.probability * np.outer(v, v.conj())
-    return DensityOperator(2, rho)
+    return DensityOperator(rho)
 
 
 def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOperator:
@@ -110,7 +109,7 @@ def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOp
     outer1 = np.array([[s * s, -c * s * np.conj(e)], [-c * s * e, c * c]])
     rho = np.einsum("tp,abtp->ab", w * p0, outer0) + np.einsum(
         "tp,abtp->ab", w * p1, outer1)
-    return DensityOperator(2, rho)
+    return DensityOperator(rho)
 
 
 def dilution_overlap(n: int) -> float:
@@ -149,7 +148,7 @@ def _ensemble_tables(n: int, quad: BlochQuadrature):
         "cb": np.cos(tbar / 2.0), "sb": np.sin(tbar / 2.0),
         "c": np.cos(quad.theta_nodes / 2.0), "s": np.sin(quad.theta_nodes / 2.0),
         "cos_ph": np.cos(quad.phi_nodes), "sin_ph": np.sin(quad.phi_nodes),
-        "w": np.outer(quad.theta_weights, np.full(quad.n_phi, 1.0 / quad.n_phi)),
+        "w": quad.grid()[2],
     }
 
 
@@ -216,29 +215,26 @@ def _branch_supremum(j: int, theta_meas: float, n: int,
     return 0.5 * (float(wp.sum()) + float(np.linalg.norm(big_r)))
 
 
-def optimal_measurement_bound_numeric(n: int, resolution: int = 64,
-                                      quad: BlochQuadrature | None = None) -> float:
+def optimal_measurement_bound_numeric(n: int) -> float:
     """Re-derive the measurement bound by an apparatus-angle search.
 
     For each apparatus polar angle both branch suprema over the re-prepared
     qubit are taken exactly from the input ensemble's weighted Bloch vectors
     (`_branch_supremum`); their sum is then maximized numerically over that
-    angle, on a `resolution`-point grid refined by a bounded scalar search.
-    The apparatus azimuth is fixed at zero: the ensemble is azimuthally
-    covariant.
+    angle, on a 64-point grid refined by a bounded scalar search.  The inputs
+    are averaged with the default 64x64 `BlochQuadrature`, and the apparatus
+    azimuth is fixed at zero: the ensemble is azimuthally covariant.
     """
-    _require(resolution >= 32, f"resolution {resolution} < 32")
-    if quad is None:
-        quad = BlochQuadrature()
+    quad = BlochQuadrature()
 
     def h_sum(theta_meas: float) -> float:
         return sum(_branch_supremum(j, theta_meas, n, quad) for j in (0, 1))
 
-    grid = np.linspace(0.0, np.pi, resolution)
+    grid = np.linspace(0.0, np.pi, 64)
     coarse = [h_sum(tm) for tm in grid]
     k = int(np.argmax(coarse))
     best = coarse[k]
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, resolution - 1)]
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     if hi > lo:
         res = minimize_scalar(lambda tm: -h_sum(tm), bounds=(lo, hi),
                               method="bounded", options={"xatol": 1e-6})

@@ -32,23 +32,10 @@ class DecompositionError(RuntimeError):
     """Network output fell outside the expected post-selection subspace."""
 
 
-@dataclass(frozen=True)
-class CnotCascade:
+def cnot_cascade(n: int) -> tuple[tuple[int, int], ...]:
     """Gate list (control k, target n) for k = 1 .. n-1."""
-
-    n: int
-    gates: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        _require(len(self.gates) == self.n - 1, "cascade needs n-1 gates")
-        controls = [c for c, _ in self.gates]
-        _require(len(set(controls)) == len(controls), "duplicate control")
-        _require(all(c != t for c, t in self.gates), "control equals target")
-
-
-def cnot_cascade(n: int) -> CnotCascade:
     n = _require_count(n)
-    return CnotCascade(n, tuple((k, n) for k in range(1, n)))
+    return tuple((k, n) for k in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -62,10 +49,6 @@ class OutcomeDecomposition:
     amp_plus_psi: complex
     amp_minus: complex
     recovered: PureQubit
-
-    def __post_init__(self) -> None:
-        total = abs(self.amp_plus_psi) ** 2 + abs(self.amp_minus) ** 2
-        _require(abs(total - 1.0) < 1e-12, f"branch weights sum to {total}")
 
 
 def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVector:
@@ -129,15 +112,17 @@ def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
             DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
 
 
-def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float]:
+def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project the output onto the two branches; returns the last-qubit
-    vectors riding on each branch and the norm of what is left over.
+    vectors riding on each branch, the norm of what is left over, and the
+    squared norm of the output.
 
     Both basis vectors live on the n rows of the (2^(n-1), 2) amplitude
     matrix that hold the zero- and one-excitation states of the leading
     qubits, so only those rows are projected.  The residual is the norm of
     one copy of the matrix with those rows replaced by their remainder, not
     sqrt(|m|^2 - |branches|^2), whose 1e-16 rounding reads as about 1e-8.
+    The squared norm of the output is that residual's with the rows restored.
     """
     plus, minus = postselect_basis(output.n)
     rows, p = _dicke_support(plus)
@@ -146,19 +131,23 @@ def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float]:
     block = m[rows]
     branch_plus = p.conj() @ block
     branch_minus = q.conj() @ block
+    remainder = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
     rest = m.copy()
-    rest[rows] = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
-    return branch_plus, branch_minus, float(np.linalg.norm(rest))
+    rest[rows] = remainder
+    residual = float(np.linalg.norm(rest))
+    norm_sq = residual ** 2 + float(np.sum(np.abs(block) ** 2 - np.abs(remainder) ** 2))
+    return branch_plus, branch_minus, residual, norm_sq
 
 
 def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
     """Resolve a network output into its success and failure branches.
 
     The one checked projection: the failure branch must carry the reference
-    state on the last qubit, and nothing may fall outside the two branches.
+    state on the last qubit, nothing may fall outside the two branches, and
+    their weights must add up to the output's own squared norm (not to 1).
     """
     _require(output.n == n, "qubit count mismatch")
-    branch_plus, branch_minus, residual = _branches(output)
+    branch_plus, branch_minus, residual, norm_sq = _branches(output)
     if residual > 1e-10:
         raise DecompositionError(f"residual {residual} outside the branch subspace")
     if abs(branch_minus[1]) > 1e-10:
@@ -167,7 +156,11 @@ def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
         raise DecompositionError("success branch has zero weight")
     recovered = PureQubit.from_amplitudes(branch_plus)
     amp_plus = complex(recovered.amplitudes().conj() @ branch_plus)
-    return OutcomeDecomposition(amp_plus, complex(branch_minus[0]), recovered)
+    amp_minus = complex(branch_minus[0])
+    total = abs(amp_plus) ** 2 + abs(amp_minus) ** 2
+    if abs(total - norm_sq) >= 1e-12:
+        raise DecompositionError(f"branch weights sum to {total}, not {norm_sq}")
+    return OutcomeDecomposition(amp_plus, amp_minus, recovered)
 
 
 def success_probability(theta: float, n: int) -> float:

@@ -127,11 +127,18 @@ class TestCmdNetwork:
         assert "post_selected_fidelity = 1" in capsys.readouterr().out
 
     def test_invalid_arguments_exit_2(self, capsys):
-        assert cmd_network(-1.0, 0.0, 4, 100, 0) == 2
-        assert cmd_network(1.0, 0.0, 0, 100, 0) == 2
-        assert cmd_network(1.0, 0.0, 25, 100, 0) == 2
-        assert cmd_network(1.0, 7.0, 4, 100, 0) == 2
-        assert capsys.readouterr().err != ""
+        # the library's own message, naming the argument, goes to stderr
+        for args, named in (((-1.0, 0.0, 4, 100, 0), "theta=-1.0"),
+                            ((1.0, 0.0, 0, 100, 0), "n >= 1, got 0"),
+                            ((1.0, 0.0, 25, 100, 0), "n=25"),
+                            ((1.0, 7.0, 4, 100, 0), "phi=7.0"),
+                            ((1.0, 0.0, 4, 0, 0), "shots >= 1, got 0"),
+                            ((float("nan"), 0.0, 4, 100, 0), "theta=nan")):
+            assert cmd_network(*args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("network: ")
+            assert named in captured.err
 
 
 class TestMain:

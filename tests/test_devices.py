@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from disentanglers import devices
 from disentanglers import (
@@ -146,19 +148,15 @@ class TestUniversalCoefficients:
 
 class TestCovarianceSpread:
     def test_universal_spread_vanishes(self):
-        assert covariance_spread(universal_disentangler(3), 1000) < 1e-12
+        assert covariance_spread(universal_disentangler(3)) < 1e-12
 
     def test_swap_spread_positive(self):
-        spread = covariance_spread(swap_disentangler(2), 1000)
+        spread = covariance_spread(swap_disentangler(2))
         assert spread > 0.01
 
     def test_both_devices_trivial_at_n1(self):
-        assert covariance_spread(universal_disentangler(1), 500) < 1e-14
-        assert covariance_spread(swap_disentangler(1), 500) < 1e-14
-
-    def test_sample_count_validated(self):
-        with pytest.raises(DomainError):
-            covariance_spread(swap_disentangler(2), 50)
+        assert covariance_spread(universal_disentangler(1)) < 1e-14
+        assert covariance_spread(swap_disentangler(1)) < 1e-14
 
 
 class TestMomentIntegrals:
@@ -209,22 +207,22 @@ class TestDeviceAvgFidelity:
 
 def overlap_14(g):
     """Re <D4|D1> normalized by ||D1|| ||D4||; 1 for matched parallel vectors."""
-    return g.gram[3, 0].real / np.sqrt(g.norms_sq[0] * g.norms_sq[3])
+    return g[3, 0].real / np.sqrt(g[0, 0].real * g[3, 3].real)
 
 
 class TestGramSummary:
     def test_universal_parameters(self):
         g = gram_summary(universal_disentangler(4))
-        assert g.gram[3, 0].real / g.norms_sq[3] == pytest.approx(1.0, abs=1e-14)
+        assert g.shape == (4, 4)
+        assert g[3, 0].real / g[3, 3].real == pytest.approx(1.0, abs=1e-14)
         assert overlap_14(g) == pytest.approx(1.0, abs=1e-14)
-        assert g.norms_sq[0] == pytest.approx(g.norms_sq[3], abs=1e-14)
-        assert np.array_equal(g.norms_sq, np.real(np.diag(g.gram)))
+        assert g[0, 0].real == pytest.approx(g[3, 3].real, abs=1e-14)
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             g = gram_summary(random_transform(3, rng))
-            assert np.linalg.eigvalsh(g.gram).min() > -1e-12
+            assert np.linalg.eigvalsh(g).min() > -1e-12
             assert abs(overlap_14(g)) <= 1.0 + 1e-15
 
 
@@ -252,59 +250,72 @@ class TestFamilyObjectives:
 
         monkeypatch.setattr(devices, "minimize", unconverged)
         with pytest.raises(OptimizationError):
-            optimize_average(2, restarts=8, seed=0)
+            optimize_average(2, seed=0)
         with pytest.raises(OptimizationError):
-            optimize_universal(2, restarts=8, seed=0)
+            optimize_universal(2, seed=0)
 
 
 class TestOptimizeAverage:
     def test_attains_swap_optimum_n2(self):
-        t, val = optimize_average(2, restarts=8, seed=7)
+        t, val = optimize_average(2, seed=7)
         assert val == pytest.approx(OVERLAP_N2, abs=1e-6)
         g = gram_summary(t)
-        assert abs(g.norms_sq[0] - 1.0) < 1e-4
-        assert abs(g.norms_sq[3] - 1.0) < 1e-4
+        assert abs(g[0, 0].real - 1.0) < 1e-4
+        assert abs(g[3, 3].real - 1.0) < 1e-4
         assert abs(overlap_14(g) - 1.0) < 1e-4
 
     def test_dominates_universal_feasible_point(self):
-        _, val = optimize_average(5, restarts=8, seed=3)
+        _, val = optimize_average(5, seed=3)
         assert val >= universal_coefficients(5)[0] ** 2
 
     def test_trivial_at_n1(self):
-        _, val = optimize_average(1, restarts=8, seed=0)
+        _, val = optimize_average(1, seed=0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_under_seed(self):
-        _, a = optimize_average(3, restarts=8, seed=11)
-        _, b = optimize_average(3, restarts=8, seed=11)
+        _, a = optimize_average(3, seed=11)
+        _, b = optimize_average(3, seed=11)
         assert a == b
 
-    def test_restart_count_validated(self):
-        with pytest.raises(DomainError):
-            optimize_average(2, restarts=4, seed=0)
+    def test_restart_count_validated(self, monkeypatch):
+        # both searches run exactly RESTARTS Nelder-Mead starts; no caller
+        # can ask for fewer
+        real = devices.minimize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(devices, "minimize", counted)
+        assert devices.RESTARTS == 8
+        for search in (optimize_average, optimize_universal):
+            calls.clear()
+            search(2, seed=0)
+            assert len(calls) == devices.RESTARTS
 
 
 class TestOptimizeUniversal:
     def test_attains_covariant_optimum_n2(self):
-        t, val = optimize_universal(2, restarts=8, seed=7)
+        t, val = optimize_universal(2, seed=7)
         assert val == pytest.approx(GAMMA2_N2, abs=1e-6)
         g = gram_summary(t)
-        assert g.norms_sq[1] == pytest.approx(0.05409709377719385, abs=1e-4)
-        assert g.norms_sq[2] == pytest.approx(0.05409709377719385, abs=1e-4)
-        assert abs(g.gram[3, 0].real / g.norms_sq[3] - 1.0) < 1e-4
+        assert g[1, 1].real == pytest.approx(0.05409709377719385, abs=1e-4)
+        assert g[2, 2].real == pytest.approx(0.05409709377719385, abs=1e-4)
+        assert abs(g[3, 0].real / g[3, 3].real - 1.0) < 1e-4
 
     def test_optimum_is_covariant(self):
-        t, _ = optimize_universal(3, restarts=8, seed=5)
-        assert covariance_spread(t, 500) < 1e-10
+        t, _ = optimize_universal(3, seed=5)
+        assert covariance_spread(t) < 1e-10
 
     def test_trivial_at_n1(self):
-        _, val = optimize_universal(1, restarts=8, seed=0)
+        _, val = optimize_universal(1, seed=0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 20])
     def test_constrained_below_unconstrained(self, n):
-        _, constrained = optimize_universal(n, restarts=8, seed=1)
-        _, unconstrained = optimize_average(n, restarts=8, seed=1)
+        _, constrained = optimize_universal(n, seed=1)
+        _, unconstrained = optimize_average(n, seed=1)
         assert constrained <= unconstrained + 1e-6
 
 
@@ -354,3 +365,23 @@ class TestSectorImages:
         for n in range(1, 51):
             im = build(n).images()
             assert np.max(np.abs(im.conj() @ im.T - np.eye(2))) < 1e-12
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
+AZIMUTH = st.floats(-4 * np.pi, 4 * np.pi)
+
+
+class TestProperties:
+    @given(n=st.integers(1, 50), seed=SEEDS)
+    def test_random_transform_is_unitary(self, n, seed):
+        t = random_transform(n, np.random.default_rng(seed))
+        assert max(unitarity_residuals(t)) < devices.UNITARITY_TOL
+
+    @given(n=st.integers(1, 12), seed=SEEDS, theta=POLAR, phi=AZIMUTH)
+    def test_pointwise_fidelity_matches_density_route(self, n, seed, theta, phi):
+        t = random_transform(n, np.random.default_rng(seed))
+        psi = PureQubit.from_angles(theta, phi)
+        _, rho = apply_transform(t, symmetric_state(psi, n))
+        assert abs(pointwise_fidelity(t, psi.theta, psi.phi)
+                   - fidelity_pure(psi, rho)) < 1e-11

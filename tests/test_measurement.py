@@ -212,10 +212,6 @@ class TestOptimalBound:
             assert (optimal_measurement_bound_numeric(n)
                     >= measurement_avg_fidelity(n) - 1e-6)
 
-    def test_resolution_validated(self):
-        with pytest.raises(DomainError):
-            optimal_measurement_bound_numeric(2, resolution=16)
-
     def test_inner_supremum_covers_full_plane(self):
         # the exact branch supremum (P + |R|) / 2 dominates a dense 2-D scan
         # of the preparation sphere and is attained at the direction R / |R|

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from disentanglers import (
@@ -66,15 +66,14 @@ class TestApplyCnot:
 
 class TestCascade:
     def test_gate_list(self):
-        cascade = cnot_cascade(5)
-        assert cascade.gates == ((1, 5), (2, 5), (3, 5), (4, 5))
-        assert cnot_cascade(1).gates == ()
+        assert cnot_cascade(5) == ((1, 5), (2, 5), (3, 5), (4, 5))
+        assert cnot_cascade(1) == ()
 
     def test_gate_order_immaterial(self):
         rng = np.random.default_rng(21)
         n = 6
         state = random_state(rng, n)
-        gates = list(cnot_cascade(n).gates)
+        gates = list(cnot_cascade(n))
         forward = state
         for c, t in gates:
             forward = apply_cnot(forward, c, t)
@@ -240,6 +239,16 @@ class TestDecompose:
             expected = np.sqrt(n * n * c2 + n * (1 - c2))
             assert np.sqrt(n) / abs(dec.amp_plus_psi) == pytest.approx(expected, abs=1e-10)
 
+    def test_accepts_norm_within_statevector_tolerance(self):
+        # FullStateVector admits norms within 1e-10 of 1; the branch weights
+        # are compared with the output's own squared norm, not with 1
+        out = FullStateVector(6, run_cascade(PureQubit(1.0, 0.3), 6).amps * (1 + 5e-11))
+        dec = decompose(out, 6)
+        assert dec.recovered.theta == pytest.approx(1.0, abs=1e-12)
+        assert dec.recovered.phi == pytest.approx(0.3, abs=1e-12)
+        assert abs(dec.amp_plus_psi) ** 2 + abs(dec.amp_minus) ** 2 == pytest.approx(
+            (1 + 5e-11) ** 2, abs=1e-14)
+
     def test_rejects_state_outside_branch_subspace(self):
         amps = np.zeros(8, dtype=complex)
         amps[6] = 1.0  # |110>: two excitations on the leading qubits
@@ -300,14 +309,10 @@ class TestPostSelectedState:
             post_selected_state(out, 2)
 
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=300)
-
 POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
 
 
 class TestProperties:
-    @PROPERTY
     @given(theta=POLAR, phi=st.floats(-4 * np.pi, 4 * np.pi), n=st.integers(2, 12))
     def test_cascade_recovers_input(self, theta, phi, n):
         psi = PureQubit.from_angles(theta, phi)
