@@ -45,16 +45,12 @@ from .devices import (
     universal_disentangler,
 )
 from .measurement import (
-    EstimateRecord,
-    ProjectorPair,
     averaged_estimator,
     dilution_overlap,
     estimator_output,
     measurement_avg_fidelity,
-    measurement_outcomes,
     optimal_measurement_bound,
     optimal_measurement_bound_numeric,
-    prepared_state,
     projector_pair,
     strategy_integral,
 )

@@ -52,10 +52,10 @@ class FidelityRow:
         vals = (self.f0_diluted, self.f1_measure, self.fmax_measure,
                 self.f2_universal, self.f3_swap)
         if not all(0.5 <= v <= 1.0 for v in vals):
-            raise ValueError(f"fidelities out of [1/2, 1] at n={self.n}: {vals}")
+            raise DomainError(f"fidelities out of [1/2, 1] at n={self.n}: {vals}")
         if self.n >= 2 and not (self.f1_measure < self.fmax_measure
                                 < self.f2_universal < self.f3_swap):
-            raise ValueError(f"strategy ordering violated at n={self.n}")
+            raise DomainError(f"strategy ordering violated at n={self.n}")
 
 
 def fidelity_row(n: int) -> FidelityRow:

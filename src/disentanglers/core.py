@@ -26,6 +26,8 @@ MAX_STATEVECTOR_QUBITS = 24
 
 STATEVECTOR_NORM_TOL = 1e-10
 
+MAX_CLOSED_FORM_N = 2 ** 340
+
 
 class DomainError(ValueError):
     """An argument is outside the range an operation is defined on."""
@@ -40,13 +42,29 @@ def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
         raise exc(msg)
 
 
-def _require_count(n) -> int:
-    """Return n as a Python int; raise DomainError unless n is an integer
-    (not a bool) with n >= 1.  Callers compute with the returned value, so
-    a narrow numpy integer such as np.uint8(16) cannot wrap in n * n."""
+def _require_count(n, name: str = "n") -> int:
+    """Return n as a Python int; raise DomainError, naming the count, unless
+    n is an integer (not a bool) with n >= 1.  Callers compute with the
+    returned value, so a narrow numpy integer such as np.uint8(16) cannot
+    wrap in n * n."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"need an integer n >= 1, got {n!r}")
+        raise DomainError(f"need an integer {name} >= 1, got {n!r}")
     return int(n)
+
+
+def _float_count(n) -> float:
+    """A checked count as the float the closed forms compute with.
+
+    They form powers of N up to N^3, so N must stay below
+    MAX_CLOSED_FORM_N = 2^340 (N^3 < 2^1020 is finite); DomainError
+    otherwise.  Up to 2^53 the float is exact and gives the integer's
+    arithmetic bit for bit.
+    """
+    n = _require_count(n)
+    if n >= MAX_CLOSED_FORM_N:
+        raise DomainError("need n < 2**340 for the closed forms, "
+                          f"got n >= 2**{n.bit_length() - 1}")
+    return float(n)
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,7 @@ class PureQubit:
         """Extract Bloch angles from a 2-vector, discarding the global phase."""
         v = np.asarray(vec, dtype=complex)
         _require(v.shape == (2,), "expected a 2-component amplitude vector")
+        _require(bool(np.all(np.isfinite(v))), "amplitudes not finite")
         norm = np.linalg.norm(v)
         _require(norm > 0, "cannot extract angles from the zero vector")
         v = v / norm
@@ -171,7 +190,7 @@ def dilute_angle(theta, n: int):
     cos(out/2) = sqrt(N) cos(theta/2) / sqrt(sin^2(theta/2) + N cos^2(theta/2)),
     with sin(out/2) >= 0.  Accepts scalars or arrays.
     """
-    n = _require_count(n)
+    n = _float_count(n)
     th = np.asarray(theta, dtype=float)
     _require(bool(np.all((th >= 0.0) & (th <= np.pi))), "theta outside [0, pi]")
     c = np.cos(th / 2.0)
@@ -287,7 +306,7 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def diluted_avg_fidelity(n: int) -> float:
     """Mean fidelity (N^2 - 1 - 2 ln N) / (2 (N-1)^2) between one qubit of the
     symmetric dilution and the original; 1 at N=1, 1/2 as N grows."""
-    n = _require_count(n)
+    n = _float_count(n)
     if n == 1:
         return 1.0
     return (n * n - 1.0 - 2.0 * np.log(n)) / (2.0 * (n - 1.0) ** 2)

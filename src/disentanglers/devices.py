@@ -26,6 +26,7 @@ from .core import (
     DensityOperator,
     DickeVector,
     PureQubit,
+    _float_count,
     _require,
     _require_count,
     dilute_angle,
@@ -181,7 +182,7 @@ def entangler_pointwise_fidelity(t: DeviceTransform, theta, phi):
 def universal_coefficients(n: int) -> tuple[float, float]:
     """Amplitude pair (gamma, delta) of the covariant optimum:
     gamma^2 = (N+1) / (2 (N+1-sqrt(N))), delta = sqrt(1 - gamma^2)."""
-    n = _require_count(n)
+    n = _float_count(n)
     g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n)))
     return float(np.sqrt(g2)), float(np.sqrt(max(1.0 - g2, 0.0)))
 
@@ -225,7 +226,7 @@ def moment_integrals(n: int) -> tuple[float, float, float]:
     sin^2(theta/2)) times the respective half-angle factor, in closed form.
     They obey N m1 + m2 + (N+1) m3 = 2 and are (2/3, 2/3, 1/3) at N=1.
     """
-    n = _require_count(n)
+    n = _float_count(n)
     if n == 1:
         return 2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
     d = (n - 1.0) ** 3

@@ -14,9 +14,6 @@ only the apparatus polar angle numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -24,68 +21,49 @@ from .core import (
     BlochQuadrature,
     DensityOperator,
     DickeVector,
-    PureQubit,
+    _float_count,
     _require,
-    _require_count,
     dilute_angle,
 )
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Orthonormal projector pair resolving the symmetric two-dimensional span."""
+def _projector_amplitudes(theta_p, phi_p):
+    """Amplitudes (c0, c1) of the apparatus pair at orientation (theta', phi'),
+    for scalars or arrays: xi0 = (c, e^{i phi'} s) follows the orientation and
+    xi1 = (e^{-i phi'} s, -c) completes it, with c, s = cos, sin(theta'/2).
 
-    theta_p: float
-    phi_p: float
-    xi0: DickeVector
-    xi1: DickeVector
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One measurement outcome: its probability and the re-prepared qubit."""
-
-    probability: float
-    prepared: PureQubit
-
-
-def projector_pair(theta_p: float, phi_p: float, n: int) -> ProjectorPair:
-    """Apparatus projectors at orientation (theta_p, phi_p).
-
-    xi0 follows the orientation; xi1 is the orthonormal completion
-    e^{-i phi'} sin(theta'/2) |N;0> - cos(theta'/2) |N;1>.
+    Re-preparation needs no state of its own: the qubit re-prepared after
+    outcome j, along the apparatus axis (theta', phi') for j = 0 and along
+    its antipode (pi - theta', phi' + pi) for j = 1, has xi_j's two
+    amplitudes up to a global phase.
     """
     c, s = np.cos(theta_p / 2.0), np.sin(theta_p / 2.0)
-    xi0 = DickeVector(n, c, np.exp(1j * phi_p) * s)
-    xi1 = DickeVector(n, np.exp(-1j * phi_p) * s, -c)
-    return ProjectorPair(theta_p, phi_p, xi0, xi1)
+    e = np.exp(1j * phi_p)
+    return (c, e * s), (np.conj(e) * s, -c)
 
 
-def prepared_state(theta_p: float, phi_p: float, outcome: int) -> PureQubit:
-    """Qubit re-prepared after the given outcome: along the apparatus axis for
-    outcome 0, along the antipode for outcome 1."""
-    if outcome == 0:
-        return PureQubit.from_angles(theta_p, phi_p)
-    return PureQubit.from_angles(np.pi - theta_p, phi_p + np.pi)
+def projector_pair(theta_p: float, phi_p: float,
+                   n: int) -> tuple[DickeVector, DickeVector]:
+    """Apparatus projectors (xi0, xi1) at orientation (theta_p, phi_p)."""
+    return tuple(DickeVector(n, *xi) for xi in _projector_amplitudes(theta_p, phi_p))
 
 
-def measurement_outcomes(big_psi: DickeVector,
-                         pair: ProjectorPair) -> tuple[EstimateRecord, EstimateRecord]:
-    """Outcome probabilities and prepared qubits for one apparatus orientation."""
-    _require(big_psi.n == pair.xi0.n, "qubit counts differ")
-    p0 = abs(pair.xi0.overlap(big_psi)) ** 2
-    p1 = abs(pair.xi1.overlap(big_psi)) ** 2
-    return (EstimateRecord(p0, prepared_state(pair.theta_p, pair.phi_p, 0)),
-            EstimateRecord(p1, prepared_state(pair.theta_p, pair.phi_p, 1)))
-
-
-def estimator_output(big_psi: DickeVector, pair: ProjectorPair) -> DensityOperator:
-    """Density operator of the re-prepared qubit for one apparatus orientation."""
+def _channel(big_psi: DickeVector, pair, w) -> DensityOperator:
+    """Measure-and-prepare channel sum_j w |<xi_j|Psi>|^2 xi_j xi_j^H, summed
+    over the orientations the amplitude pairs `pair` hold, with weights `w`."""
     rho = np.zeros((2, 2), dtype=complex)
-    for rec in measurement_outcomes(big_psi, pair):
-        v = rec.prepared.amplitudes()
-        rho += rec.probability * np.outer(v, v.conj())
+    for xi in pair:
+        x = np.reshape(np.array(xi), (2, -1))
+        p = np.abs(np.conj(x[0]) * big_psi.c0 + np.conj(x[1]) * big_psi.c1) ** 2
+        rho += (x * (np.ravel(w) * p)) @ x.conj().T
     return DensityOperator(rho)
+
+
+def estimator_output(big_psi: DickeVector,
+                     pair: tuple[DickeVector, DickeVector]) -> DensityOperator:
+    """Density operator of the re-prepared qubit for one apparatus orientation."""
+    _require(big_psi.n == pair[0].n, "qubit counts differ")
+    return _channel(big_psi, [xi.amplitudes() for xi in pair], 1.0)
 
 
 def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOperator:
@@ -100,16 +78,7 @@ def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOp
     _require(quad.n_phi >= 3,
              f"n_phi={quad.n_phi} < 3 cannot integrate the frequency-2 azimuth")
     th, ph, w = quad.grid()
-    c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-    e = np.exp(1j * ph)
-    ov0 = np.conj(big_psi.c0) * c + np.conj(big_psi.c1) * e * s
-    p0 = np.abs(ov0) ** 2
-    p1 = 1.0 - p0
-    outer0 = np.array([[c * c, c * s * np.conj(e)], [c * s * e, s * s]])
-    outer1 = np.array([[s * s, -c * s * np.conj(e)], [-c * s * e, c * c]])
-    rho = np.einsum("tp,abtp->ab", w * p0, outer0) + np.einsum(
-        "tp,abtp->ab", w * p1, outer1)
-    return DensityOperator(rho)
+    return _channel(big_psi, _projector_amplitudes(th, ph), w)
 
 
 def dilution_overlap(n: int) -> float:
@@ -118,7 +87,7 @@ def dilution_overlap(n: int) -> float:
     Closed form (N^2 + 4 N^{3/2} - 4 N^{1/2} - 1 + 2 N ln N) /
     (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2.
     """
-    n = _require_count(n)
+    n = _float_count(n)
     if n == 1:
         return 1.0
     rt = np.sqrt(n)
@@ -134,39 +103,38 @@ def measurement_avg_fidelity(n: int) -> float:
 def optimal_measurement_bound(n: int) -> float:
     """Upper bound on any measure-and-prepare strategy's average fidelity:
     (1/2) [1 + sqrt(N) (N^2 - 1 - 2 N ln N) / (N-1)^3], with limit 2/3 at N=1."""
-    n = _require_count(n)
+    n = _float_count(n)
     if n == 1:
         return 2.0 / 3.0
     return 0.5 * (1.0 + np.sqrt(n) * (n * n - 1.0 - 2.0 * n * np.log(n)) / (n - 1.0) ** 3)
 
 
-@lru_cache(maxsize=8)
-def _ensemble_tables(n: int, quad: BlochQuadrature):
-    """Input-ensemble factors reused across strategy-integral evaluations."""
+def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
+    """Input-ensemble factors shared by the strategy-integral evaluations, from
+    the diluted (cb, sb) and input (c, s) half angles of the polar nodes."""
     tbar = dilute_angle(quad.theta_nodes, n)
+    cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
+    c, s = np.cos(quad.theta_nodes / 2.0), np.sin(quad.theta_nodes / 2.0)
     return {
-        "cb": np.cos(tbar / 2.0), "sb": np.sin(tbar / 2.0),
-        "c": np.cos(quad.theta_nodes / 2.0), "s": np.sin(quad.theta_nodes / 2.0),
+        "cb2": cb ** 2, "sb2": sb ** 2, "cbsb2": 2.0 * (cb * sb), "c": c, "s": s,
+        "sin_th": 2.0 * c * s, "cos_th": c ** 2 - s ** 2,
         "cos_ph": np.cos(quad.phi_nodes), "sin_ph": np.sin(quad.phi_nodes),
         "w": quad.grid()[2],
     }
 
 
-def _branch_weights(j: int, theta_meas: float, phi_meas: float, n: int,
-                    quad: BlochQuadrature) -> np.ndarray:
-    """Quadrature weight times outcome-j probability |<Psi|xi_j>|^2 on the
-    input grid, for the apparatus at (theta_meas, phi_meas)."""
+def _branch_weights(j: int, theta_meas: float, phi_meas: float,
+                    t: dict[str, np.ndarray]) -> np.ndarray:
+    """Quadrature weight times outcome-j probability |<xi_j|Psi>|^2 on the
+    input grid of the tables `t`, for the apparatus at (theta_meas, phi_meas).
+    With Psi = (cb, e^{i phi} sb) and xi_j = (x0, x1) that probability is
+    |x0|^2 cb^2 + |x1|^2 sb^2 + 2 cb sb Re(x0 conj(x1) e^{i phi})."""
     _require(j in (0, 1), f"outcome index {j} not in {{0, 1}}")
-    t = _ensemble_tables(n, quad)
-    cm, sm = np.cos(theta_meas / 2.0), np.sin(theta_meas / 2.0)
-    cos_dm = t["cos_ph"] * np.cos(phi_meas) + t["sin_ph"] * np.sin(phi_meas)
-    if j == 0:
-        amp = (t["cb"] * cm) ** 2 + (t["sb"] * sm) ** 2
-        cross = 2.0 * t["cb"] * t["sb"] * cm * sm
-    else:
-        amp = (t["cb"] * sm) ** 2 + (t["sb"] * cm) ** 2
-        cross = -2.0 * t["cb"] * t["sb"] * cm * sm
-    return t["w"] * (amp[:, None] + cross[:, None] * cos_dm[None, :])
+    x0, x1 = _projector_amplitudes(theta_meas, phi_meas)[j]
+    z = x0 * np.conj(x1)
+    amp = abs(x0) ** 2 * t["cb2"] + abs(x1) ** 2 * t["sb2"]
+    re_phase = z.real * t["cos_ph"] - z.imag * t["sin_ph"]
+    return t["w"] * (amp[:, None] + t["cbsb2"][:, None] * re_phase[None, :])
 
 
 def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
@@ -177,8 +145,8 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     ensemble, where xi_j sits at the apparatus orientation and eta is the
     re-prepared qubit.  The preparation angles may be arrays (broadcast).
     """
-    wp = _branch_weights(j, theta_meas, phi_meas, n, quad)
     t = _ensemble_tables(n, quad)
+    wp = _branch_weights(j, theta_meas, phi_meas, t)
 
     tp = np.asarray(theta_prep, dtype=float)
     pp = np.asarray(phi_prep, dtype=float)
@@ -194,8 +162,7 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     return vals.reshape(shape) if shape else float(vals[0])
 
 
-def _branch_supremum(j: int, theta_meas: float, n: int,
-                     quad: BlochQuadrature) -> float:
+def _branch_supremum(j: int, theta_meas: float, t: dict[str, np.ndarray]) -> float:
     """sup over preparation directions of one branch integral, exactly.
 
     |<psi|eta>|^2 = (1 + r_psi . r_eta) / 2, so the branch integral equals
@@ -205,13 +172,10 @@ def _branch_supremum(j: int, theta_meas: float, n: int,
     (Massar & Popescu, PRL 74, 1259 (1995)).  The apparatus azimuth is fixed
     at zero.
     """
-    wp = _branch_weights(j, theta_meas, 0.0, n, quad)
-    t = _ensemble_tables(n, quad)
-    sin_th = 2.0 * t["c"] * t["s"]
-    cos_th = t["c"] ** 2 - t["s"] ** 2
-    by_phi = sin_th @ wp
+    wp = _branch_weights(j, theta_meas, 0.0, t)
+    by_phi = t["sin_th"] @ wp
     big_r = np.array([by_phi @ t["cos_ph"], by_phi @ t["sin_ph"],
-                      cos_th @ wp.sum(axis=1)])
+                      t["cos_th"] @ wp.sum(axis=1)])
     return 0.5 * (float(wp.sum()) + float(np.linalg.norm(big_r)))
 
 
@@ -225,10 +189,10 @@ def optimal_measurement_bound_numeric(n: int) -> float:
     are averaged with the default 64x64 `BlochQuadrature`, and the apparatus
     azimuth is fixed at zero: the ensemble is azimuthally covariant.
     """
-    quad = BlochQuadrature()
+    t = _ensemble_tables(n, BlochQuadrature())
 
     def h_sum(theta_meas: float) -> float:
-        return sum(_branch_supremum(j, theta_meas, n, quad) for j in (0, 1))
+        return sum(_branch_supremum(j, theta_meas, t) for j in (0, 1))
 
     grid = np.linspace(0.0, np.pi, 64)
     coarse = [h_sum(tm) for tm in grid]

@@ -192,7 +192,7 @@ def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> ShotCounts:
     Uses numpy's seeded PCG64 stream; identical (seed, shots) always gives
     identical counts.
     """
-    _require(shots >= 1, f"need shots >= 1, got {shots}")
+    shots = _require_count(shots, "shots")
     p = success_probability(psi.theta, n)
     rng = np.random.default_rng(seed)
     plus = int(np.count_nonzero(rng.random(shots) < p))

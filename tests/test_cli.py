@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import disentanglers
-from disentanglers import cli, devices
+from disentanglers import DomainError, cli, devices
 from disentanglers.cli import FidelityRow, cmd_network, cmd_table, fidelity_row, main
 
 
@@ -22,9 +22,9 @@ class TestFidelityRow:
         assert r.fmax_measure == pytest.approx(2 / 3, abs=1e-15)
 
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             FidelityRow(2, 0.8, 0.7, 0.66, 0.9, 0.95)  # f1 > fmax
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             FidelityRow(3, 0.4, 0.6, 0.65, 0.9, 0.95)  # below 1/2
 
     def test_rows_valid_up_to_50(self):
@@ -177,6 +177,29 @@ class TestOptimizedInterpreter:
         plain = run()
         assert plain
         assert run("-O") == plain
+
+    def test_public_api_is_pinned(self):
+        # adding or removing a public name is a one-line change here
+        assert disentanglers.__all__ == [
+            "BlochQuadrature", "CapacityError", "DecompositionError",
+            "DensityOperator", "DeviceTransform", "DickeVector", "DomainError",
+            "FullStateVector", "OptimizationError", "OutcomeDecomposition",
+            "PureQubit", "ShotCounts", "UnitarityError", "apply_cnot",
+            "apply_entangler", "apply_transform", "averaged_estimator",
+            "bloch_average", "cnot_cascade", "core", "covariance_spread",
+            "decompose", "device_avg_fidelity", "devices",
+            "dicke_to_statevector", "dilute_angle", "diluted_avg_fidelity",
+            "dilution_overlap", "entangler_pointwise_fidelity",
+            "estimator_output", "fidelity_pure", "gram_summary", "measurement",
+            "measurement_avg_fidelity", "moment_integrals", "network",
+            "optimal_measurement_bound", "optimal_measurement_bound_numeric",
+            "optimize_average", "optimize_universal", "pointwise_fidelity",
+            "post_selected_state", "postselect_basis", "projector_pair",
+            "random_transform", "reduced_qubit", "run_cascade", "sample_shots",
+            "strategy_integral", "success_probability", "swap_disentangler",
+            "symmetric_marginal", "symmetric_state", "unitarity_residuals",
+            "universal_coefficients", "universal_disentangler",
+        ]
 
     def test_no_assert_statements_in_src(self):
         # invariants must be explicit checks, which -O cannot strip

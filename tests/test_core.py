@@ -1,5 +1,7 @@
 """State representations, dilution map, partial traces, and quadrature."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -22,7 +24,11 @@ from disentanglers import (
     symmetric_marginal,
     symmetric_state,
 )
-from disentanglers.core import MAX_STATEVECTOR_QUBITS, STATEVECTOR_NORM_TOL
+from disentanglers.core import (
+    MAX_CLOSED_FORM_N,
+    MAX_STATEVECTOR_QUBITS,
+    STATEVECTOR_NORM_TOL,
+)
 
 QUAD = BlochQuadrature()
 
@@ -57,6 +63,14 @@ class TestPureQubit:
         psi = PureQubit.from_angles(1.0, phi)
         assert psi.phi == 0.0
         assert psi.theta == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_from_amplitudes_rejects_non_finite(self, bad):
+        # a NaN norm fails `norm > 0` too; the message must name the cause
+        with pytest.raises(DomainError, match="not finite"):
+            PureQubit.from_amplitudes([bad, 1.0])
+        with pytest.raises(DomainError, match="not finite"):
+            PureQubit.from_amplitudes([1.0, bad])
 
     def test_from_amplitudes_folds_azimuth_just_below_zero(self):
         psi = PureQubit.from_amplitudes(np.array([1.0, 0.5 - 1e-17j]))
@@ -370,6 +384,49 @@ class TestIntegerCount:
             assert closed_form(narrow) == closed_form(int(narrow))
         assert type(DickeVector(narrow, 1.0, 0.0).n) is int
         assert type(FullStateVector(np.uint8(3), np.eye(8)[0]).n) is int
+
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64, 10 ** 30, MAX_CLOSED_FORM_N - 1,
+                                   MAX_CLOSED_FORM_N, 10 ** 200, 10 ** 400],
+                             ids=["2^63", "2^64", "1e30", "2^340-1", "2^340",
+                                  "1e200", "1e400"])
+    def test_float_range(self, n):
+        # a value in range or DomainError, never an untyped error, NaN or inf
+        from disentanglers import (
+            cli,
+            dilution_overlap,
+            measurement_avg_fidelity,
+            moment_integrals,
+            optimal_measurement_bound,
+            universal_coefficients,
+            universal_disentangler,
+        )
+
+        fidelities = {
+            "diluted_avg_fidelity": diluted_avg_fidelity,
+            "dilution_overlap": dilution_overlap,
+            "measurement_avg_fidelity": measurement_avg_fidelity,
+            "optimal_measurement_bound": optimal_measurement_bound,
+            "gamma^2": lambda n: universal_coefficients(n)[0] ** 2,
+            # the strict ordering no longer resolves in doubles past ~2e15
+            "fidelity_row": lambda n: min(astuple(cli.fidelity_row(n))[1:]),
+        }
+        finite = {
+            "universal_coefficients": universal_coefficients,
+            "moment_integrals": moment_integrals,
+            "dilute_angle": lambda n: dilute_angle(1.0, n),
+            "symmetric_state": lambda n: symmetric_state(PureQubit(1.0, 0.3), n).amplitudes(),
+            "universal_disentangler": lambda n: universal_disentangler(n).vectors(),
+        }
+        for name, entry in {**fidelities, **finite}.items():
+            try:
+                value = entry(n)
+            except DomainError:
+                assert n >= MAX_CLOSED_FORM_N or name == "fidelity_row", name
+                continue
+            assert n < MAX_CLOSED_FORM_N, name
+            assert np.all(np.isfinite(value)), name
+            if name in fidelities:
+                assert 0.5 <= value <= 1.0, name
 
     def test_reported_cases(self):
         from disentanglers import universal_coefficients

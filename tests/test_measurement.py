@@ -15,7 +15,6 @@ from disentanglers import (
     dilution_overlap,
     estimator_output,
     measurement_avg_fidelity,
-    measurement_outcomes,
     optimal_measurement_bound,
     optimal_measurement_bound_numeric,
     projector_pair,
@@ -34,22 +33,34 @@ def random_dicke(rng, n):
 
 class TestProjectorPair:
     def test_polar_orientation(self):
-        pair = projector_pair(0.0, 0.0, 4)
-        assert np.allclose(pair.xi0.amplitudes(), [1.0, 0.0])
-        assert np.allclose(pair.xi1.amplitudes(), [0.0, -1.0])
+        xi0, xi1 = projector_pair(0.0, 0.0, 4)
+        assert np.allclose(xi0.amplitudes(), [1.0, 0.0])
+        assert np.allclose(xi1.amplitudes(), [0.0, -1.0])
 
     def test_orthonormal(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            pair = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
-                                  int(rng.integers(1, 12)))
+            xi0, xi1 = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
+                                      int(rng.integers(1, 12)))
             # DickeVector already enforces each norm
-            assert abs(pair.xi0.overlap(pair.xi1)) < 1e-12
+            assert abs(xi0.overlap(xi1)) < 1e-12
 
     def test_aligned_input_is_deterministic(self):
-        pair = projector_pair(np.pi / 2, 0.0, 3)
+        xi0, _ = projector_pair(np.pi / 2, 0.0, 3)
         big = DickeVector(3, np.cos(np.pi / 4), np.sin(np.pi / 4))
-        assert abs(pair.xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-14)
+        assert abs(xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-14)
+
+    def test_reprepared_qubit_is_outcome_projector(self):
+        # the re-preparation rule: along the apparatus axis after outcome 0,
+        # along its antipode after outcome 1
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            tp, pp = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+            xi0, xi1 = projector_pair(tp, pp, int(rng.integers(1, 12)))
+            for eta, xi in ((PureQubit.from_angles(tp, pp), xi0),
+                            (PureQubit.from_angles(np.pi - tp, pp + np.pi), xi1)):
+                overlap = abs(np.vdot(eta.amplitudes(), xi.amplitudes())) ** 2
+                assert overlap == pytest.approx(1.0, abs=1e-14)
 
 
 class TestMeasurementOutcomes:
@@ -57,14 +68,14 @@ class TestMeasurementOutcomes:
         rng = np.random.default_rng(6)
         for _ in range(50):
             pair = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), 5)
-            recs = measurement_outcomes(random_dicke(rng, 5), pair)
-            assert recs[0].probability + recs[1].probability == pytest.approx(1.0)
+            big = random_dicke(rng, 5)
+            p = [abs(xi.overlap(big)) ** 2 for xi in pair]
+            assert p[0] + p[1] == pytest.approx(1.0)
 
     def test_prepared_states_orthogonal(self):
-        pair = projector_pair(1.1, 2.3, 2)
-        recs = measurement_outcomes(random_dicke(np.random.default_rng(1), 2), pair)
-        ov = np.vdot(recs[0].prepared.amplitudes(), recs[1].prepared.amplitudes())
-        assert abs(ov) < 1e-12
+        # the re-prepared qubits carry the projectors' amplitudes
+        xi0, xi1 = projector_pair(1.1, 2.3, 2)
+        assert abs(np.vdot(xi0.amplitudes(), xi1.amplitudes())) < 1e-12
 
 
 class TestEstimatorOutput:
@@ -74,8 +85,8 @@ class TestEstimatorOutput:
 
     def test_deterministic_outcome(self):
         pair = projector_pair(0.9, 1.7, 6)
-        rho = estimator_output(pair.xi0, pair)
-        eta0 = pair.xi0.amplitudes()  # same two amplitudes as the prepared qubit
+        rho = estimator_output(pair[0], pair)
+        eta0 = pair[0].amplitudes()  # same two amplitudes as the prepared qubit
         assert np.allclose(rho.entries, np.outer(eta0, eta0.conj()), atol=1e-12)
 
     def test_spectral_structure(self):
@@ -85,10 +96,14 @@ class TestEstimatorOutput:
             pair = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), n)
             big = random_dicke(rng, n)
             rho = estimator_output(big, pair)
-            recs = measurement_outcomes(big, pair)
-            for rec in recs:
-                v = rec.prepared.amplitudes()
-                assert np.allclose(rho.entries @ v, rec.probability * v, atol=1e-12)
+            for xi in pair:
+                v = xi.amplitudes()
+                p = abs(xi.overlap(big)) ** 2
+                assert np.allclose(rho.entries @ v, p * v, atol=1e-12)
+
+    def test_qubit_counts_must_agree(self):
+        with pytest.raises(DomainError):
+            estimator_output(DickeVector(3, 1.0, 0.0), projector_pair(0.5, 0.0, 4))
 
 
 class TestAveragedEstimator:
@@ -112,6 +127,20 @@ class TestAveragedEstimator:
             assert np.max(np.abs(rho.entries - expected)) < 1e-8
             assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
+
+    def test_equals_weighted_estimator_outputs(self):
+        # the orientation average is the same channel, node by node
+        quad = BlochQuadrature(4, 3)
+        th, ph, w = quad.grid()
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(1, 11))
+            big = random_dicke(rng, n)
+            expected = sum(w[k, m] * estimator_output(
+                big, projector_pair(th[k, m], ph[k, m], n)).entries
+                for k in range(4) for m in range(3))
+            got = averaged_estimator(big, quad).entries
+            assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_needs_three_azimuth_nodes(self):
         big = DickeVector(2, np.cos(0.3), np.sin(0.3))
@@ -219,15 +248,16 @@ class TestOptimalBound:
         pgrid = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         th, ph, _ = QUAD.grid()
         for n in (1, 3, 10):
+            tables = measurement._ensemble_tables(n, QUAD)
             for tm in (0.0, 0.4, 1.2, np.pi / 2, 2.9):
                 for j in (0, 1):
-                    best = measurement._branch_supremum(j, tm, n, QUAD)
+                    best = measurement._branch_supremum(j, tm, tables)
                     scan = max(float(np.max(strategy_integral(j, tgrid, p, tm, 0.0,
                                                               n, QUAD)))
                                for p in pgrid)
                     assert best >= scan - 1e-14
 
-                    wp = measurement._branch_weights(j, tm, 0.0, n, QUAD)
+                    wp = measurement._branch_weights(j, tm, 0.0, tables)
                     big_r = [np.sum(wp * np.sin(th) * np.cos(ph)),
                              np.sum(wp * np.sin(th) * np.sin(ph)),
                              np.sum(wp * np.cos(th))]
@@ -244,5 +274,5 @@ class TestSymmetricStateConsistency:
         psi = PureQubit(0.7, 1.9)
         big = symmetric_state(psi, 6)
         tbar = dilute_angle(psi.theta, 6)
-        pair = projector_pair(tbar, psi.phi, 6)
-        assert abs(pair.xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        xi0, _ = projector_pair(tbar, psi.phi, 6)
+        assert abs(xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-12)

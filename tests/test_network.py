@@ -344,5 +344,6 @@ class TestSampleShots:
         assert a.plus == int(np.count_nonzero(draws < p))
 
     def test_shot_count_validated(self):
-        with pytest.raises(DomainError):
-            sample_shots(PureQubit(1.0, 0.0), 3, 0, seed=0)
+        for bad in (0, 2.5, True, "3"):
+            with pytest.raises(DomainError, match="shots"):
+                sample_shots(PureQubit(1.0, 0.0), 3, bad, seed=0)
