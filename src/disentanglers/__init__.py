@@ -28,11 +28,9 @@ from .devices import (
     DeviceTransform,
     OptimizationError,
     UnitarityError,
-    apply_entangler,
     apply_transform,
     covariance_spread,
     device_avg_fidelity,
-    entangler_pointwise_fidelity,
     gram_summary,
     moment_integrals,
     optimize_average,

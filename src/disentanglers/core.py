@@ -238,11 +238,12 @@ def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:
 def symmetric_marginal(v: DickeVector) -> DensityOperator:
     """Single-qubit marginal of the symmetric state, in closed form.
 
-    Equals `reduced_qubit` of the dense expansion for any qubit index, but is
-    valid at any N.  The three-term decomposition below is not a convex
-    mixture (the middle weight is negative for N > 1); only the sum is a state.
+    Equals `reduced_qubit` of the dense expansion for any qubit index, for
+    every N below MAX_CLOSED_FORM_N (DomainError from there on).  The
+    three-term decomposition below is not a convex mixture (the middle
+    weight is negative for N > 1); only the sum is a state.
     """
-    n = v.n
+    n = _float_count(v.n)
     cb2 = abs(v.c0) ** 2
     sb2 = abs(v.c1) ** 2
     psi = np.array([v.c0, v.c1], dtype=complex)

@@ -1,4 +1,4 @@
-"""Coherent disentangling and entangling devices on the symmetric sector.
+"""Coherent disentangling devices on the symmetric sector.
 
 A device is a unitary acting on (symmetric sector) x (machine), fixed by four
 unnormalized machine vectors: the zero-excitation input maps to
@@ -9,10 +9,6 @@ measurable about a device (pointwise and average fidelity) is a function of
 the Gram data alone.  The average fidelity needs only five Gram scalars, so
 the optimizers search those directly from each family's parameters and
 build a device only for the optimum they return.
-
-The same four-vector data read in the opposite direction (qubit sector in,
-symmetric sector out) describes an entangler: `apply_entangler` and
-`entangler_pointwise_fidelity` take the disentangler builders' devices.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from scipy.optimize import minimize
 from .core import (
     DensityOperator,
     DickeVector,
-    PureQubit,
     _float_count,
     _require,
     _require_count,
@@ -68,12 +63,6 @@ class DeviceTransform:
     def vectors(self) -> np.ndarray:
         return np.stack([self.d1, self.d2, self.d3, self.d4])
 
-    def images(self) -> np.ndarray:
-        """Images of the two sector basis states as rows, in the flat
-        (output level, machine) ordering."""
-        return np.stack([np.concatenate([self.d1, self.d2]),
-                         np.concatenate([self.d3, self.d4])])
-
 
 def gram_summary(t: DeviceTransform) -> np.ndarray:
     """Gram matrix <Di|Dj> of the four machine vectors; ||Di||^2 on its diagonal."""
@@ -81,13 +70,18 @@ def gram_summary(t: DeviceTransform) -> np.ndarray:
     return v.conj() @ v.T
 
 
-def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
-    """Deviations from the three unitarity constraints:
-    | ||D1||^2 + ||D2||^2 - 1 |, | ||D3||^2 + ||D4||^2 - 1 |, |<D1|D3> + <D2|D4>|."""
-    g = gram_summary(t)
+def _gram_residuals(g: np.ndarray) -> tuple[float, float, float]:
     return (abs(g[0, 0].real + g[1, 1].real - 1.0),
             abs(g[2, 2].real + g[3, 3].real - 1.0),
             abs(g[0, 2] + g[1, 3]))
+
+
+def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
+    """Deviations from the three unitarity constraints:
+    | ||D1||^2 + ||D2||^2 - 1 |, | ||D3||^2 + ||D4||^2 - 1 |, |<D1|D3> + <D2|D4>|,
+    the moduli of the entries of im im^H - I for the sector images
+    im = [D1 D2; D3 D4]."""
+    return _gram_residuals(gram_summary(t))
 
 
 def _check_residuals(res: tuple[float, ...]) -> None:
@@ -95,19 +89,11 @@ def _check_residuals(res: tuple[float, ...]) -> None:
         raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
 
 
-def _check_unitary(t: DeviceTransform) -> None:
-    _check_residuals(unitarity_residuals(t))
-
-
-def _sector_output(t: DeviceTransform, a0: complex,
-                   a1: complex) -> tuple[np.ndarray, DensityOperator]:
-    """Joint (2, machine) output for sector amplitudes (a0, a1) of a
-    unitarity-checked device, and the 2x2 operator left after tracing out
-    the machine."""
-    _check_unitary(t)
-    joint = np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
-    rho = joint @ joint.conj().T
-    return joint, DensityOperator(rho)
+def _check_unitary(t: DeviceTransform) -> np.ndarray:
+    """The Gram matrix of `t`, once its unitarity residuals pass."""
+    g = gram_summary(t)
+    _check_residuals(_gram_residuals(g))
+    return g
 
 
 def apply_transform(t: DeviceTransform,
@@ -118,65 +104,30 @@ def apply_transform(t: DeviceTransform,
     qubit density operator left after tracing out the machine.
     """
     _require(t.n == big_psi.n, "transform and input qubit counts differ")
-    return _sector_output(t, big_psi.c0, big_psi.c1)
-
-
-def apply_entangler(t: DeviceTransform,
-                    psi: PureQubit) -> tuple[np.ndarray, DensityOperator]:
-    """Run the device as an entangler on a single-qubit input.
-
-    The rows of the joint state and the 2x2 output operator refer to the
-    symmetric N-qubit sector basis (zero- and one-excitation states).
-    """
-    return _sector_output(t, psi.alpha, psi.beta)
-
-
-def _sector_fidelity(t: DeviceTransform, in0, in1, out0, out1):
-    """<target| rho |target> in closed form from the Gram data.
-
-    rho is the sector output operator for input amplitudes (in0, in1) and the
-    target has amplitudes (out0, out1).  All four amplitude arguments may be
-    arrays; the result broadcasts.  Equals the matrix route through
-    `apply_transform` to rounding.
-    """
-    g = gram_summary(t)
-    a0c, a1 = np.conj(in0), np.asarray(in1)
-    p00 = np.abs(in0) ** 2
-    p11 = np.abs(in1) ** 2
-    cross = a0c * a1
-    rho00 = p00 * g[0, 0].real + p11 * g[2, 2].real + 2.0 * np.real(cross * g[0, 2])
-    rho11 = p00 * g[1, 1].real + p11 * g[3, 3].real + 2.0 * np.real(cross * g[1, 3])
-    rho01 = (p00 * g[1, 0] + cross * g[1, 2]
-             + np.conj(cross) * g[3, 0] + p11 * g[3, 2])
-    val = (np.abs(out0) ** 2 * rho00 + np.abs(out1) ** 2 * rho11
-           + 2.0 * np.real(np.conj(out0) * np.asarray(out1) * rho01))
-    return val if np.ndim(val) else float(val)
-
-
-def _qubit_and_dilution(n: int, theta, phi):
-    """Amplitude pairs of the qubit at (theta, phi) and of its symmetric
-    N-qubit dilution; broadcasts over angle arrays."""
-    th = np.asarray(theta, dtype=float)
-    alpha = np.cos(th / 2.0)
-    beta = np.exp(1j * np.asarray(phi)) * np.sin(th / 2.0)
-    tbar = dilute_angle(th, n)
-    abar = np.cos(tbar / 2.0)
-    bbar = np.exp(1j * np.asarray(phi)) * np.sin(tbar / 2.0)
-    return (alpha, beta), (abar, bbar)
+    _check_unitary(t)
+    a0, a1 = big_psi.c0, big_psi.c1
+    joint = np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
+    return joint, DensityOperator(joint @ joint.conj().T)
 
 
 def pointwise_fidelity(t: DeviceTransform, theta, phi):
     """Fidelity of the disentangled qubit against the original at one input
-    orientation; broadcasts over angle arrays."""
-    qubit, diluted = _qubit_and_dilution(t.n, theta, phi)
-    return _sector_fidelity(t, *diluted, *qubit)
+    orientation; broadcasts over angle arrays.
 
-
-def entangler_pointwise_fidelity(t: DeviceTransform, theta, phi):
-    """Fidelity of the entangler output against the ideal symmetric dilution
-    of the input qubit; broadcasts over angle arrays."""
-    qubit, diluted = _qubit_and_dilution(t.n, theta, phi)
-    return _sector_fidelity(t, *qubit, *diluted)
+    The Gram quadratic form Re(x^H G x), with x = (diluted input) (x)
+    conj(original qubit) and Gram index 2i + a for sector input i and
+    output level a: x holds the coefficients, on D1..D4, of the machine
+    state left by projecting the output qubit onto the original.
+    """
+    g = _check_unitary(t)
+    th = np.asarray(theta, dtype=float)
+    phase = np.exp(1j * np.asarray(phi))
+    tbar = dilute_angle(th, t.n)
+    qubit = np.broadcast_arrays(np.cos(th / 2.0), phase * np.sin(th / 2.0))
+    diluted = np.broadcast_arrays(np.cos(tbar / 2.0), phase * np.sin(tbar / 2.0))
+    x = np.stack([d * np.conj(q) for d in diluted for q in qubit], axis=-1)
+    val = np.real(np.sum(x.conj() * (x @ g.T), axis=-1))
+    return val if val.ndim else float(val)
 
 
 def universal_coefficients(n: int) -> tuple[float, float]:
@@ -237,9 +188,10 @@ def moment_integrals(n: int) -> tuple[float, float, float]:
     return float(m1), float(m2), float(m3)
 
 
-def _avg_fidelity(n: int, moments: tuple[float, float, float], d1_sq: float,
+def _avg_fidelity(n: float, moments: tuple[float, float, float], d1_sq: float,
                   d2_sq: float, d3_sq: float, d4_sq: float, re14: float) -> float:
-    """Sphere-averaged disentangling fidelity from the Gram data:
+    """Sphere-averaged disentangling fidelity from the Gram data, for the
+    count N as the float `_float_count` returns:
     (1/2) [ m1 N ||D1||^2 + m2 ||D4||^2
             + m3 ( ||D3||^2 + N ||D2||^2 + 2 sqrt(N) Re <D1|D4> ) ]."""
     m1, m2, m3 = moments
@@ -250,10 +202,9 @@ def _avg_fidelity(n: int, moments: tuple[float, float, float], d1_sq: float,
 def device_avg_fidelity(t: DeviceTransform) -> float:
     """Sphere-averaged disentangling fidelity of a unitarity-checked device,
     from its Gram data (see `_avg_fidelity`)."""
-    _check_unitary(t)
-    g = gram_summary(t)
-    return _avg_fidelity(t.n, moment_integrals(t.n), *g.diagonal().real,
-                         float(np.real(g[0, 3])))
+    g = _check_unitary(t)
+    return _avg_fidelity(_float_count(t.n), moment_integrals(t.n),
+                         *g.diagonal().real, float(np.real(g[0, 3])))
 
 
 def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
@@ -300,8 +251,9 @@ def _gram_general(n: int, params: np.ndarray) -> tuple[float, ...]:
     return d1_sq, d2_sq, d3_sq, d4_sq, float(np.sqrt(eta1 * eta4) * w.real)
 
 
-def _covariant_family(n: int, omega: float) -> tuple[float, float, float]:
-    """Map omega to (x, gamma^2, delta^2) with x = cos(omega)."""
+def _covariant_family(n: float, omega: float) -> tuple[float, float, float]:
+    """Map omega to (x, gamma^2, delta^2) with x = cos(omega), for the count
+    as the float `_float_count` returns."""
     x = float(np.cos(omega))
     g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n) * x))
     return x, g2, max(1.0 - g2, 0.0)
@@ -312,7 +264,7 @@ def _build_covariant(n: int, params: np.ndarray) -> DeviceTransform:
     hold by construction, so the single live parameter is the normalized
     D4/D1 overlap x = cos(omega)."""
     omega, ph1, ph2 = params
-    x, g2, delta2 = _covariant_family(n, omega)
+    x, g2, delta2 = _covariant_family(_float_count(n), omega)
     g = np.sqrt(g2)
     rest = np.sqrt(max(1.0 - x * x, 0.0))
     d1 = g * (x * _basis(0) + rest * np.exp(1j * ph1) * _basis(1))
@@ -323,9 +275,9 @@ def _build_covariant(n: int, params: np.ndarray) -> DeviceTransform:
 
 
 def _gram_covariant(n: int, params: np.ndarray) -> tuple[float, ...]:
-    """Gram scalars of `_build_covariant(n, params)`, in the order and with
-    the checks of `_gram_general`; D1, D4 lie in span(e0, e1) and D2, D3 on
-    e2, e3 here too."""
+    """Gram scalars of `_build_covariant(n, params)` for the float count n,
+    in the order and with the checks of `_gram_general`; D1, D4 lie in
+    span(e0, e1) and D2, D3 on e2, e3 here too."""
     x, g2, delta2 = _covariant_family(n, params[0])
     d1_sq = g2 * (x * x + max(1.0 - x * x, 0.0))
     _check_residuals((abs(d1_sq + delta2 - 1.0), abs(delta2 + g2 - 1.0)))
@@ -338,14 +290,15 @@ def _restart_search(build, gram, n: int, dim: int,
     `gram` of the family `build`; the best optimum is built, checked and
     evaluated through `device_avg_fidelity`."""
     rng = np.random.default_rng(seed)
+    count = _float_count(n)
     moments = moment_integrals(n)
     best_val = -np.inf
     best_x = None
     converged = 0
     for _ in range(RESTARTS):
         x0 = rng.uniform(0.0, np.pi, size=dim)
-        res = minimize(lambda p: -_avg_fidelity(n, moments, *gram(n, p)), x0,
-                       method="Nelder-Mead",
+        res = minimize(lambda p: -_avg_fidelity(count, moments, *gram(count, p)),
+                       x0, method="Nelder-Mead",
                        options={"xatol": 1e-8, "fatol": 1e-13,
                                 "maxfev": 4000, "maxiter": 4000})
         converged += bool(res.success)

@@ -19,6 +19,7 @@ from .core import (
     FullStateVector,
     PureQubit,
     _dicke_support,
+    _float_count,
     _require,
     _require_count,
     dicke_to_statevector,
@@ -107,7 +108,7 @@ def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
     """
     n = _require_count(n)
     _require(n >= 2, f"need n >= 2, got {n}")
-    rt = np.sqrt(n)
+    rt = np.sqrt(_float_count(n))
     return (DickeVector(n - 1, 1.0 / rt, np.sqrt(n - 1.0) / rt),
             DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
 
@@ -166,7 +167,7 @@ def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
 def success_probability(theta: float, n: int) -> float:
     """Chance the post-selection succeeds:
     1 / (N cos^2(theta/2) + sin^2(theta/2)), between 1/N and 1."""
-    n = _require_count(n)
+    n = _float_count(n)
     _require(0.0 <= theta <= np.pi, f"theta={theta} outside [0, pi]")
     c2 = np.cos(theta / 2.0) ** 2
     return float(1.0 / (n * c2 + (1.0 - c2)))

@@ -75,10 +75,25 @@ class TestCmdTable:
 
 class TestCmdVerify:
     def test_fast_passes(self, capsys):
-        assert cli.cmd_verify("fast", 42) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 15
+        # both levels run exactly these checks, in this order, and pass them
+        common = ["endpoint-values-n1", "asymptotic-limits-n1e6",
+                  "strategy-ordering-2-50", "oracle-diluted-average",
+                  "oracle-dilution-overlap", "oracle-measurement-average",
+                  "oracle-moment-integrals", "oracle-device-average",
+                  "pointwise-closed-vs-direct", "universal-covariance-spread",
+                  "swap-state-dependence", "unitary-images-n-le-50",
+                  "network-cascade-action", "network-postselect-fidelity",
+                  "network-success-probability", "network-shot-sampling"]
+        for level, extra in (("fast", ["measurement-bound-numeric-2"]),
+                             ("full", ["measurement-bound-numeric-1-2-3-5-8",
+                                       "optimizer-average-attains",
+                                       "optimizer-universal-attains",
+                                       "optimizer-never-exceeds"])):
+            assert cli.cmd_verify(level, 42) == 0
+            *lines, total = capsys.readouterr().out.splitlines()
+            assert [line.split()[1] for line in lines] == common + extra
+            assert [line.split()[0] for line in lines] == ["PASS"] * len(lines)
+            assert total == f"{len(lines)}/{len(lines)} checks passed"
 
     def test_seed_sweep(self, capsys):
         for seed in range(10):
@@ -185,11 +200,10 @@ class TestOptimizedInterpreter:
             "DensityOperator", "DeviceTransform", "DickeVector", "DomainError",
             "FullStateVector", "OptimizationError", "OutcomeDecomposition",
             "PureQubit", "ShotCounts", "UnitarityError", "apply_cnot",
-            "apply_entangler", "apply_transform", "averaged_estimator",
-            "bloch_average", "cnot_cascade", "core", "covariance_spread",
-            "decompose", "device_avg_fidelity", "devices",
-            "dicke_to_statevector", "dilute_angle", "diluted_avg_fidelity",
-            "dilution_overlap", "entangler_pointwise_fidelity",
+            "apply_transform", "averaged_estimator", "bloch_average",
+            "cnot_cascade", "core", "covariance_spread", "decompose",
+            "device_avg_fidelity", "devices", "dicke_to_statevector",
+            "dilute_angle", "diluted_avg_fidelity", "dilution_overlap",
             "estimator_output", "fidelity_pure", "gram_summary", "measurement",
             "measurement_avg_fidelity", "moment_integrals", "network",
             "optimal_measurement_bound", "optimal_measurement_bound_numeric",

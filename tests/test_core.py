@@ -393,10 +393,16 @@ class TestIntegerCount:
         # a value in range or DomainError, never an untyped error, NaN or inf
         from disentanglers import (
             cli,
+            device_avg_fidelity,
             dilution_overlap,
             measurement_avg_fidelity,
             moment_integrals,
             optimal_measurement_bound,
+            optimize_average,
+            optimize_universal,
+            postselect_basis,
+            sample_shots,
+            success_probability,
             universal_coefficients,
             universal_disentangler,
         )
@@ -409,6 +415,9 @@ class TestIntegerCount:
             "gamma^2": lambda n: universal_coefficients(n)[0] ** 2,
             # the strict ordering no longer resolves in doubles past ~2e15
             "fidelity_row": lambda n: min(astuple(cli.fidelity_row(n))[1:]),
+            "device_avg_fidelity": lambda n: device_avg_fidelity(universal_disentangler(n)),
+            "optimize_average": lambda n: optimize_average(n)[1],
+            "optimize_universal": lambda n: optimize_universal(n)[1],
         }
         finite = {
             "universal_coefficients": universal_coefficients,
@@ -416,6 +425,10 @@ class TestIntegerCount:
             "dilute_angle": lambda n: dilute_angle(1.0, n),
             "symmetric_state": lambda n: symmetric_state(PureQubit(1.0, 0.3), n).amplitudes(),
             "universal_disentangler": lambda n: universal_disentangler(n).vectors(),
+            "symmetric_marginal": lambda n: symmetric_marginal(DickeVector(n, 0.6, 0.8)).entries,
+            "postselect_basis": lambda n: [v.amplitudes() for v in postselect_basis(n)],
+            "success_probability": lambda n: success_probability(1.0, n),
+            "sample_shots": lambda n: astuple(sample_shots(PureQubit(1.0, 0.0), n, 10, 0)),
         }
         for name, entry in {**fidelities, **finite}.items():
             try:

@@ -13,14 +13,12 @@ from disentanglers import (
     OptimizationError,
     PureQubit,
     UnitarityError,
-    apply_entangler,
     apply_transform,
     bloch_average,
     covariance_spread,
     device_avg_fidelity,
     dilute_angle,
     dilution_overlap,
-    entangler_pointwise_fidelity,
     fidelity_pure,
     gram_summary,
     moment_integrals,
@@ -63,9 +61,14 @@ class TestUnitarityResiduals:
         assert r2 == 0.0 and r3 == 0.0
 
     def test_apply_rejects_non_unitary(self):
+        # every entry point that reads a device checks it first
         t = DeviceTransform(2, 2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0))
-        with pytest.raises(UnitarityError):
-            apply_transform(t, symmetric_state(PureQubit(1.0, 0.0), 2))
+        for entry in (lambda: apply_transform(t, symmetric_state(PureQubit(1.0, 0.0), 2)),
+                      lambda: pointwise_fidelity(t, 1.0, 0.0),
+                      lambda: covariance_spread(t),
+                      lambda: device_avg_fidelity(t)):
+            with pytest.raises(UnitarityError):
+                entry()
 
 
 class TestApplyTransform:
@@ -319,52 +322,17 @@ class TestOptimizeUniversal:
         assert constrained <= unconstrained + 1e-6
 
 
-class TestEntanglers:
-    """The disentangler devices read as entanglers (qubit sector in)."""
-
-    def test_universal_entangler_constant_fidelity(self):
-        t = universal_disentangler(3)
-        k = np.arange(1000)
-        theta = np.arccos(1 - 2 * (k + 0.5) / 1000)
-        phi = (k * np.pi * (np.sqrt(5) - 1)) % (2 * np.pi)
-        vals = entangler_pointwise_fidelity(t, theta, phi)
-        assert np.max(vals) - np.min(vals) < 1e-12
-        assert vals[0] == pytest.approx(GAMMA2_N3, abs=1e-12)
-
-    def test_universal_entangler_exact_at_n1(self):
-        vals = entangler_pointwise_fidelity(universal_disentangler(1),
-                                            np.linspace(0, np.pi, 11), 0.2)
-        assert np.allclose(vals, 1.0, atol=1e-13)
-
-    def test_entangler_output_operator(self):
-        n = 4
-        gamma, delta = universal_coefficients(n)
-        _, rho = apply_entangler(universal_disentangler(n), PureQubit(0.0, 0.0))
-        assert np.allclose(rho.entries, np.diag([gamma ** 2, delta ** 2]),
-                           atol=1e-14)
-
-    def test_swap_entangler_pointwise(self):
-        t = swap_disentangler(2)
-        assert entangler_pointwise_fidelity(t, 0.0, 0.0) == pytest.approx(1.0)
-        assert entangler_pointwise_fidelity(t, np.pi, 0.0) == pytest.approx(1.0)
-        th = 1.1
-        expected = np.cos((th - dilute_angle(th, 2)) / 2) ** 2
-        assert entangler_pointwise_fidelity(t, th, 0.4) == pytest.approx(
-            expected, abs=1e-13)
-
-    def test_swap_entangler_average(self):
-        got = bloch_average(
-            lambda th, ph: entangler_pointwise_fidelity(swap_disentangler(2), th, ph),
-            QUAD)
-        assert got == pytest.approx(OVERLAP_N2, abs=1e-9)
-
-
 class TestSectorImages:
     @pytest.mark.parametrize("build", [universal_disentangler, swap_disentangler])
     def test_images_orthonormal(self, build):
+        # the residuals are the moduli of im im^H - I for the sector images
         for n in range(1, 51):
-            im = build(n).images()
-            assert np.max(np.abs(im.conj() @ im.T - np.eye(2))) < 1e-12
+            t = build(n)
+            im = np.stack([np.concatenate([t.d1, t.d2]), np.concatenate([t.d3, t.d4])])
+            dev = np.abs(im.conj() @ im.T - np.eye(2))
+            res = unitarity_residuals(t)
+            assert np.allclose(res, (dev[0, 0], dev[1, 1], dev[0, 1]), rtol=0, atol=1e-15)
+            assert max(res) < 1e-12
 
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
