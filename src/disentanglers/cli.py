@@ -298,7 +298,12 @@ def _check_bound_numeric(ns: tuple[int, ...]) -> list[CheckResult]:
 
 
 def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
-    """Both restart searches at N = 2, 3, 5, 10 for every optimizer seed."""
+    """Both restart searches at N = 2, 3, 5, 10 for every optimizer seed.
+
+    Error model: the objective is quadratic at both optima, and Nelder-Mead
+    stops once the simplex values agree to `fatol` = 1e-13 with the points
+    within `xatol` = 1e-8, so a converged restart sits within about 1e-13 of
+    the optimum; the tolerance 1e-12 is 10x that."""
     worst_avg = worst_uni = -np.inf
     exceed = -np.inf
     for n in (2, 3, 5, 10):
@@ -310,10 +315,10 @@ def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
             _, val_u = devices.optimize_universal(n, seed=seed)
             worst_uni = max(worst_uni, abs(val_u - target_u))
             exceed = max(exceed, val - target, val_u - target_u)
-    return [_check("optimizer-average-attains", worst_avg, 1e-6),
-            _check("optimizer-universal-attains", worst_uni, 1e-6),
-            CheckResult("optimizer-never-exceeds", bool(exceed <= 1e-6),
-                        f"max excess={exceed:.3e} (needs <= 1e-06)")]
+    return [_check("optimizer-average-attains", worst_avg, 1e-12),
+            _check("optimizer-universal-attains", worst_uni, 1e-12),
+            CheckResult("optimizer-never-exceeds", bool(exceed <= 1e-12),
+                        f"max excess={exceed:.3e} (needs <= 1e-12)")]
 
 
 def cmd_verify(level: str, seed: int) -> int:

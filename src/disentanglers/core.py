@@ -188,15 +188,14 @@ def dilute_angle(theta, n: int):
     """Polar angle of the symmetric N-qubit image of a qubit at `theta`.
 
     cos(out/2) = sqrt(N) cos(theta/2) / sqrt(sin^2(theta/2) + N cos^2(theta/2)),
-    with sin(out/2) >= 0.  Accepts scalars or arrays.
+    with sin(out/2) >= 0.  Computed as 2 arctan2(sin(theta/2), sqrt(N)
+    cos(theta/2)), which keeps its relative accuracy at large N, where the
+    cosine is within rounding of 1.  Accepts scalars or arrays.
     """
     n = _float_count(n)
     th = np.asarray(theta, dtype=float)
     _require(bool(np.all((th >= 0.0) & (th <= np.pi))), "theta outside [0, pi]")
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    cos_half = np.sqrt(n) * c / np.sqrt(s * s + n * c * c)
-    out = 2.0 * np.arccos(np.clip(cos_half, -1.0, 1.0))
+    out = 2.0 * np.arctan2(np.sin(th / 2.0), np.sqrt(n) * np.cos(th / 2.0))
     return out if out.ndim else float(out)
 
 

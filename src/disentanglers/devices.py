@@ -6,9 +6,10 @@ unnormalized machine vectors: the zero-excitation input maps to
 spectator zero-excitation factor on the remaining qubits.  Unitarity on the
 two-dimensional input sector pins down three Gram constraints; everything
 measurable about a device (pointwise and average fidelity) is a function of
-the Gram data alone.  The average fidelity needs only five Gram scalars, so
-the optimizers search those directly from each family's parameters and
-build a device only for the optimum they return.
+the Gram data alone.  The average fidelity reads only three Gram
+coordinates, ||D1||^2, ||D4||^2 and Re <D1|D4>, so the optimizers search
+those; one builder, `_device`, realizes every constructed device from them,
+and only the optimum a search returns is built.
 """
 
 from __future__ import annotations
@@ -84,15 +85,12 @@ def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
     return _gram_residuals(gram_summary(t))
 
 
-def _check_residuals(res: tuple[float, ...]) -> None:
-    if max(res) >= UNITARITY_TOL:
-        raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
-
-
 def _check_unitary(t: DeviceTransform) -> np.ndarray:
     """The Gram matrix of `t`, once its unitarity residuals pass."""
     g = gram_summary(t)
-    _check_residuals(_gram_residuals(g))
+    res = _gram_residuals(g)
+    if max(res) >= UNITARITY_TOL:
+        raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
     return g
 
 
@@ -130,33 +128,58 @@ def pointwise_fidelity(t: DeviceTransform, theta, phi):
     return val if val.ndim else float(val)
 
 
+def _device(n: int, eta1: float, eta4: float, w: float) -> DeviceTransform:
+    """The device with ||D1||^2 = eta1, ||D4||^2 = eta4 and
+    Re <D1|D4> = sqrt(eta1 eta4) w, for eta1, eta4 in [0, 1] and w in [-1, 1].
+    D1 and D4 lie in span(e0, e1), D2 and D3 on e2 and e3 with the norms
+    left over, so every unitarity constraint holds by construction."""
+    v = np.zeros((4, MACHINE_DIM))
+    v[0, 0] = np.sqrt(eta1)
+    v[1, 2] = np.sqrt(1.0 - eta1)
+    v[2, 3] = np.sqrt(1.0 - eta4)
+    v[3, :2] = np.sqrt(eta4) * w, np.sqrt(eta4) * np.sqrt(1.0 - w * w)
+    return DeviceTransform(n, *v)
+
+
+def _gram(eta1: float, eta4: float, w: float) -> tuple[float, ...]:
+    """The Gram scalars that `_avg_fidelity` reads, of `_device(n, eta1, eta4, w)`
+    without building it: ||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>."""
+    return eta1, 1.0 - eta1, 1.0 - eta4, eta4, float(np.sqrt(eta1 * eta4) * w)
+
+
+def _general(count: float, p: np.ndarray) -> tuple[float, float, float]:
+    """General family: (eta1, eta4, w) = (sin^2 a, sin^2 b, cos c) for
+    p = (a, b, c), onto [0, 1]^2 x [-1, 1]; the count is not read."""
+    a, b, c = p
+    return float(np.sin(a) ** 2), float(np.sin(b) ** 2), float(np.cos(c))
+
+
+def _covariant(count: float, p: np.ndarray) -> tuple[float, float, float]:
+    """Covariant family: (g^2, g^2, cos(omega)) for p = (omega,), with
+    g^2 = (N+1) / (2 (N+1 - sqrt(N) cos(omega))) at the float count N; matched
+    norms and this g^2 make the pointwise fidelity independent of the input."""
+    x = float(np.cos(p[0]))
+    g2 = (count + 1.0) / (2.0 * (count + 1.0 - np.sqrt(count) * x))
+    return g2, g2, x
+
+
 def universal_coefficients(n: int) -> tuple[float, float]:
-    """Amplitude pair (gamma, delta) of the covariant optimum:
-    gamma^2 = (N+1) / (2 (N+1-sqrt(N))), delta = sqrt(1 - gamma^2)."""
-    n = _float_count(n)
-    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n)))
+    """Amplitude pair (gamma, delta) of the covariant optimum, the covariant
+    family at omega = 0: gamma^2 = (N+1) / (2 (N+1-sqrt(N))),
+    delta = sqrt(1 - gamma^2)."""
+    g2 = _covariant(_float_count(n), (0.0,))[0]
     return float(np.sqrt(g2)), float(np.sqrt(max(1.0 - g2, 0.0)))
-
-
-def _basis(k: int) -> np.ndarray:
-    e = np.zeros(MACHINE_DIM, dtype=complex)
-    e[k] = 1.0
-    return e
 
 
 def universal_disentangler(n: int) -> DeviceTransform:
     """Covariant optimum: constant fidelity gamma^2 for every input."""
-    gamma, delta = universal_coefficients(n)
-    return DeviceTransform(n, gamma * _basis(0), delta * _basis(1),
-                           delta * _basis(2), gamma * _basis(0))
+    return _device(n, *_covariant(_float_count(n), (0.0,)))
 
 
 def swap_disentangler(n: int) -> DeviceTransform:
     """State-swapping device: decouples the machine and leaves the qubit in
     the diluted pure state.  Maximizes the sphere-averaged fidelity."""
-    e0 = _basis(0)
-    zero = np.zeros(MACHINE_DIM, dtype=complex)
-    return DeviceTransform(n, e0, zero, zero, e0)
+    return _device(n, 1.0, 1.0, 1.0)
 
 
 def covariance_spread(t: DeviceTransform) -> float:
@@ -217,111 +240,41 @@ def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
                            q[:MACHINE_DIM, 1], q[MACHINE_DIM:, 1])
 
 
-def _general_family(params: np.ndarray) -> tuple[float, float, complex, complex]:
-    """Map unconstrained parameters to (eta1, eta4, w, d2 phase); the machine
-    vectors built from these satisfy the unitarity constraints exactly."""
-    a, b, c, d, chi = params
-    eta1 = np.sin(a) ** 2
-    eta4 = np.sin(b) ** 2
-    w = np.sin(c) * np.exp(1j * d)
-    return float(eta1), float(eta4), complex(w), complex(np.exp(1j * chi))
-
-
-def _build_general(n: int, params: np.ndarray) -> DeviceTransform:
-    eta1, eta4, w, ph2 = _general_family(params)
-    d1 = np.sqrt(eta1) * _basis(0)
-    d4 = np.sqrt(eta4) * (w * _basis(0) + np.sqrt(1.0 - abs(w) ** 2) * _basis(1))
-    d2 = np.sqrt(1.0 - eta1) * ph2 * _basis(2)
-    d3 = np.sqrt(1.0 - eta4) * _basis(3)
-    return DeviceTransform(n, d1, d2, d3, d4)
-
-
-def _gram_general(n: int, params: np.ndarray) -> tuple[float, ...]:
-    """Gram scalars (||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>) of
-    `_build_general(n, params)`, without building it.  The two norm
-    constraints are checked; the cross constraint <D1|D3> + <D2|D4> = 0 holds
-    identically, since D1, D4 lie in span(e0, e1) and D2, D3 on e2, e3."""
-    eta1, eta4, w, ph2 = _general_family(params)
-    w_sq = abs(w) ** 2
-    d1_sq = eta1
-    d2_sq = (1.0 - eta1) * abs(ph2) ** 2
-    d3_sq = 1.0 - eta4
-    d4_sq = eta4 * (w_sq + (1.0 - w_sq))
-    _check_residuals((abs(d1_sq + d2_sq - 1.0), abs(d3_sq + d4_sq - 1.0)))
-    return d1_sq, d2_sq, d3_sq, d4_sq, float(np.sqrt(eta1 * eta4) * w.real)
-
-
-def _covariant_family(n: float, omega: float) -> tuple[float, float, float]:
-    """Map omega to (x, gamma^2, delta^2) with x = cos(omega), for the count
-    as the float `_float_count` returns."""
-    x = float(np.cos(omega))
-    g2 = (n + 1.0) / (2.0 * (n + 1.0 - np.sqrt(n) * x))
-    return x, g2, max(1.0 - g2, 0.0)
-
-
-def _build_covariant(n: int, params: np.ndarray) -> DeviceTransform:
-    """Covariant family: phase-independence of the fidelity and matched norms
-    hold by construction, so the single live parameter is the normalized
-    D4/D1 overlap x = cos(omega)."""
-    omega, ph1, ph2 = params
-    x, g2, delta2 = _covariant_family(_float_count(n), omega)
-    g = np.sqrt(g2)
-    rest = np.sqrt(max(1.0 - x * x, 0.0))
-    d1 = g * (x * _basis(0) + rest * np.exp(1j * ph1) * _basis(1))
-    d4 = g * _basis(0)
-    d2 = np.sqrt(delta2) * np.exp(1j * ph2) * _basis(2)
-    d3 = np.sqrt(delta2) * _basis(3)
-    return DeviceTransform(n, d1, d2, d3, d4)
-
-
-def _gram_covariant(n: int, params: np.ndarray) -> tuple[float, ...]:
-    """Gram scalars of `_build_covariant(n, params)` for the float count n,
-    in the order and with the checks of `_gram_general`; D1, D4 lie in
-    span(e0, e1) and D2, D3 on e2, e3 here too."""
-    x, g2, delta2 = _covariant_family(n, params[0])
-    d1_sq = g2 * (x * x + max(1.0 - x * x, 0.0))
-    _check_residuals((abs(d1_sq + delta2 - 1.0), abs(delta2 + g2 - 1.0)))
-    return d1_sq, delta2, delta2, g2, g2 * x
-
-
-def _restart_search(build, gram, n: int, dim: int,
-                    seed: int) -> tuple[DeviceTransform, float]:
-    """Nelder-Mead from `RESTARTS` seeded starts on the Gram-data objective
-    `gram` of the family `build`; the best optimum is built, checked and
-    evaluated through `device_avg_fidelity`."""
+def _restart_search(family, n: int, dim: int, seed: int) -> tuple[DeviceTransform, float]:
+    """Nelder-Mead from `RESTARTS` seeded starts on the average fidelity of
+    the Gram coordinates `family(count, p)`, p of length `dim`; the best
+    optimum is built by `_device` and evaluated through `device_avg_fidelity`."""
     rng = np.random.default_rng(seed)
     count = _float_count(n)
     moments = moment_integrals(n)
-    best_val = -np.inf
-    best_x = None
-    converged = 0
-    for _ in range(RESTARTS):
-        x0 = rng.uniform(0.0, np.pi, size=dim)
-        res = minimize(lambda p: -_avg_fidelity(count, moments, *gram(count, p)),
-                       x0, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-13,
-                                "maxfev": 4000, "maxiter": 4000})
-        converged += bool(res.success)
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_x = res.x
-    if converged == 0:
+    results = [minimize(lambda p: -_avg_fidelity(count, moments, *_gram(*family(count, p))),
+                        rng.uniform(0.0, np.pi, size=dim), method="Nelder-Mead",
+                        options={"xatol": 1e-8, "fatol": 1e-13,
+                                 "maxfev": 4000, "maxiter": 4000})
+               for _ in range(RESTARTS)]
+    if not any(res.success for res in results):
         raise OptimizationError(f"none of {RESTARTS} device-search restarts converged")
-    if best_x is None or not np.isfinite(best_val):
+    best = min(results, key=lambda res: res.fun)
+    if not np.isfinite(best.fun):
         raise OptimizationError("device search produced no feasible optimum")
-    best_t = build(n, best_x)
+    best_t = _device(n, *family(count, best.x))
     return best_t, device_avg_fidelity(best_t)
 
 
 def optimize_average(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the sphere-averaged fidelity over all unitarity-constrained
     devices.  The optimum is the state-swapping device.  Raises
-    OptimizationError when no restart converges."""
-    return _restart_search(_build_general, _gram_general, n, 5, seed)
+    OptimizationError when no restart converges.
+
+    The average fidelity of a unitary device reads only ||D1||^2, ||D4||^2
+    (||D2||^2 and ||D3||^2 are their complements) and Re <D1|D4>, which obeys
+    |Re <D1|D4>| <= ||D1|| ||D4||.  `_general` reaches every such triple, so
+    searching it searches the whole domain of the objective."""
+    return _restart_search(_general, n, 3, seed)
 
 
 def optimize_universal(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
     """Maximize the (constant) fidelity over covariant devices.  The optimum
     is the universal disentangler with gamma^2 fidelity.  Raises
     OptimizationError when no restart converges."""
-    return _restart_search(_build_covariant, _gram_covariant, n, 3, seed)
+    return _restart_search(_covariant, n, 1, seed)

@@ -177,9 +177,10 @@ class TestOptimizedInterpreter:
 
     @pytest.mark.parametrize("args", [
         ["verify", "--level", "fast"],
+        ["verify", "--level", "full"],
         ["network", "--theta", "1.1", "--phi", "2.3", "--n", "20",
          "--shots", "1000", "--seed", "3"],
-    ], ids=["verify-fast", "network-n20"])
+    ], ids=["verify-fast", "verify-full", "network-n20"])
     def test_stdout_identical_under_dash_O(self, args):
         src = str(Path(disentanglers.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)

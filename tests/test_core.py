@@ -95,6 +95,27 @@ class TestDiluteAngle:
             out = dilute_angle(grid, n)
             assert np.all(np.diff(out) >= -1e-14)
 
+    def test_relative_accuracy_at_large_n(self):
+        # 50-digit reference; the cosine of out/2 is within rounding of 1 at
+        # large N, so an arccos formula loses its digits there
+        import mpmath
+
+        from disentanglers import covariance_spread, universal_disentangler
+
+        for n in (1, 2, 3, 10, 10 ** 4, 10 ** 6, 10 ** 8, 10 ** 12, 10 ** 15, 2 ** 63):
+            for th in (0.0, 1e-8, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-9, np.pi):
+                with mpmath.workdps(50):
+                    half = mpmath.mpf(th) / 2
+                    exact = float(2 * mpmath.atan2(mpmath.sin(half),
+                                                   mpmath.sqrt(n) * mpmath.cos(half)))
+                got = dilute_angle(th, n)
+                if abs(exact) < np.finfo(float).tiny:
+                    assert got == exact, (n, th)
+                else:
+                    assert abs(got - exact) <= 1e-15 * abs(exact), (n, th)
+        for n in (10 ** 4, 10 ** 6, 10 ** 8, 10 ** 12):
+            assert covariance_spread(universal_disentangler(n)) < 1e-14, n
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             dilute_angle(-0.01, 3)

@@ -230,18 +230,28 @@ class TestGramSummary:
 
 
 class TestFamilyObjectives:
-    @pytest.mark.parametrize("build,gram,dim", [
-        (devices._build_general, devices._gram_general, 5),
-        (devices._build_covariant, devices._gram_covariant, 3)])
-    def test_gram_objective_matches_built_device(self, build, gram, dim):
+    @pytest.mark.parametrize("family,dim", [(devices._general, 3), (devices._covariant, 1)],
+                             ids=["general", "covariant"])
+    def test_gram_objective_matches_built_device(self, family, dim):
         # angles are drawn well outside one period, negative ones included
         rng = np.random.default_rng(16)
         for _ in range(500):
             n = int(rng.integers(1, 30))
-            params = rng.uniform(-4 * np.pi, 4 * np.pi, size=dim)
-            via_gram = devices._avg_fidelity(n, moment_integrals(n), *gram(n, params))
-            assert via_gram == pytest.approx(device_avg_fidelity(build(n, params)),
-                                             abs=1e-14)
+            coords = family(float(n), rng.uniform(-4 * np.pi, 4 * np.pi, size=dim))
+            via_gram = devices._avg_fidelity(n, moment_integrals(n),
+                                             *devices._gram(*coords))
+            assert via_gram == pytest.approx(
+                device_avg_fidelity(devices._device(n, *coords)), abs=1e-14)
+
+    @given(eta1=st.floats(0.0, 1.0), eta4=st.floats(0.0, 1.0), w=st.floats(-1.0, 1.0))
+    def test_builder_realizes_its_gram_coordinates(self, eta1, eta4, w):
+        # every device the searches build is unitary by construction
+        t = devices._device(3, eta1, eta4, w)
+        g = gram_summary(t)
+        assert g.diagonal().real == pytest.approx([eta1, 1 - eta1, 1 - eta4, eta4],
+                                                  abs=1e-15)
+        assert g[0, 3].real == pytest.approx(np.sqrt(eta1 * eta4) * w, abs=1e-15)
+        assert max(unitarity_residuals(t)) <= 1e-15
 
     def test_no_converged_restart_raises(self, monkeypatch):
         real = devices.minimize
@@ -281,21 +291,21 @@ class TestOptimizeAverage:
         assert a == b
 
     def test_restart_count_validated(self, monkeypatch):
-        # both searches run exactly RESTARTS Nelder-Mead starts; no caller
-        # can ask for fewer
+        # both searches run exactly RESTARTS Nelder-Mead starts, and no caller
+        # can ask for fewer; they search 3 and 1 Gram coordinates
         real = devices.minimize
-        calls = []
+        dims = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(fun, x0, **kwargs):
+            dims.append(len(x0))
+            return real(fun, x0, **kwargs)
 
         monkeypatch.setattr(devices, "minimize", counted)
         assert devices.RESTARTS == 8
-        for search in (optimize_average, optimize_universal):
-            calls.clear()
+        for search, dim in ((optimize_average, 3), (optimize_universal, 1)):
+            dims.clear()
             search(2, seed=0)
-            assert len(calls) == devices.RESTARTS
+            assert dims == [dim] * devices.RESTARTS
 
 
 class TestOptimizeUniversal:
