@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .core import (
     DomainError,
     FullStateVector,
     PureQubit,
+    _libm_pow,
+    _require_count,
     bloch_average,
     dicke_to_statevector,
     dilute_angle,
@@ -36,34 +38,42 @@ from .core import (
 
 MAX_TABLE_N = 10 ** 6
 
+# Rows formatted and written at a time: the text of the whole table would
+# cost more memory than its five float columns.
+TABLE_BLOCK_ROWS = 4096
 
-@dataclass(frozen=True)
-class FidelityRow:
-    """One table row: the five strategy fidelities at a given qubit count."""
-
-    n: int
-    f0_diluted: float
-    f1_measure: float
-    fmax_measure: float
-    f2_universal: float
-    f3_swap: float
-
-    def __post_init__(self) -> None:
-        vals = (self.f0_diluted, self.f1_measure, self.fmax_measure,
-                self.f2_universal, self.f3_swap)
-        if not all(0.5 <= v <= 1.0 for v in vals):
-            raise DomainError(f"fidelities out of [1/2, 1] at n={self.n}: {vals}")
-        if self.n >= 2 and not (self.f1_measure < self.fmax_measure
-                                < self.f2_universal < self.f3_swap):
-            raise DomainError(f"strategy ordering violated at n={self.n}")
+# "%.12g" formats as format(x, ".12g") does.
+_TABLE_ROW = "%d" + ",%.12g" * 5 + "\n"
 
 
-def fidelity_row(n: int) -> FidelityRow:
+def _require_rows(ns: np.ndarray, cols: np.ndarray) -> None:
+    """Raise DomainError at the first count ns[i] whose column cols[:, i]
+    (F0, F1, Fmax, F2, F3) leaves [1/2, 1] or, from N = 2 on, breaks the
+    strict ordering F1 < Fmax < F2 < F3."""
+    outside = ~np.all((cols >= 0.5) & (cols <= 1.0), axis=0)
+    f1, fmax, f2, f3 = cols[1:]
+    unordered = (ns >= 2) & ~((f1 < fmax) & (fmax < f2) & (f2 < f3))
+    bad = outside | unordered
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
+            raise DomainError(f"fidelities out of [1/2, 1] at n={ns[i]}: "
+                              f"{tuple(cols[:, i].tolist())}")
+        raise DomainError(f"strategy ordering violated at n={ns[i]}")
+
+
+def fidelity_columns(n) -> np.ndarray:
+    """The five strategy fidelities F0, F1, Fmax, F2, F3 as rows, at the count
+    n (shape (5,)) or at each count of an integer array n (shape (5, n.size)),
+    checked by `_require_rows`."""
     gamma, _ = devices.universal_coefficients(n)
-    return FidelityRow(n, diluted_avg_fidelity(n),
-                       measurement.measurement_avg_fidelity(n),
-                       measurement.optimal_measurement_bound(n),
-                       gamma ** 2, measurement.dilution_overlap(n))
+    cols = np.array([diluted_avg_fidelity(n),
+                     measurement.measurement_avg_fidelity(n),
+                     measurement.optimal_measurement_bound(n),
+                     _libm_pow(gamma, 2.0),
+                     measurement.dilution_overlap(n)])
+    _require_rows(np.reshape(n, -1), np.reshape(cols, (5, -1)))
+    return cols
 
 
 def _fmt(x: float) -> str:
@@ -72,25 +82,33 @@ def _fmt(x: float) -> str:
 
 def cmd_table(n_min: int, n_max: int, output: str | None) -> int:
     """Write the fidelity table as CSV (12 significant digits, LF endings)."""
-    if not 1 <= n_min <= n_max <= MAX_TABLE_N:
+    try:
+        n_min, n_max = _require_count(n_min, "n-min"), _require_count(n_max, "n-max")
+    except DomainError as exc:
+        print(f"table: {exc}", file=sys.stderr)
+        return 2
+    if not n_min <= n_max <= MAX_TABLE_N:
         print(f"table: need 1 <= n-min <= n-max <= {MAX_TABLE_N}", file=sys.stderr)
         return 2
-    lines = ["N,F0_diluted,F1_measure,Fmax_measure,F2_universal,F3_swap"]
-    for n in range(n_min, n_max + 1):
-        r = fidelity_row(n)
-        lines.append(",".join([str(n), _fmt(r.f0_diluted), _fmt(r.f1_measure),
-                               _fmt(r.fmax_measure), _fmt(r.f2_universal),
-                               _fmt(r.f3_swap)]))
-    text = "\n".join(lines) + "\n"
+    ns = np.arange(n_min, n_max + 1)
+    cols = fidelity_columns(ns)
+
+    def write(fh) -> None:
+        fh.write("N,F0_diluted,F1_measure,Fmax_measure,F2_universal,F3_swap\n")
+        for start in range(0, ns.size, TABLE_BLOCK_ROWS):
+            block = slice(start, start + TABLE_BLOCK_ROWS)
+            fh.write("".join([_TABLE_ROW % row for row in
+                              zip(ns[block].tolist(), *cols[:, block].tolist())]))
+
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"table: cannot write {output}: {exc}", file=sys.stderr)
-            return 2
+        write(sys.stdout)
+        return 0
+    try:
+        with open(output, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        print(f"table: cannot write {output}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -113,23 +131,19 @@ def _check(name: str, residual: float, tol: float) -> CheckResult:
 
 def _check_endpoints() -> list[CheckResult]:
     """The n=1 values of the five table columns, exactly."""
-    got = np.array(astuple(fidelity_row(1))[1:])
+    got = fidelity_columns(1)
     want = np.array([1.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
     return [_check("endpoint-values-n1", float(np.max(np.abs(got - want))), 0.0)]
 
 
 def _check_asymptotes() -> list[CheckResult]:
-    got = np.array(astuple(fidelity_row(MAX_TABLE_N))[1:])
-    residual = float(np.max(np.abs(got - 0.5)))
+    residual = float(np.max(np.abs(fidelity_columns(MAX_TABLE_N) - 0.5)))
     return [_check("asymptotic-limits-n1e6", residual, 2e-3)]
 
 
 def _check_ordering() -> list[CheckResult]:
-    min_gap = np.inf
-    for n in range(2, 51):
-        r = fidelity_row(n)  # raises if the ordering invariant breaks
-        min_gap = min(min_gap, r.fmax_measure - r.f1_measure,
-                      r.f2_universal - r.fmax_measure, r.f3_swap - r.f2_universal)
+    # fidelity_columns raises if the ordering invariant breaks
+    min_gap = np.min(np.diff(fidelity_columns(np.arange(2, 51))[1:], axis=0))
     return [CheckResult("strategy-ordering-2-50", bool(min_gap > 1e-6),
                         f"min gap={min_gap:.3e} (needs > 1e-06)")]
 

@@ -15,6 +15,8 @@ Conventions fixed throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,19 +54,51 @@ def _require_count(n, name: str = "n") -> int:
     return int(n)
 
 
-def _float_count(n) -> float:
+def _float_count(n):
     """A checked count as the float the closed forms compute with.
 
     They form powers of N up to N^3, so N must stay below
     MAX_CLOSED_FORM_N = 2^340 (N^3 < 2^1020 is finite); DomainError
     otherwise.  Up to 2^53 the float is exact and gives the integer's
-    arithmetic bit for bit.
+    arithmetic bit for bit.  An integer numpy array of counts gets the same
+    checks, naming its first failing entry, and gives a float array; its
+    fixed-width dtype keeps every entry below 2^64, inside that range.
     """
+    if isinstance(n, np.ndarray):
+        _require(n.dtype.kind in "iu", f"need an integer n array, got dtype {n.dtype}")
+        low = n < 1
+        if low.any():
+            raise DomainError(f"need an integer n >= 1, got {n.flat[np.argmax(low)]}")
+        return n.astype(float)
     n = _require_count(n)
     if n >= MAX_CLOSED_FORM_N:
         raise DomainError("need n < 2**340 for the closed forms, "
                           f"got n >= 2**{n.bit_length() - 1}")
     return float(n)
+
+
+def _closed_form(n, at_one: float, formula: Callable):
+    """`formula` at the float count of n, or at each count of an integer
+    array n, with the value `at_one` at N = 1, where the formula reads 0/0.
+    N = 1 entries are evaluated at N = 2 and then replaced, so no
+    RuntimeWarning arises; a scalar n gives a float."""
+    x = _float_count(n)
+    one = x == 1.0
+    out = np.where(one, at_one, formula(np.where(one, 2.0, x)))
+    return out if out.ndim else float(out)
+
+
+def _libm_pow(x, p: float):
+    """x ** p through the C library's pow, element by element for arrays.
+
+    numpy's SIMD power and square kernels round some values differently
+    from libm's pow, in the last bit.  The closed forms whose power is
+    inexact raise through this one function, so a scalar and an array
+    evaluation agree bit for bit, and so do the `table` bytes."""
+    if np.ndim(x) == 0:
+        return math.pow(x, p)
+    flat = map(math.pow, np.ravel(x).tolist(), itertools.repeat(p))
+    return np.fromiter(flat, float, np.size(x)).reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -303,10 +337,10 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return float(np.sum(w * vals))
 
 
-def diluted_avg_fidelity(n: int) -> float:
+def diluted_avg_fidelity(n):
     """Mean fidelity (N^2 - 1 - 2 ln N) / (2 (N-1)^2) between one qubit of the
-    symmetric dilution and the original; 1 at N=1, 1/2 as N grows."""
-    n = _float_count(n)
-    if n == 1:
-        return 1.0
-    return (n * n - 1.0 - 2.0 * np.log(n)) / (2.0 * (n - 1.0) ** 2)
+    symmetric dilution and the original; 1 at N=1, 1/2 as N grows.  Takes a
+    count or an integer array of counts.  (N-1)^2 is a product, which rounds
+    alike for scalars and arrays, where a ** 2 would not (`_libm_pow`)."""
+    return _closed_form(n, 1.0, lambda n: (n * n - 1.0 - 2.0 * np.log(n))
+                        / (2.0 * (n - 1.0) * (n - 1.0)))

@@ -154,21 +154,24 @@ def _general(count: float, p: np.ndarray) -> tuple[float, float, float]:
     return float(np.sin(a) ** 2), float(np.sin(b) ** 2), float(np.cos(c))
 
 
-def _covariant(count: float, p: np.ndarray) -> tuple[float, float, float]:
+def _covariant(count, p: np.ndarray) -> tuple:
     """Covariant family: (g^2, g^2, cos(omega)) for p = (omega,), with
-    g^2 = (N+1) / (2 (N+1 - sqrt(N) cos(omega))) at the float count N; matched
-    norms and this g^2 make the pointwise fidelity independent of the input."""
+    g^2 = (N+1) / (2 (N+1 - sqrt(N) cos(omega))) at the float count N, or
+    at each of an array of them; matched norms and this g^2 make the
+    pointwise fidelity independent of the input."""
     x = float(np.cos(p[0]))
     g2 = (count + 1.0) / (2.0 * (count + 1.0 - np.sqrt(count) * x))
     return g2, g2, x
 
 
-def universal_coefficients(n: int) -> tuple[float, float]:
+def universal_coefficients(n) -> tuple:
     """Amplitude pair (gamma, delta) of the covariant optimum, the covariant
     family at omega = 0: gamma^2 = (N+1) / (2 (N+1-sqrt(N))),
-    delta = sqrt(1 - gamma^2)."""
+    delta = sqrt(1 - gamma^2).  Floats for a count, arrays for an integer
+    array of counts."""
     g2 = _covariant(_float_count(n), (0.0,))[0]
-    return float(np.sqrt(g2)), float(np.sqrt(max(1.0 - g2, 0.0)))
+    gamma, delta = np.sqrt(g2), np.sqrt(np.maximum(1.0 - g2, 0.0))
+    return (gamma, delta) if np.ndim(g2) else (float(gamma), float(delta))
 
 
 def universal_disentangler(n: int) -> DeviceTransform:

@@ -21,7 +21,8 @@ from .core import (
     BlochQuadrature,
     DensityOperator,
     DickeVector,
-    _float_count,
+    _closed_form,
+    _libm_pow,
     _require,
     dilute_angle,
 )
@@ -81,32 +82,31 @@ def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOp
     return _channel(big_psi, _projector_amplitudes(th, ph), w)
 
 
-def dilution_overlap(n: int) -> float:
+def dilution_overlap(n):
     """Sphere average of the squared overlap between a qubit and its dilution.
 
     Closed form (N^2 + 4 N^{3/2} - 4 N^{1/2} - 1 + 2 N ln N) /
-    (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2.
+    (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2.  Takes a
+    count or an integer array of counts, as do the two forms below.
     """
-    n = _float_count(n)
-    if n == 1:
-        return 1.0
-    rt = np.sqrt(n)
-    num = n * n + 4.0 * n * rt - 4.0 * rt - 1.0 + 2.0 * n * np.log(n)
-    return num / (2.0 * (n - 1.0) * (rt + 1.0) ** 2)
+    def overlap(n):
+        rt = np.sqrt(n)
+        num = n * n + 4.0 * n * rt - 4.0 * rt - 1.0 + 2.0 * n * np.log(n)
+        return num / (2.0 * (n - 1.0) * _libm_pow(rt + 1.0, 2.0))
+
+    return _closed_form(n, 1.0, overlap)
 
 
-def measurement_avg_fidelity(n: int) -> float:
+def measurement_avg_fidelity(n):
     """Mean fidelity (1 + overlap average) / 3 of the projective strategy."""
     return (1.0 + dilution_overlap(n)) / 3.0
 
 
-def optimal_measurement_bound(n: int) -> float:
+def optimal_measurement_bound(n):
     """Upper bound on any measure-and-prepare strategy's average fidelity:
     (1/2) [1 + sqrt(N) (N^2 - 1 - 2 N ln N) / (N-1)^3], with limit 2/3 at N=1."""
-    n = _float_count(n)
-    if n == 1:
-        return 2.0 / 3.0
-    return 0.5 * (1.0 + np.sqrt(n) * (n * n - 1.0 - 2.0 * n * np.log(n)) / (n - 1.0) ** 3)
+    return _closed_form(n, 2.0 / 3.0, lambda n: 0.5 * (
+        1.0 + np.sqrt(n) * (n * n - 1.0 - 2.0 * n * np.log(n)) / _libm_pow(n - 1.0, 3.0)))
 
 
 def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:

@@ -1,6 +1,9 @@
 """Command-line frontend: CSV contract, verification suite, network report."""
 
 import ast
+import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -10,26 +13,153 @@ import numpy as np
 import pytest
 
 import disentanglers
-from disentanglers import DomainError, cli, devices
-from disentanglers.cli import FidelityRow, cmd_network, cmd_table, fidelity_row, main
+from disentanglers import (
+    DomainError,
+    cli,
+    devices,
+    diluted_avg_fidelity,
+    dilution_overlap,
+    measurement_avg_fidelity,
+    optimal_measurement_bound,
+    universal_coefficients,
+)
+from disentanglers.cli import cmd_network, cmd_table, fidelity_columns, main
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Rows where numpy's SIMD power or square kernels and libm's pow round a
+# closed form's power differently in the last bit: (sqrt(N) + 1)^2 at 1061
+# and 3218, (N - 1)^3 at 208164 and 973086, gamma^2 at 1068 and 973086.
+# Fmax at 571 is a near-tie of its 12 printed digits.
+TRAP_ROWS = (571, 1061, 1068, 3218, 208164, 973086)
 
 
 class TestFidelityRow:
     def test_n1_values(self):
-        r = fidelity_row(1)
-        assert (r.f0_diluted, r.f2_universal, r.f3_swap) == (1.0, 1.0, 1.0)
-        assert r.f1_measure == pytest.approx(2 / 3, abs=1e-15)
-        assert r.fmax_measure == pytest.approx(2 / 3, abs=1e-15)
+        f0, f1, fmax, f2, f3 = fidelity_columns(1)
+        assert (f0, f2, f3) == (1.0, 1.0, 1.0)
+        assert f1 == pytest.approx(2 / 3, abs=1e-15)
+        assert fmax == pytest.approx(2 / 3, abs=1e-15)
 
     def test_ordering_enforced(self):
-        with pytest.raises(DomainError):
-            FidelityRow(2, 0.8, 0.7, 0.66, 0.9, 0.95)  # f1 > fmax
-        with pytest.raises(DomainError):
-            FidelityRow(3, 0.4, 0.6, 0.65, 0.9, 0.95)  # below 1/2
+        ns = np.arange(1, 11)
+        good = fidelity_columns(ns)
+        cli._require_rows(ns, good)
+        # N = 1 has F1 == Fmax and F2 == F3; ordering is required from N = 2
+        assert good[1, 0] == good[2, 0] and good[3, 0] == good[4, 0]
+
+        unordered = good.copy()
+        unordered[1, 3] = unordered[2, 3] + 0.01  # f1 > fmax at N = 4
+        unordered[1, 6] = unordered[2, 6] + 0.01  # and at N = 7
+        with pytest.raises(DomainError, match=r"^strategy ordering violated at n=4$"):
+            cli._require_rows(ns, unordered)
+
+        low = unordered.copy()
+        low[0, 2] = 0.4  # below 1/2 at N = 3, before the first unordered row
+        want = f"fidelities out of [1/2, 1] at n=3: {tuple(low[:, 2].tolist())}"
+        with pytest.raises(DomainError) as exc:
+            cli._require_rows(ns, low)
+        assert str(exc.value) == want
+
+        high = good.copy()
+        high[4, 8] = 1.0 + 1e-12  # above 1 at N = 9
+        with pytest.raises(DomainError, match=r"out of \[1/2, 1\] at n=9: "):
+            cli._require_rows(ns, high)
+        high[4, 8] = np.nan
+        with pytest.raises(DomainError, match=r"at n=9: "):
+            cli._require_rows(ns, high)
 
     def test_rows_valid_up_to_50(self):
-        for n in range(1, 51):
-            fidelity_row(n)  # construction runs the invariant checks
+        cols = fidelity_columns(np.arange(1, 51))  # runs the invariant checks
+        assert cols.shape == (5, 50)
+        assert cols[:, 49].tolist() == fidelity_columns(50).tolist()
+
+
+class TestTableColumns:
+    """The array evaluation behind `table` against the scalar closed forms,
+    and both against a 50-digit evaluation."""
+
+    def test_array_equals_scalar_bit_for_bit(self):
+        ns = np.array([*range(1, 2001), *TRAP_ROWS])
+        # counts whose squares are inexact in doubles; the strict ordering
+        # of the table no longer resolves there
+        big = np.array([10 ** 9 + 7, 2 ** 62 + 11, 2 ** 63 - 1])
+        forms = (diluted_avg_fidelity, dilution_overlap, measurement_avg_fidelity,
+                 optimal_measurement_bound, lambda n: universal_coefficients(n)[0],
+                 lambda n: universal_coefficients(n)[1])
+        for counts in (ns, big):
+            for form in forms:
+                scalar = [form(int(n)) for n in counts]
+                assert all(type(v) is float for v in scalar)
+                assert form(counts).tolist() == scalar
+        # the F2 column squares through libm's pow, as `gamma ** 2` of a
+        # float does
+        f2 = [universal_coefficients(int(n))[0] ** 2 for n in ns]
+        assert fidelity_columns(ns)[3].tolist() == f2
+
+    def test_count_arrays_are_checked(self):
+        for form in (diluted_avg_fidelity, dilution_overlap, measurement_avg_fidelity,
+                     optimal_measurement_bound, universal_coefficients, fidelity_columns):
+            for bad, named in ((np.array([2.0, 3.0]), "dtype float64"),
+                               (np.array([True, True]), "dtype bool"),
+                               (np.array([3, 2], dtype=object), "dtype object"),
+                               (np.array([3, 0, -1]), "got 0"),
+                               (np.array([[2, 3], [-4, 0]]), "got -4")):
+                with pytest.raises(DomainError, match=named):
+                    form(bad)
+            # narrow dtypes are widened before use: 16 * 16 wraps in uint8
+            wide = np.asarray(form(np.arange(14, 18)))
+            assert np.asarray(form(np.arange(14, 18, dtype=np.uint8))).tolist() == wide.tolist()
+
+    def test_no_warning_at_n1(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = fidelity_columns(np.array([1, 1, 2]))
+        assert cols[:, 0].tolist() == cols[:, 1].tolist() == fidelity_columns(1).tolist()
+
+    def test_against_50_digit_closed_forms(self):
+        # Error model: each form is a few correctly rounded operations, a log
+        # and a libm pow, so it lands within a few ulp of the exact value.
+        # Over the N below the worst is 3.1 ulp (the overlap at N = 13), the
+        # worst of the other four columns 1.9 ulp (F2 at N = 42).
+        import mpmath
+        from decimal import Decimal
+
+        def exact(n):
+            n, one = mpmath.mpf(n), mpmath.mpf(1)
+            if n == 1:
+                return [one, 2 * one / 3, 2 * one / 3, one, one]
+            ln, rt = mpmath.log(n), mpmath.sqrt(n)
+            overlap = ((n * n + 4 * n * rt - 4 * rt - 1 + 2 * n * ln)
+                       / (2 * (n - 1) * (rt + 1) ** 2))
+            return [(n * n - 1 - 2 * ln) / (2 * (n - 1) ** 2), (1 + overlap) / 3,
+                    (1 + rt * (n * n - 1 - 2 * n * ln) / (n - 1) ** 3) / 2,
+                    (n + 1) / (2 * (n + 1 - rt)), overlap]
+
+        def scalar_columns(n):
+            return [diluted_avg_fidelity(n), measurement_avg_fidelity(n),
+                    optimal_measurement_bound(n), universal_coefficients(n)[0] ** 2,
+                    dilution_overlap(n)]
+
+        sample = np.random.default_rng(2026).integers(2001, 10 ** 6 + 1, 2000)
+        ns = np.concatenate([np.arange(1, 2001), sample])
+        rows = [(int(n), col.tolist()) for n, col in zip(ns, fidelity_columns(ns).T)]
+        rows += [(n, scalar_columns(n)) for n in (2 ** 63, 2 ** 64, 10 ** 30, 2 ** 340 - 1)]
+        worst = 0.0
+        near_ties = []
+        with mpmath.workdps(50):
+            for n, got in rows:
+                for k, (g, e) in enumerate(zip(got, exact(n))):
+                    worst = max(worst, float(abs(g - e)) / math.ulp(g))
+                    # the exact value and the double on two sides of a
+                    # 12-digit rounding boundary: the CSV prints the double's
+                    if Decimal(format(g, ".12g")) != Decimal(mpmath.nstr(e, 12)):
+                        near_ties.append((n, k))
+        assert worst <= 4.0, worst
+        # column 2 is Fmax, 4 the overlap (F3)
+        assert sorted(near_ties) == [(571, 2), (170481, 4), (848263, 4)]
 
 
 class TestCmdTable:
@@ -67,6 +197,38 @@ class TestCmdTable:
         assert cmd_table(0, 2, None) == 2
         assert cmd_table(1, 10 ** 6 + 1, None) == 2
         assert capsys.readouterr().err != ""
+
+    def test_bounds_are_typed(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        for n_min, n_max, named in ((1.5, 3, "n-min"), (True, 3, "n-min"),
+                                    ("3", 3, "n-min"), (1, 2.0, "n-max")):
+            assert cmd_table(n_min, n_max, str(path)) == 2
+            assert not path.exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"table: need an integer {named} >= 1")
+        assert cmd_table(np.int64(2), 3, str(path)) == 0
+        assert path.read_text().splitlines()[1].startswith("2,")
+
+    def test_digests(self, tmp_path):
+        digests = json.loads((REPO / "benchmarks" / "table_digests.json").read_text())
+        path = tmp_path / "t.csv"
+        for (n_min, n_max), want in (
+                ((1, 50000), digests["1-50000"]),
+                ((1, 10 ** 6),
+                 "941b4e4cee87f240b7915eee7806cc3363872b54213419de28ae9571f4c89511")):
+            assert cmd_table(n_min, n_max, str(path)) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want, (n_min, n_max)
+
+    def test_stdout_equals_file_across_blocks(self, tmp_path, capsys):
+        # 4090..8200 spans three blocks of TABLE_BLOCK_ROWS rows
+        assert cli.TABLE_BLOCK_ROWS < 8200 - 4090 + 1 < 2 * cli.TABLE_BLOCK_ROWS + 1
+        path = tmp_path / "t.csv"
+        assert cmd_table(4090, 8200, str(path)) == 0
+        assert cmd_table(4090, 8200, None) == 0
+        data = path.read_bytes()
+        assert capsys.readouterr().out.encode() == data
+        assert len(data.splitlines()) == 8200 - 4090 + 2
 
     def test_unwritable_path_exits_2(self, capsys):
         assert cmd_table(1, 2, "/nonexistent-dir/out.csv") == 2

@@ -435,7 +435,7 @@ class TestIntegerCount:
             "optimal_measurement_bound": optimal_measurement_bound,
             "gamma^2": lambda n: universal_coefficients(n)[0] ** 2,
             # the strict ordering no longer resolves in doubles past ~2e15
-            "fidelity_row": lambda n: min(astuple(cli.fidelity_row(n))[1:]),
+            "fidelity_columns": lambda n: min(cli.fidelity_columns(n)),
             "device_avg_fidelity": lambda n: device_avg_fidelity(universal_disentangler(n)),
             "optimize_average": lambda n: optimize_average(n)[1],
             "optimize_universal": lambda n: optimize_universal(n)[1],
@@ -455,7 +455,7 @@ class TestIntegerCount:
             try:
                 value = entry(n)
             except DomainError:
-                assert n >= MAX_CLOSED_FORM_N or name == "fidelity_row", name
+                assert n >= MAX_CLOSED_FORM_N or name == "fidelity_columns", name
                 continue
             assert n < MAX_CLOSED_FORM_N, name
             assert np.all(np.isfinite(value)), name
