@@ -67,11 +67,12 @@ def fidelity_columns(n) -> np.ndarray:
     n (shape (5,)) or at each count of an integer array n (shape (5, n.size)),
     checked by `_require_rows`."""
     gamma, _ = devices.universal_coefficients(n)
+    overlap = measurement.dilution_overlap(n)
     cols = np.array([diluted_avg_fidelity(n),
-                     measurement.measurement_avg_fidelity(n),
+                     measurement._fidelity_from_overlap(overlap),
                      measurement.optimal_measurement_bound(n),
                      _libm_pow(gamma, 2.0),
-                     measurement.dilution_overlap(n)])
+                     overlap])
     _require_rows(np.reshape(n, -1), np.reshape(cols, (5, -1)))
     return cols
 

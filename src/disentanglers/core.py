@@ -15,6 +15,7 @@ Conventions fixed throughout the package:
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,6 +76,14 @@ def _float_count(n):
         raise DomainError("need n < 2**340 for the closed forms, "
                           f"got n >= 2**{n.bit_length() - 1}")
     return float(n)
+
+
+def _scipy_optimize(name: str) -> Callable:
+    """`scipy.optimize.<name>`, imported on its first call: only the
+    numerical searches need scipy, so importing the package does not load it."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module("scipy.optimize"), name)(*args, **kwargs)
+    return call
 
 
 def _closed_form(n, at_one: float, formula: Callable):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     DensityOperator,
@@ -25,6 +24,7 @@ from .core import (
     _float_count,
     _require,
     _require_count,
+    _scipy_optimize,
     dilute_angle,
 )
 
@@ -33,6 +33,8 @@ MACHINE_DIM = 4
 UNITARITY_TOL = 1e-8
 
 RESTARTS = 8
+
+minimize = _scipy_optimize("minimize")
 
 
 class UnitarityError(ValueError):

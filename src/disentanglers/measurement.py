@@ -15,7 +15,6 @@ only the apparatus polar angle numerically.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     BlochQuadrature,
@@ -24,8 +23,11 @@ from .core import (
     _closed_form,
     _libm_pow,
     _require,
+    _scipy_optimize,
     dilute_angle,
 )
+
+minimize_scalar = _scipy_optimize("minimize_scalar")
 
 
 def _projector_amplitudes(theta_p, phi_p):
@@ -97,9 +99,15 @@ def dilution_overlap(n):
     return _closed_form(n, 1.0, overlap)
 
 
+def _fidelity_from_overlap(overlap):
+    """The (1 + f) / 3 law: mean fidelity of the projective strategy from the
+    overlap average f of `dilution_overlap`."""
+    return (1.0 + overlap) / 3.0
+
+
 def measurement_avg_fidelity(n):
     """Mean fidelity (1 + overlap average) / 3 of the projective strategy."""
-    return (1.0 + dilution_overlap(n)) / 3.0
+    return _fidelity_from_overlap(dilution_overlap(n))
 
 
 def optimal_measurement_bound(n):

@@ -19,6 +19,7 @@ from disentanglers import (
     devices,
     diluted_avg_fidelity,
     dilution_overlap,
+    measurement,
     measurement_avg_fidelity,
     optimal_measurement_bound,
     universal_coefficients,
@@ -334,6 +335,49 @@ class TestMain:
         assert exc.value.code == 2
 
 
+class TestScipyOnDemand:
+    """Only the searches import scipy; `table` and `network` run on numpy."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from disentanglers import cli
+codes = [cli.main(["table", "--n-min", "1", "--n-max", "50", "--output", sys.argv[1]]),
+         cli.main(["network", "--theta", "1.1", "--n", "12", "--shots", "1000"])]
+loaded = "scipy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["verify", "--level", "fast"]))
+print(json.dumps({"codes": codes, "scipy_before_verify": loaded,
+                  "scipy_after_verify": "scipy.optimize" in sys.modules,
+                  "verify": out.getvalue().splitlines()}))
+"""
+
+    def test_table_and_network_never_load_scipy(self, tmp_path):
+        src = str(Path(disentanglers.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "t.csv")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0]
+        assert report["scipy_before_verify"] is False
+        assert report["scipy_after_verify"] is True
+        *lines, total = report["verify"]
+        assert lines and all(line.startswith("PASS") for line in lines)
+        assert total == f"{len(lines)}/{len(lines)} checks passed"
+
+    @pytest.mark.parametrize("module, own, other", [
+        (devices, "minimize", "minimize_scalar"),
+        (measurement, "minimize_scalar", "minimize"),
+    ])
+    def test_each_search_module_binds_only_its_own_optimizer(self, module, own, other):
+        assert callable(getattr(module, own))
+        for name in ("no_such_name", other):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+            assert not hasattr(module, name)
+
+
 class TestOptimizedInterpreter:
     """Stripping `assert` (python -O) must not change any result."""
 
@@ -342,7 +386,8 @@ class TestOptimizedInterpreter:
         ["verify", "--level", "full"],
         ["network", "--theta", "1.1", "--phi", "2.3", "--n", "20",
          "--shots", "1000", "--seed", "3"],
-    ], ids=["verify-fast", "verify-full", "network-n20"])
+        ["table", "--n-min", "1", "--n-max", "2000"],
+    ], ids=["verify-fast", "verify-full", "network-n20", "table-2000"])
     def test_stdout_identical_under_dash_O(self, args):
         src = str(Path(disentanglers.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)

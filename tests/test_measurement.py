@@ -236,6 +236,21 @@ class TestOptimalBound:
             got = optimal_measurement_bound_numeric(n)
             assert got == pytest.approx(optimal_measurement_bound(n), abs=1e-9)
 
+    def test_search_calls_module_minimize_scalar(self, monkeypatch):
+        # the search calls the module attribute, so rebinding it reaches the
+        # search even though scipy is imported only on the first call
+        real = measurement.minimize_scalar
+        methods = []
+
+        def counted(fun, **kwargs):
+            methods.append(kwargs["method"])
+            return real(fun, **kwargs)
+
+        monkeypatch.setattr(measurement, "minimize_scalar", counted)
+        got = optimal_measurement_bound_numeric(2)
+        assert methods == ["bounded"]
+        assert got == pytest.approx(optimal_measurement_bound(2), abs=1e-9)
+
     def test_numeric_dominates_projective(self):
         for n in (2, 5, 10):
             assert (optimal_measurement_bound_numeric(n)
