@@ -24,9 +24,9 @@ from .core import (
     CapacityError,
     DickeVector,
     DomainError,
-    FullStateVector,
     PureQubit,
     _libm_pow,
+    _require,
     _require_count,
     bloch_average,
     dicke_to_statevector,
@@ -250,29 +250,26 @@ def _dicke_with_last(n: int, c0: complex, c1: complex, last: int) -> np.ndarray:
 
 
 def _check_cascade_action() -> list[CheckResult]:
-    """The composed parity permutation against the gate-level cascade for
-    n = 1..12, and its action on the two sector basis vectors for n = 2..12."""
-    mismatched = []
+    """The sector cascade on both sector basis vectors against the gate-level
+    cascade, bit for bit, for n = 1..12 and against its defining action for
+    n = 2..12.  It is linear on the sector, so they cover every input."""
+    mismatched = set()
     worst = 0.0
     for n in range(1, 13):
-        perm = network._cascade_permutation(n)
-        # distinct amplitudes, so equal outputs mean equal permutations
-        labels = np.arange(1.0, 2 ** n + 1.0)
-        state = FullStateVector(n, labels / np.linalg.norm(labels))
-        gated = state
-        for control, target in network.cnot_cascade(n):
-            gated = network.apply_cnot(gated, control, target)
-        if not np.array_equal(state.amps[perm], gated.amps):
-            mismatched.append(n)
-        if n == 1:
-            continue
-        for (c0, c1), expect in (
-                ((1.0, 0.0), _dicke_with_last(n, 1.0, 0.0, 0)),
-                ((0.0, 1.0), _dicke_with_last(
-                    n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1))):
-            basis = dicke_to_statevector(DickeVector(n, c0, c1))
-            worst = max(worst, float(np.max(np.abs(basis.amps[perm] - expect))))
-    gates = (f"differs from gate-by-gate at n={mismatched}" if mismatched
+        # each basis vector with the (c0, c1, last) of its image
+        for v, image in ((DickeVector(n, 1.0, 0.0), (1.0, 0.0, 0)),
+                         (DickeVector(n, 0.0, 1.0),
+                          (1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1))):
+            out = network._cascade(v)
+            gated = dicke_to_statevector(v)
+            for control, target in network.cnot_cascade(n):
+                gated = network.apply_cnot(gated, control, target)
+            if not np.array_equal(out.amps, gated.amps):
+                mismatched.add(n)
+            if n > 1:
+                worst = max(worst, float(np.max(np.abs(
+                    out.amps - _dicke_with_last(n, *image)))))
+    gates = (f"differs from gate-by-gate at n={sorted(mismatched)}" if mismatched
              else "equals gate-by-gate")
     return [CheckResult("network-cascade-action", not mismatched and worst <= 1e-12,
                         f"residual={worst:.3e} tol=1e-12, {gates}")]
@@ -340,10 +337,14 @@ def cmd_verify(level: str, seed: int) -> int:
     """Run the cross-check suite; exit 0 iff every check passes.
 
     A check that raises (e.g. a corrupted build tripping a unitarity guard)
-    counts as a failure; only harness-level trouble yields exit code 2.
+    counts as a failure; only a usage error (an unknown level, a seed that
+    is not an integer >= 0) or harness-level trouble yields exit code 2.
     """
-    if level not in ("fast", "full"):
-        print(f"verify: unknown level {level!r}", file=sys.stderr)
+    try:
+        _require(level in ("fast", "full"), f"unknown level {level!r}")
+        seed = _require_count(seed, "seed", least=0)
+    except DomainError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
         return 2
     try:
         quad = BlochQuadrature()

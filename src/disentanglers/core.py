@@ -45,13 +45,13 @@ def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
         raise exc(msg)
 
 
-def _require_count(n, name: str = "n") -> int:
+def _require_count(n, name: str = "n", least: int = 1) -> int:
     """Return n as a Python int; raise DomainError, naming the count, unless
-    n is an integer (not a bool) with n >= 1.  Callers compute with the
+    n is an integer (not a bool) with n >= least.  Callers compute with the
     returned value, so a narrow numpy integer such as np.uint8(16) cannot
     wrap in n * n."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"need an integer {name} >= 1, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"need an integer {name} >= {least}, got {n!r}")
     return int(n)
 
 

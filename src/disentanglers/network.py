@@ -22,7 +22,6 @@ from .core import (
     _float_count,
     _require,
     _require_count,
-    dicke_to_statevector,
     symmetric_state,
 )
 
@@ -64,30 +63,28 @@ def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVe
     return FullStateVector(n, state.amps[perm])
 
 
-def _cascade_permutation(n: int) -> np.ndarray:
-    """Index map of the whole cascade: the target (last, least significant)
-    bit is XORed with the parity of the n-1 control bits.
+def _cascade(v: DickeVector) -> FullStateVector:
+    """The cascade on a symmetric input, written as its n+1 nonzero amplitudes.
 
-    The gates share one target and have distinct controls, so they commute
-    and compose into this one permutation.  The parity table of the control
-    bits grows by doubling (prepending a set top bit flips the parity), so
-    the map costs O(2^n) with no per-gate pass.  It is not cached: at n = 20
-    a cached map would hold 8 MiB for the life of the process and raise the
-    peak memory of a network run, to save about 3 ms per call (2-vCPU x86).
+    The gates share the target (the last, least significant bit) and have
+    distinct controls, so together they XOR the target with the parity of the
+    control bits.  On the support of `v` that parity is 1 exactly at rows
+    2, 4, ..., 2^(n-1), the single excitations on a control qubit, so each
+    of those amplitudes moves from row r to row r + 1 and the rest stay.
     """
-    parity = np.zeros(1, dtype=np.intp)
-    for _ in range(n - 1):
-        parity = np.concatenate((parity, parity ^ 1))
-    return np.arange(2 ** n) ^ np.repeat(parity, 2)
+    rows, amps = _dicke_support(v)
+    out = np.zeros(2 ** v.n, dtype=complex)
+    out[rows ^ (rows > 1)] = amps
+    return FullStateVector(v.n, out)
 
 
 def run_cascade(psi: PureQubit, n: int) -> FullStateVector:
     """Dilute `psi` into the symmetric n-qubit state and run the cascade.
 
-    The cascade runs as one gather through its parity permutation, the
-    same permutation of the same amplitudes as applying `apply_cnot` gate
-    by gate over `cnot_cascade(n)`.  That gate-level definition, and the
-    defining action on the two sector basis vectors (the zero-excitation
+    Only the n+1 amplitudes of the symmetric sector are written, the same
+    amplitudes at the same rows as applying `apply_cnot` gate by gate over
+    `cnot_cascade(n)` to the dense input.  That gate-level definition, and
+    the defining action on the two sector basis vectors (the zero-excitation
     input maps to (all blanks)|0>, the one-excitation input to
     (sqrt(n-1) one-excitation + blanks)|1> / sqrt(n)), are checked by
     `verify` and the tests, not on every call.
@@ -96,8 +93,7 @@ def run_cascade(psi: PureQubit, n: int) -> FullStateVector:
     _require(n <= MAX_CASCADE_QUBITS,
              f"n={n} exceeds the {MAX_CASCADE_QUBITS}-qubit cascade cap",
              CapacityError)
-    dicke = dicke_to_statevector(symmetric_state(psi, n))
-    return FullStateVector(n, dicke.amps[_cascade_permutation(n)])
+    return _cascade(symmetric_state(psi, n))
 
 
 def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
@@ -191,9 +187,10 @@ def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> ShotCounts:
     """Sample success/failure counts at the exact success probability.
 
     Uses numpy's seeded PCG64 stream; identical (seed, shots) always gives
-    identical counts.
+    identical counts.  The seed must be an integer >= 0.
     """
     shots = _require_count(shots, "shots")
+    seed = _require_count(seed, "seed", least=0)
     p = success_probability(psi.theta, n)
     rng = np.random.default_rng(seed)
     plus = int(np.count_nonzero(rng.random(shots) < p))

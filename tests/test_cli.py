@@ -267,6 +267,14 @@ class TestCmdVerify:
         assert cli.cmd_verify("medium", 0) == 2
         assert capsys.readouterr().err != ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        for run in (lambda: cli.cmd_verify("fast", -3),
+                    lambda: main(["verify", "--seed", "-3"])):
+            assert run() == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "verify: need an integer seed >= 0, got -3\n"
+
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
         true_coeffs = devices.universal_coefficients
 
@@ -311,12 +319,27 @@ class TestCmdNetwork:
                             ((1.0, 0.0, 25, 100, 0), "n=25"),
                             ((1.0, 7.0, 4, 100, 0), "phi=7.0"),
                             ((1.0, 0.0, 4, 0, 0), "shots >= 1, got 0"),
+                            ((1.0, 0.0, 4, 100, -1), "seed >= 0, got -1"),
                             ((float("nan"), 0.0, 4, 100, 0), "theta=nan")):
             assert cmd_network(*args) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("network: ")
             assert named in captured.err
+
+    def test_digests(self, capsys):
+        # stdout of one fixed run at each n; a change that moves any printed
+        # digit, such as another way of sampling the shots, updates these
+        for n, want in (
+                (1, "70bf40104e2a6fa8d89b05a63dbc5bd582381553278a985021c0f1fd88b1db8d"),
+                (2, "f2ec80062018ca3d35e02240e5c8acf22c2c8f37a20a53dc5297c6e8b1a76959"),
+                (12, "723ba46eedd6378cace304ff292ccbacb518a1ee58a10212747b9909c7405963"),
+                (17, "bc83fde8042c27cbbed92cc91394e61acb594587d158753fba61aa6e9df4e03c"),
+                (20, "179052ec4d63dc205477115235d10205770ea9837f36b04f2bdc772552d03587")):
+            assert main(["network", "--theta", "1.1", "--phi", "2.3", "--n", str(n),
+                         "--shots", "100000", "--seed", "7"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == want, n
 
 
 class TestMain:

@@ -23,6 +23,7 @@ from disentanglers import (
     run_cascade,
     sample_shots,
     success_probability,
+    symmetric_state,
 )
 from disentanglers import cli, network
 from disentanglers.cli import _dicke_with_last
@@ -82,10 +83,15 @@ class TestCascade:
             shuffled = apply_cnot(shuffled, int(c), int(t))
         assert np.array_equal(forward.amps, shuffled.amps)
 
-    def test_permutation_matches_gate_by_gate(self):
-        # verify's check compares the map with sequential apply_cnot for
-        # n = 1..12 on a state of distinct amplitudes, bit for bit
-        assert all(r.passed for r in cli._check_cascade_action())
+    def test_run_cascade_matches_gate_by_gate(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 15):
+            for _ in range(3):
+                psi = random_qubit(rng)
+                gated = dicke_to_statevector(symmetric_state(psi, n))
+                for c, t in cnot_cascade(n):
+                    gated = apply_cnot(gated, c, t)
+                assert np.array_equal(run_cascade(psi, n).amps, gated.amps)
 
     def test_basis_action_up_to_cap(self):
         for n in range(2, 21):
@@ -96,13 +102,14 @@ class TestCascade:
             assert np.max(np.abs(out1.amps - expect1)) <= 1e-12
 
     def test_verify_fails_when_a_gate_is_dropped(self, monkeypatch, capsys):
-        true_perm = network._cascade_permutation
+        def without_first_gate(v):
+            # the (1, n) gate is missing: row 2^(n-1) keeps its amplitude
+            rows, amps = network._dicke_support(v)
+            out = np.zeros(2 ** v.n, dtype=complex)
+            out[rows ^ ((rows > 1) & (rows != 2 ** (v.n - 1)))] = amps
+            return FullStateVector(v.n, out)
 
-        def without_first_gate(n):
-            # undo the (1, n) gate: XOR the target with qubit 1 once more
-            return true_perm(n) ^ ((np.arange(2 ** n) >> (n - 1)) & 1)
-
-        monkeypatch.setattr(network, "_cascade_permutation", without_first_gate)
+        monkeypatch.setattr(network, "_cascade", without_first_gate)
         assert not any(r.passed for r in cli._check_cascade_action())
         assert cli.cmd_verify("fast", 42) == 1
         assert "FAIL  network-cascade-action" in capsys.readouterr().out
@@ -195,6 +202,15 @@ class TestBranches:
         tracemalloc.start()
         try:
             decompose(out, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.amps.nbytes
+
+    def test_run_cascade_allocates_only_its_output(self):
+        tracemalloc.start()
+        try:
+            out = run_cascade(PureQubit(1.1, 0.4), 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -342,6 +358,15 @@ class TestSampleShots:
         p = success_probability(1.0, 3)
         draws = np.random.Generator(np.random.PCG64(99)).random(1000)
         assert a.plus == int(np.count_nonzero(draws < p))
+
+    def test_seed_validated(self):
+        for bad in (-1, -2 ** 70, 2.0, True, "3", None):
+            with pytest.raises(DomainError, match="seed >= 0"):
+                sample_shots(PureQubit(1.0, 0.0), 3, 100, seed=bad)
+        psi = PureQubit(1.0, 0.3)
+        assert sample_shots(psi, 3, 1000, seed=np.int64(99)) == sample_shots(
+            psi, 3, 1000, seed=99)
+        sample_shots(psi, 3, 10, seed=0)  # the least seed is accepted
 
     def test_shot_count_validated(self):
         for bad in (0, 2.5, True, "3"):
