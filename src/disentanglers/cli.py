@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +43,10 @@ MAX_TABLE_N = 10 ** 6
 # cost more memory than its five float columns.
 TABLE_BLOCK_ROWS = 4096
 
-# "%.12g" formats as format(x, ".12g") does.
-_TABLE_ROW = "%d" + ",%.12g" * 5 + "\n"
+# A table row at full width, before `_table_bytes` drops its NULs: N in
+# _N_WIDTH digits, then ",0." and 12 digits for each of the five columns.
+_N_WIDTH = len(str(MAX_TABLE_N))
+_FIELD = len(",0.") + 12
 
 
 def _require_rows(ns: np.ndarray, cols: np.ndarray) -> None:
@@ -81,6 +84,65 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _round12(v: np.ndarray) -> np.ndarray:
+    """round-half-even(v 10^12) as uint64, exactly, for doubles v in [1/2, 1].
+
+    Such a v is m / 2^53 for an integer m <= 2^53, so v 10^12 =
+    m 5^12 / 2^41.  That product overflows 64 bits; with m = a 2^21 + b,
+    its floor is (a 5^12 + (b 5^12 >> 21)) >> 20, every term below 2^61,
+    and the remainder is the low 41 bits of the wrapped product m 5^12."""
+    m = (v * 2.0 ** 53).astype(np.uint64)
+    q = ((m >> 21) * 5 ** 12 + (((m & (2 ** 21 - 1)) * 5 ** 12) >> 21)) >> 20
+    rem = (m * 5 ** 12) & (2 ** 41 - 1)
+    return q + ((rem > 2 ** 40) | ((rem == 2 ** 40) & (q % 2 == 1)))
+
+
+def _digits(x: np.ndarray, width: int):
+    """Yield the `width` decimal places of the uint32 array x, units first,
+    each as (digit as uint8, x // 10^place): the second is 0 exactly where
+    the place is a leading zero."""
+    for _ in range(width):
+        rest = x // 10
+        yield (x - rest * 10).astype(np.uint8), x
+        x = rest
+
+
+def _table_bytes(ns: np.ndarray, cols: np.ndarray) -> bytes:
+    """The CSV rows of the counts `ns` (at most MAX_TABLE_N) and their
+    columns `cols` (shape (5, ns.size)), byte-identical to
+    "%d" + ",%.12g" * 5 per row, each ended by LF.
+
+    `_require_rows` holds every value in [1/2, 1], where %.12g prints "0."
+    and the 12 digits of q = round-half-even(v 10^12) without trailing
+    zeros, or "1" when q = 10^12.  Each character is one row of a uint8
+    matrix with one column per table row, NUL where a character is dropped
+    (leading zeros of N, trailing zeros of a fraction, the "." of a 1); the
+    NULs go in one pass over the bytes."""
+    k = ns.size
+    mat = np.empty((_N_WIDTH + 5 * _FIELD + 1, k), dtype=np.uint8)
+    places = zip(range(_N_WIDTH - 1, -1, -1), _digits(ns.astype(np.uint32), _N_WIDTH))
+    for place, (d, upper) in places:
+        mat[place] = (d + 48) * (upper != 0)
+    fields = mat[_N_WIDTH:-1].reshape(5, _FIELD, k)
+    q = _round12(cols)
+    one = q == 10 ** 12
+    fields[:, 0] = ord(",")
+    fields[:, 1] = np.where(one, ord("1"), ord("0"))
+    fields[:, 2] = np.where(one, 0, ord("."))
+    frac = np.where(one, 0, q)
+    # two halves of 6 digits: 32-bit division is several times faster
+    high = frac // 10 ** 6
+    low = frac - high * 10 ** 6
+    kept = np.zeros(q.shape, dtype=bool)
+    places = zip(range(_FIELD - 1, 2, -1), chain(_digits(low.astype(np.uint32), 6),
+                                                 _digits(high.astype(np.uint32), 6)))
+    for place, (d, _) in places:
+        kept |= d != 0
+        fields[:, place] = (d + 48) * kept
+    mat[-1] = ord("\n")
+    return mat.T.tobytes().translate(None, b"\0")
+
+
 def cmd_table(n_min: int, n_max: int, output: str | None) -> int:
     """Write the fidelity table as CSV (12 significant digits, LF endings)."""
     try:
@@ -98,8 +160,7 @@ def cmd_table(n_min: int, n_max: int, output: str | None) -> int:
         fh.write("N,F0_diluted,F1_measure,Fmax_measure,F2_universal,F3_swap\n")
         for start in range(0, ns.size, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
-            fh.write("".join([_TABLE_ROW % row for row in
-                              zip(ns[block].tolist(), *cols[:, block].tolist())]))
+            fh.write(_table_bytes(ns[block], cols[:, block]).decode("ascii"))
 
     if output is None:
         write(sys.stdout)
@@ -130,15 +191,23 @@ def _check(name: str, residual: float, tol: float) -> CheckResult:
     return CheckResult(name, bool(residual <= tol), f"residual={residual:.3e} tol={tol:.0e}")
 
 
+def _worst(values) -> float:
+    """The largest of `values`, or inf if any is not finite: every check
+    folds its residuals with this, so a NaN fails where max() keeps the
+    residual it already has."""
+    v = np.fromiter(values, dtype=float)
+    return float(v.max()) if np.isfinite(v).all() else np.inf
+
+
 def _check_endpoints() -> list[CheckResult]:
     """The n=1 values of the five table columns, exactly."""
     got = fidelity_columns(1)
     want = np.array([1.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
-    return [_check("endpoint-values-n1", float(np.max(np.abs(got - want))), 0.0)]
+    return [_check("endpoint-values-n1", _worst(np.abs(got - want)), 0.0)]
 
 
 def _check_asymptotes() -> list[CheckResult]:
-    residual = float(np.max(np.abs(fidelity_columns(MAX_TABLE_N) - 0.5)))
+    residual = _worst(np.abs(fidelity_columns(MAX_TABLE_N) - 0.5))
     return [_check("asymptotic-limits-n1e6", residual, 2e-3)]
 
 
@@ -155,7 +224,7 @@ def _overlap_sq(th: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
-    res_f0 = res_overlap = res_f1 = res_moments = 0.0
+    res_f0, res_overlap, res_f1, res_moments = [], [], [], []
     for n in (2, 3, 5, 10, 25):
         def diluted_integrand(th, ph, n=n):
             tbar = dilute_angle(th, n)
@@ -166,12 +235,12 @@ def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
             c, s = np.cos(th / 2.0), np.sin(th / 2.0)
             return c * c * r00 + s * s * r11 + 2.0 * c * s * r01
 
-        res_f0 = max(res_f0, abs(diluted_avg_fidelity(n)
-                                 - bloch_average(diluted_integrand, quad)))
-        res_overlap = max(res_overlap, abs(
+        res_f0.append(abs(diluted_avg_fidelity(n)
+                          - bloch_average(diluted_integrand, quad)))
+        res_overlap.append(abs(
             measurement.dilution_overlap(n)
             - bloch_average(lambda th, ph, n=n: _overlap_sq(th, n), quad)))
-        res_f1 = max(res_f1, abs(
+        res_f1.append(abs(
             measurement.measurement_avg_fidelity(n)
             - bloch_average(lambda th, ph, n=n: (1.0 + _overlap_sq(th, n)) / 3.0,
                             quad)))
@@ -183,13 +252,13 @@ def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
             for f in (lambda th: np.cos(th / 2.0) ** 4,
                       lambda th: np.sin(th / 2.0) ** 4,
                       lambda th: np.sin(th / 2.0) ** 2 * np.cos(th / 2.0) ** 2)]
-        res_moments = max(res_moments, float(np.max(np.abs(
-            np.array(devices.moment_integrals(n)) - np.array(quads)))))
+        res_moments.extend(np.abs(np.array(devices.moment_integrals(n))
+                                  - np.array(quads)))
 
-    return [_check("oracle-diluted-average", res_f0, 1e-9),
-            _check("oracle-dilution-overlap", res_overlap, 1e-9),
-            _check("oracle-measurement-average", res_f1, 1e-9),
-            _check("oracle-moment-integrals", res_moments, 1e-10)]
+    return [_check("oracle-diluted-average", _worst(res_f0), 1e-9),
+            _check("oracle-dilution-overlap", _worst(res_overlap), 1e-9),
+            _check("oracle-measurement-average", _worst(res_f1), 1e-9),
+            _check("oracle-moment-integrals", _worst(res_moments), 1e-10)]
 
 
 def _check_device_average_oracle(quad: BlochQuadrature,
@@ -197,22 +266,22 @@ def _check_device_average_oracle(quad: BlochQuadrature,
     """Closed-form device average against quadrature, for 5 transforms per
     N drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for n in (2, 3, 5, 10, 25):
         for _ in range(5):
             t = devices.random_transform(n, rng)
             closed = devices.device_avg_fidelity(t)
             via_quad = bloch_average(
                 lambda th, ph: devices.pointwise_fidelity(t, th, ph), quad)
-            worst = max(worst, abs(closed - via_quad))
-    return [_check("oracle-device-average", worst, 1e-9)]
+            residuals.append(abs(closed - via_quad))
+    return [_check("oracle-device-average", _worst(residuals), 1e-9)]
 
 
 def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
     """Closed-form pointwise fidelity against the density-matrix route, for
     200 (N, transform, angle) samples drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for _ in range(200):
         n = int(rng.integers(1, 11))
         t = devices.random_transform(n, rng)
@@ -222,13 +291,13 @@ def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
         psi = PureQubit.from_angles(th, ph)
         _, rho = devices.apply_transform(t, symmetric_state(psi, n))
         direct = fidelity_pure(psi, rho)
-        worst = max(worst, abs(closed - direct))
-    return [_check("pointwise-closed-vs-direct", worst, 1e-11)]
+        residuals.append(abs(closed - direct))
+    return [_check("pointwise-closed-vs-direct", _worst(residuals), 1e-11)]
 
 
 def _check_covariance() -> list[CheckResult]:
-    worst = max(devices.covariance_spread(devices.universal_disentangler(n))
-                for n in (2, 5, 10))
+    worst = _worst(devices.covariance_spread(devices.universal_disentangler(n))
+                   for n in (2, 5, 10))
     swap_spread = devices.covariance_spread(devices.swap_disentangler(2))
     return [_check("universal-covariance-spread", worst, 1e-12),
             CheckResult("swap-state-dependence", bool(swap_spread > 0.01),
@@ -237,8 +306,8 @@ def _check_covariance() -> list[CheckResult]:
 
 def _check_unitary_images() -> list[CheckResult]:
     """Unitarity residuals of the covariant device for N = 1..50."""
-    worst = max(max(devices.unitarity_residuals(devices.universal_disentangler(n)))
-                for n in range(1, 51))
+    worst = _worst(r for n in range(1, 51)
+                   for r in devices.unitarity_residuals(devices.universal_disentangler(n)))
     return [_check("unitary-images-n-le-50", worst, 1e-12)]
 
 
@@ -254,7 +323,7 @@ def _check_cascade_action() -> list[CheckResult]:
     cascade, bit for bit, for n = 1..12 and against its defining action for
     n = 2..12.  It is linear on the sector, so they cover every input."""
     mismatched = set()
-    worst = 0.0
+    residuals = []
     for n in range(1, 13):
         # each basis vector with the (c0, c1, last) of its image
         for v, image in ((DickeVector(n, 1.0, 0.0), (1.0, 0.0, 0)),
@@ -267,8 +336,8 @@ def _check_cascade_action() -> list[CheckResult]:
             if not np.array_equal(out.amps, gated.amps):
                 mismatched.add(n)
             if n > 1:
-                worst = max(worst, float(np.max(np.abs(
-                    out.amps - _dicke_with_last(n, *image)))))
+                residuals.append(np.max(np.abs(out.amps - _dicke_with_last(n, *image))))
+    worst = _worst(residuals)
     gates = (f"differs from gate-by-gate at n={sorted(mismatched)}" if mismatched
              else "equals gate-by-gate")
     return [CheckResult("network-cascade-action", not mismatched and worst <= 1e-12,
@@ -281,7 +350,7 @@ def _check_network(seed: int, angles_per_n: int,
     drawn from default_rng(seed), and 10^5 shots at p = 1/4 sampled with
     `shot_seed` against a 3 sigma bound."""
     rng = np.random.default_rng(seed)
-    worst_fid = worst_prob = 0.0
+    res_fid, res_prob = [], []
     for n in range(2, 13):
         for _ in range(angles_per_n):
             psi = PureQubit(float(rng.uniform(0.0, np.pi)),
@@ -289,23 +358,22 @@ def _check_network(seed: int, angles_per_n: int,
             out = network.run_cascade(psi, n)
             dec = network.decompose(out, n)
             fid = abs(np.vdot(psi.amplitudes(), dec.recovered.amplitudes())) ** 2
-            worst_fid = max(worst_fid, abs(fid - 1.0))
-            worst_prob = max(worst_prob, abs(
-                abs(dec.amp_plus_psi) ** 2
-                - network.success_probability(psi.theta, n)))
+            res_fid.append(abs(fid - 1.0))
+            res_prob.append(abs(abs(dec.amp_plus_psi) ** 2
+                                - network.success_probability(psi.theta, n)))
     counts = network.sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, shot_seed)
     p = 0.25
     sigma = np.sqrt(p * (1 - p) / 10 ** 5)
     dev = abs(counts.plus / 10 ** 5 - p)
-    return [_check("network-postselect-fidelity", worst_fid, 1e-12),
-            _check("network-success-probability", worst_prob, 1e-12),
+    return [_check("network-postselect-fidelity", _worst(res_fid), 1e-12),
+            _check("network-success-probability", _worst(res_prob), 1e-12),
             CheckResult("network-shot-sampling", bool(dev <= 3 * sigma),
                         f"|freq-p|={dev:.3e} (needs <= 3 sigma = {3 * sigma:.3e})")]
 
 
 def _check_bound_numeric(ns: tuple[int, ...]) -> list[CheckResult]:
-    worst = max(abs(measurement.optimal_measurement_bound_numeric(n)
-                    - measurement.optimal_measurement_bound(n)) for n in ns)
+    worst = _worst(abs(measurement.optimal_measurement_bound_numeric(n)
+                       - measurement.optimal_measurement_bound(n)) for n in ns)
     return [_check(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", worst, 1e-9)]
 
 
@@ -316,19 +384,19 @@ def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
     stops once the simplex values agree to `fatol` = 1e-13 with the points
     within `xatol` = 1e-8, so a converged restart sits within about 1e-13 of
     the optimum; the tolerance 1e-12 is 10x that."""
-    worst_avg = worst_uni = -np.inf
-    exceed = -np.inf
+    res_avg, res_uni, excess = [], [], []
     for n in (2, 3, 5, 10):
         target = measurement.dilution_overlap(n)
         target_u = devices.universal_coefficients(n)[0] ** 2
         for seed in seeds:
             _, val = devices.optimize_average(n, seed=seed)
-            worst_avg = max(worst_avg, abs(val - target))
             _, val_u = devices.optimize_universal(n, seed=seed)
-            worst_uni = max(worst_uni, abs(val_u - target_u))
-            exceed = max(exceed, val - target, val_u - target_u)
-    return [_check("optimizer-average-attains", worst_avg, 1e-12),
-            _check("optimizer-universal-attains", worst_uni, 1e-12),
+            res_avg.append(abs(val - target))
+            res_uni.append(abs(val_u - target_u))
+            excess += [val - target, val_u - target_u]
+    exceed = _worst(excess)
+    return [_check("optimizer-average-attains", _worst(res_avg), 1e-12),
+            _check("optimizer-universal-attains", _worst(res_uni), 1e-12),
             CheckResult("optimizer-never-exceeds", bool(exceed <= 1e-12),
                         f"max excess={exceed:.3e} (needs <= 1e-12)")]
 

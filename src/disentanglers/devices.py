@@ -88,10 +88,11 @@ def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
 
 
 def _check_unitary(t: DeviceTransform) -> np.ndarray:
-    """The Gram matrix of `t`, once its unitarity residuals pass."""
+    """The Gram matrix of `t`, once its unitarity residuals pass; a NaN
+    residual fails."""
     g = gram_summary(t)
     res = _gram_residuals(g)
-    if max(res) >= UNITARITY_TOL:
+    if not all(r < UNITARITY_TOL for r in res):
         raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
     return g
 
@@ -121,7 +122,9 @@ def pointwise_fidelity(t: DeviceTransform, theta, phi):
     """
     g = _check_unitary(t)
     th = np.asarray(theta, dtype=float)
-    phase = np.exp(1j * np.asarray(phi))
+    ph = np.asarray(phi, dtype=float)
+    _require(bool(np.all(np.isfinite(ph))), "phi not finite")
+    phase = np.exp(1j * ph)
     tbar = dilute_angle(th, t.n)
     qubit = np.broadcast_arrays(np.cos(th / 2.0), phase * np.sin(th / 2.0))
     diluted = np.broadcast_arrays(np.cos(tbar / 2.0), phase * np.sin(tbar / 2.0))
@@ -249,7 +252,7 @@ def _restart_search(family, n: int, dim: int, seed: int) -> tuple[DeviceTransfor
     """Nelder-Mead from `RESTARTS` seeded starts on the average fidelity of
     the Gram coordinates `family(count, p)`, p of length `dim`; the best
     optimum is built by `_device` and evaluated through `device_avg_fidelity`."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_count(seed, "seed", least=0))
     count = _float_count(n)
     moments = moment_integrals(n)
     results = [minimize(lambda p: -_avg_fidelity(count, moments, *_gram(*family(count, p))),

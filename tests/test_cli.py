@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import disentanglers
 from disentanglers import (
@@ -33,6 +35,23 @@ REPO = Path(__file__).resolve().parent.parent
 # and 3218, (N - 1)^3 at 208164 and 973086, gamma^2 at 1068 and 973086.
 # Fmax at 571 is a near-tie of its 12 printed digits.
 TRAP_ROWS = (571, 1061, 1068, 3218, 208164, 973086)
+
+# The row format `table` once wrote with "%" formatting; the reference that
+# `cli._table_bytes` must equal byte for byte.
+TABLE_ROW = "%d" + ",%.12g" * 5 + "\n"
+
+
+def reference_rows(ns, cols):
+    return "".join(TABLE_ROW % row for row in zip(ns.tolist(), *cols.tolist()))
+
+
+def kernel_fields(values):
+    """Each value as `cli._table_bytes` prints it, from rows of five copies."""
+    v = np.asarray(values, dtype=float)
+    text = cli._table_bytes(np.ones(v.size, dtype=np.int64), np.tile(v, (5, 1))).decode()
+    rows = [line.split(",") for line in text.splitlines()]
+    assert [row[:1] + row[2:] for row in rows] == [["1"] + row[1:2] * 4 for row in rows]
+    return [row[1] for row in rows]
 
 
 class TestFidelityRow:
@@ -163,6 +182,41 @@ class TestTableColumns:
         assert sorted(near_ties) == [(571, 2), (170481, 4), (848263, 4)]
 
 
+class TestTableKernel:
+    """`cli._table_bytes` against Python's correctly rounded formatter."""
+
+    @staticmethod
+    def assert_formats(values):
+        values = np.asarray(values, dtype=float).tolist()
+        assert kernel_fields(values) == [format(x, ".12g") for x in values]
+
+    def test_exact_ties_round_half_to_even(self):
+        # (2t+1) / 8192 times 10^12 is (2t+1) 5^12 / 2, halfway between two
+        # 12-digit outputs; these are all 2048 of them in [1/2, 1)
+        ties = (2 * np.arange(2048, 4096) + 1) / 8192
+        assert ties[0] == 0.5 + 1 / 8192 and ties[-1] == 1 - 1 / 8192
+        self.assert_formats(ties)
+
+    def test_edge_values(self):
+        edges = [0.5, 1.0, np.nextafter(1.0, 0.0), 1 - 4e-13, 1 - 6e-13]
+        assert kernel_fields(edges) == ["0.5", "1", "1", "1", "0.999999999999"]
+        self.assert_formats(edges)
+
+    def test_seeded_uniform_values(self):
+        self.assert_formats(np.random.default_rng(2026).uniform(0.5, 1.0, 10 ** 5))
+
+    @given(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=1, max_size=64))
+    def test_any_value_in_range(self, values):
+        self.assert_formats(values)
+
+    def test_rows_at_every_digit_width_of_n(self):
+        ns = np.array([1, *[10 ** k + d for k in range(1, 7) for d in (-1, 0)],
+                       *TRAP_ROWS])
+        assert ns.max() == cli.MAX_TABLE_N
+        cols = fidelity_columns(ns)
+        assert cli._table_bytes(ns, cols).decode() == reference_rows(ns, cols)
+
+
 class TestCmdTable:
     def test_n1_row_exact(self, tmp_path, capsys):
         assert cmd_table(1, 1, None) == 0
@@ -274,6 +328,35 @@ class TestCmdVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "verify: need an integer seed >= 0, got -3\n"
+
+    # each `devices` function replaced by a NaN version, with the checks it
+    # must fail
+    NAN_MUTANTS = {
+        "device_avg_fidelity": (lambda t: np.nan,
+                                ["oracle-device-average", "optimizer-average-attains",
+                                 "optimizer-universal-attains", "optimizer-never-exceeds"]),
+        "optimize_average": (lambda n, seed=0: (devices.swap_disentangler(n), np.nan),
+                             ["optimizer-average-attains", "optimizer-never-exceeds"]),
+        "optimize_universal": (lambda n, seed=0: (devices.universal_disentangler(n), np.nan),
+                               ["optimizer-universal-attains", "optimizer-never-exceeds"]),
+        # max() keeps 0.0 against a NaN that follows it
+        "unitarity_residuals": (lambda t: (0.0, 0.0, np.nan), ["unitary-images-n-le-50"]),
+    }
+
+    @pytest.mark.parametrize("name", NAN_MUTANTS)
+    def test_nan_fails_its_check(self, capsys, monkeypatch, name):
+        # a NaN residual reads as inf, never as a pass
+        mutant, failing = self.NAN_MUTANTS[name]
+        monkeypatch.setattr(devices, name, mutant)
+        assert cli.cmd_verify("full", 42) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == failing
+
+    def test_worst_is_inf_unless_all_finite(self):
+        assert cli._worst([0.0, 3e-16, 1e-17]) == 3e-16
+        assert cli._worst(x for x in [-2.0, -1.0]) == -1.0
+        for bad in ([np.nan, 1.0], [1.0, np.nan], [0.0, np.inf], [-np.inf]):
+            assert cli._worst(bad) == np.inf
 
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
         true_coeffs = devices.universal_coefficients

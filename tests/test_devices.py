@@ -70,6 +70,18 @@ class TestUnitarityResiduals:
             with pytest.raises(UnitarityError):
                 entry()
 
+    @pytest.mark.parametrize("vector", range(4))
+    def test_nan_entry_fails_the_guard(self, vector):
+        # a NaN residual compares false against any tolerance; it must fail
+        v = swap_disentangler(3).vectors()
+        v[vector, 1] = np.nan
+        t = DeviceTransform(3, *v)
+        for entry in (lambda: device_avg_fidelity(t),
+                      lambda: pointwise_fidelity(t, 1.0, 0.0),
+                      lambda: covariance_spread(t)):
+            with pytest.raises(UnitarityError):
+                entry()
+
 
 class TestApplyTransform:
     def test_universal_on_zero_excitation(self):
@@ -131,6 +143,15 @@ class TestPointwiseFidelity:
             _, rho = apply_transform(t, symmetric_state(psi, n))
             direct = fidelity_pure(psi, rho)
             assert abs(pointwise_fidelity(t, th, ph) - direct) < 1e-11
+
+    def test_non_finite_phi_raises(self):
+        t = universal_disentangler(3)
+        for phi in (np.inf, -np.inf, np.nan, np.array([0.5, np.inf])):
+            with pytest.raises(DomainError, match="phi not finite"):
+                pointwise_fidelity(t, 1.0, phi)
+        # any finite azimuth is a rotation, as before
+        assert pointwise_fidelity(t, 1.0, 7.0) == pytest.approx(
+            pointwise_fidelity(t, 1.0, 7.0 - 2 * np.pi), abs=1e-15)
 
 
 class TestUniversalCoefficients:
@@ -289,6 +310,12 @@ class TestOptimizeAverage:
         _, a = optimize_average(3, seed=11)
         _, b = optimize_average(3, seed=11)
         assert a == b
+
+    def test_seed_is_a_checked_count(self):
+        for search in (optimize_average, optimize_universal):
+            for seed, named in ((-1, "got -1"), (1.5, "got 1.5"), (True, "got True")):
+                with pytest.raises(DomainError, match=f"need an integer seed >= 0, {named}"):
+                    search(2, seed=seed)
 
     def test_restart_count_validated(self, monkeypatch):
         # both searches run exactly RESTARTS Nelder-Mead starts, and no caller
