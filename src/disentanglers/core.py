@@ -16,8 +16,6 @@ Conventions fixed throughout the package:
 from __future__ import annotations
 
 import importlib
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,16 +96,16 @@ def _closed_form(n, at_one: float, formula: Callable):
 
 
 def _libm_pow(x, p: float):
-    """x ** p through the C library's pow, element by element for arrays.
+    """x ** p through the C library's pow, for a scalar or each array entry.
 
-    numpy's SIMD power and square kernels round some values differently
-    from libm's pow, in the last bit.  The closed forms whose power is
-    inexact raise through this one function, so a scalar and an array
-    evaluation agree bit for bit, and so do the `table` bytes."""
-    if np.ndim(x) == 0:
-        return math.pow(x, p)
-    flat = map(math.pow, np.ravel(x).tolist(), itertools.repeat(p))
-    return np.fromiter(flat, float, np.size(x)).reshape(np.shape(x))
+    `np.float_power` applies libm's pow to every float64 element in C.
+    `np.power` would not do: its SIMD kernels, and its x*x path at p = 2,
+    round some values differently from pow in the last bit.  The closed
+    forms whose power is inexact raise through this one function, so a
+    scalar and an array evaluation agree bit for bit, and so do the
+    `table` bytes.  A scalar x gives a float."""
+    out = np.float_power(x, p)
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -349,7 +347,8 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def diluted_avg_fidelity(n):
     """Mean fidelity (N^2 - 1 - 2 ln N) / (2 (N-1)^2) between one qubit of the
     symmetric dilution and the original; 1 at N=1, 1/2 as N grows.  Takes a
-    count or an integer array of counts.  (N-1)^2 is a product, which rounds
-    alike for scalars and arrays, where a ** 2 would not (`_libm_pow`)."""
+    count or an integer array of counts.  (N-1)^2 is the product
+    (N-1)(N-1), one rounding for scalars and arrays alike; `a ** 2` would
+    call libm's pow for a float but x*x for an array (`_libm_pow`)."""
     return _closed_form(n, 1.0, lambda n: (n * n - 1.0 - 2.0 * np.log(n))
                         / (2.0 * (n - 1.0) * (n - 1.0)))

@@ -22,6 +22,7 @@ from .core import (
     DensityOperator,
     DickeVector,
     _float_count,
+    _libm_pow,
     _require,
     _require_count,
     _scipy_optimize,
@@ -211,7 +212,7 @@ def moment_integrals(n: int) -> tuple[float, float, float]:
     n = _float_count(n)
     if n == 1:
         return 2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
-    d = (n - 1.0) ** 3
+    d = _libm_pow(n - 1.0, 3.0)
     ln = np.log(n)
     m1 = (3.0 - 4.0 * n + n * n + 2.0 * ln) / d
     m2 = (-1.0 + 4.0 * n - 3.0 * n * n + 2.0 * n * n * ln) / d

@@ -1,5 +1,7 @@
 """State representations, dilution map, partial traces, and quadrature."""
 
+import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -28,6 +30,7 @@ from disentanglers.core import (
     MAX_CLOSED_FORM_N,
     MAX_STATEVECTOR_QUBITS,
     STATEVECTOR_NORM_TOL,
+    _libm_pow,
 )
 
 QUAD = BlochQuadrature()
@@ -341,6 +344,22 @@ class TestDilutedAvgFidelity:
         assert got == pytest.approx(diluted_avg_fidelity(n), abs=1e-9)
 
 
+class TestLibmPow:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_equals_math_pow_bit_for_bit(self, p):
+        # 10^5 doubles over the binades 2^-340 .. 2^340, where x^3 stays a
+        # normal double; numpy's power differs from libm's pow on about 4%
+        rng = np.random.default_rng(1907)
+        x = np.ldexp(rng.uniform(1.0, 2.0, 10 ** 5), rng.integers(-340, 340, 10 ** 5))
+        want = np.array([math.pow(v, p) for v in x.tolist()])
+        assert np.array_equal(_libm_pow(x, p), want)
+
+    def test_scalar_gives_float(self):
+        for x in (3.0, np.float64(3.0), np.array(3.0)):
+            got = _libm_pow(x, 2.0)
+            assert type(got) is float and got == 9.0
+
+
 def _count_entry_points():
     from disentanglers import (
         DeviceTransform,
@@ -461,6 +480,22 @@ class TestIntegerCount:
             assert np.all(np.isfinite(value)), name
             if name in fidelities:
                 assert 0.5 <= value <= 1.0, name
+
+    def test_powers_stay_finite_below_the_cap(self):
+        # an overflowing float_power gives inf and only a RuntimeWarning;
+        # the cap must keep (N-1)^3 and every other power finite
+        from disentanglers import (
+            dilution_overlap,
+            moment_integrals,
+            optimal_measurement_bound,
+        )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [dilution_overlap(MAX_CLOSED_FORM_N - 1),
+                      optimal_measurement_bound(MAX_CLOSED_FORM_N - 1),
+                      *moment_integrals(MAX_CLOSED_FORM_N - 1)]
+        assert all(type(v) is float and math.isfinite(v) for v in values)
 
     def test_reported_cases(self):
         from disentanglers import universal_coefficients

@@ -1,0 +1,76 @@
+"""Mutant catalogue: simple faults that `verify` must catch, and how.
+
+Each entry replaces one module attribute with a mutant built from the
+original function, runs `cmd_verify` at the cheapest level that catches it,
+and requires exit 1 with exactly the named checks among the FAIL lines.  An
+entry is never removed to let a change pass; a change that makes `verify`
+catch a survivor below adds it here.
+
+Survivors, the targets for later verify checks (none of these fails a line
+of `verify --level full --seed 42`):
+  * `measurement.averaged_estimator`, `measurement.estimator_output`,
+    `core.symmetric_marginal` and `core.reduced_qubit`, each returning I/2:
+    no verify check calls them.
+  * `core._libm_pow` replaced by `np.power`: the values move by an ulp,
+    far inside every tolerance; only the Tier-1 pins in
+    `tests/test_core.py::TestLibmPow` and the `table` digests catch it.
+"""
+
+import numpy as np
+import pytest
+
+from disentanglers import cli, devices, measurement, network
+
+
+def _scaled_gamma(coefficients):
+    def mutant(n):
+        gamma, delta = coefficients(n)
+        return gamma * np.sqrt(1.0 - 1e-8), delta
+    return mutant
+
+
+def _scaled_m3(moments):
+    def mutant(n):
+        m1, m2, m3 = moments(n)
+        return m1, m2, m3 * (1.0 + 1e-9)
+    return mutant
+
+
+# id: (module, attribute, mutant from the original, level, FAIL lines in order)
+CATALOGUE = {
+    "dilution_overlap+2e-10": (
+        measurement, "dilution_overlap", lambda f: lambda n: f(n) + 2e-10,
+        "fast", ["endpoint-values-n1"]),
+    "m3*(1+1e-9)": (
+        devices, "moment_integrals", _scaled_m3,
+        "fast", ["oracle-moment-integrals"]),
+    "gamma^2*(1-1e-8)": (
+        devices, "universal_coefficients", _scaled_gamma,
+        "fast", ["endpoint-values-n1"]),
+    "optimal_measurement_bound+1e-10": (
+        measurement, "optimal_measurement_bound", lambda f: lambda n: f(n) + 1e-10,
+        "fast", ["endpoint-values-n1"]),
+    "success_probability*(1+1e-11)": (
+        network, "success_probability",
+        lambda f: lambda theta, n: f(theta, n) * (1.0 + 1e-11),
+        "fast", ["network-success-probability"]),
+    "pointwise_fidelity-nan": (
+        devices, "pointwise_fidelity", lambda f: lambda t, th, ph: f(t, th, ph) * np.nan,
+        "fast", ["oracle-device-average", "pointwise-closed-vs-direct",
+                 "universal-covariance-spread", "swap-state-dependence"]),
+    "covariance_spread-nan": (
+        devices, "covariance_spread", lambda f: lambda t: f(t) * np.nan,
+        "fast", ["universal-covariance-spread", "swap-state-dependence"]),
+    "optimal_measurement_bound_numeric-nan": (
+        measurement, "optimal_measurement_bound_numeric", lambda f: lambda n: f(n) * np.nan,
+        "fast", ["measurement-bound-numeric-2"]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_verify_kills(capsys, monkeypatch, name):
+    module, attr, mutate, level, failing = CATALOGUE[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    assert cli.cmd_verify(level, 42) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == failing
