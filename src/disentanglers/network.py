@@ -116,8 +116,11 @@ def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float, f
 
     Both basis vectors live on the n rows of the (2^(n-1), 2) amplitude
     matrix that hold the zero- and one-excitation states of the leading
-    qubits, so only those rows are projected.  The residual is the norm of
-    one copy of the matrix with those rows replaced by their remainder, not
+    qubits, so only those rows are projected.  The residual adds the
+    squared norm of every row outside them, read in place gap by gap
+    (rows 2^k + 1 .. 2^(k+1) - 1, the last gap ending at the matrix's end),
+    to that of the projected remainder; nothing is copied, so rows that
+    the cascade never wrote are only read, never duplicated.  It is not
     sqrt(|m|^2 - |branches|^2), whose 1e-16 rounding reads as about 1e-8.
     The squared norm of the output is that residual's with the rows restored.
     """
@@ -129,9 +132,10 @@ def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float, f
     branch_plus = p.conj() @ block
     branch_minus = q.conj() @ block
     remainder = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
-    rest = m.copy()
-    rest[rows] = remainder
-    residual = float(np.linalg.norm(rest))
+    bounds = [*rows.tolist(), len(m)]
+    gaps = (m[lo + 1:hi] for lo, hi in zip(bounds, bounds[1:]))
+    residual_sq = sum(np.vdot(g, g).real for g in gaps) + np.vdot(remainder, remainder).real
+    residual = float(np.sqrt(residual_sq))
     norm_sq = residual ** 2 + float(np.sum(np.abs(block) ** 2 - np.abs(remainder) ** 2))
     return branch_plus, branch_minus, residual, norm_sq
 

@@ -64,6 +64,22 @@ CATALOGUE = {
     "optimal_measurement_bound_numeric-nan": (
         measurement, "optimal_measurement_bound_numeric", lambda f: lambda n: f(n) * np.nan,
         "fast", ["measurement-bound-numeric-2"]),
+    "device_avg_fidelity-nan": (
+        devices, "device_avg_fidelity", lambda f: lambda t: np.nan,
+        "full", ["oracle-device-average", "optimizer-average-attains",
+                 "optimizer-universal-attains", "optimizer-never-exceeds"]),
+    "optimize_average-nan": (
+        devices, "optimize_average",
+        lambda f: lambda n, seed=0: (devices.swap_disentangler(n), np.nan),
+        "full", ["optimizer-average-attains", "optimizer-never-exceeds"]),
+    "optimize_universal-nan": (
+        devices, "optimize_universal",
+        lambda f: lambda n, seed=0: (devices.universal_disentangler(n), np.nan),
+        "full", ["optimizer-universal-attains", "optimizer-never-exceeds"]),
+    # max() keeps 0.0 against a NaN that follows it
+    "unitarity_residuals-nan": (
+        devices, "unitarity_residuals", lambda f: lambda t: (0.0, 0.0, np.nan),
+        "full", ["unitary-images-n-le-50"]),
 }
 
 
