@@ -378,19 +378,22 @@ def _check_bound_numeric(ns: tuple[int, ...]) -> list[CheckResult]:
 
 
 def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
-    """Both restart searches at N = 2, 3, 5, 10 for every optimizer seed.
+    """Both restart searches at N = 2, 3, 5, 10 for every optimizer seed,
+    one batched search per family and seed over all four counts.
 
-    Error model: the objective is quadratic at both optima, and Nelder-Mead
-    stops once the simplex values agree to `fatol` = 1e-13 with the points
-    within `xatol` = 1e-8, so a converged restart sits within about 1e-13 of
-    the optimum; the tolerance 1e-12 is 10x that."""
+    Error model: the objective is quadratic at both optima, and the
+    in-house Nelder-Mead (`core._nelder_mead`) stops once the simplex values
+    agree to `fatol` = 1e-13 with the points within `xatol` = 1e-8, so a
+    converged restart sits within about 1e-13 of the optimum; the tolerance
+    1e-12 is 10x that."""
+    ns = (2, 3, 5, 10)
     res_avg, res_uni, excess = [], [], []
-    for n in (2, 3, 5, 10):
-        target = measurement.dilution_overlap(n)
-        target_u = devices.universal_coefficients(n)[0] ** 2
-        for seed in seeds:
-            _, val = devices.optimize_average(n, seed=seed)
-            _, val_u = devices.optimize_universal(n, seed=seed)
+    for seed in seeds:
+        found = zip(ns, devices.optimize_average(ns, seed=seed),
+                    devices.optimize_universal(ns, seed=seed))
+        for n, (_, val), (_, val_u) in found:
+            target = measurement.dilution_overlap(n)
+            target_u = devices.universal_coefficients(n)[0] ** 2
             res_avg.append(abs(val - target))
             res_uni.append(abs(val_u - target_u))
             excess += [val - target, val_u - target_u]

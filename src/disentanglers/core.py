@@ -1,4 +1,6 @@
-"""Qubit states, symmetric dilution, partial traces, and sphere quadrature.
+"""Qubit states, symmetric dilution, partial traces, sphere quadrature, and
+the two numpy searches the re-derivations use (a lockstep Nelder-Mead and a
+golden-section refine).
 
 A single qubit |psi(theta, phi)> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
 spread symmetrically over N qubits stays inside the two-dimensional span of
@@ -15,9 +17,8 @@ Conventions fixed throughout the package:
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,12 +77,138 @@ def _float_count(n):
     return float(n)
 
 
-def _scipy_optimize(name: str) -> Callable:
-    """`scipy.optimize.<name>`, imported on its first call: only the
-    numerical searches need scipy, so importing the package does not load it."""
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module("scipy.optimize"), name)(*args, **kwargs)
-    return call
+class NelderMead(NamedTuple):
+    """Per-row outcome of `_nelder_mead`: best point, its value, objective
+    evaluations, and whether the row met its stop rule within its budget."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: np.ndarray
+    converged: np.ndarray
+
+
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's vertices in ascending order of value, by argsort per row."""
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(fsim.shape[0])[:, None]
+    return sim[rows, order], fsim[rows, order]
+
+
+def _nelder_mead(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray,
+                 xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMead:
+    """Minimize from every row of x0 (shape (rows, dim)) by Nelder-Mead, all
+    rows in lockstep, each with its own simplex, counts and stop rule.
+
+    `fun(rows, x)` returns the objective of the rows with indices `rows` at
+    the points x (one per row), so rows may differ in more than their start.
+    Every rule is scipy's `minimize(method="Nelder-Mead")` without bounds or
+    adaptation (Nelder & Mead, Comput. J. 7, 308 (1965); Lagarias et al.,
+    SIAM J. Optim. 9, 112 (1998)): reflection 1, expansion 2, contraction
+    and shrink 1/2; a start simplex moving each coordinate by +5% (0.00025
+    if it is 0); vertices ordered by argsort; a row stops once its vertices
+    lie within `xatol` and their values within `fatol` of the best, or at
+    `maxiter` iterations or `maxfev` evaluations, where an evaluation past
+    the budget ends the step it falls in.  Given the same scalar objective
+    each row follows scipy's iterates bit for bit.  A step evaluates the
+    reflection of every row, then one more point per row: the expansion, or
+    the outside or inside contraction, whichever scipy would try next.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    rows, dim = x0.shape
+    sim = np.repeat(x0[:, None, :].astype(float), dim + 1, axis=1)
+    k = np.arange(dim)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((rows, dim + 1), np.inf)
+    nfev = np.zeros(rows, dtype=int)
+    iterations = np.ones(rows, dtype=int)
+    met = np.zeros(rows, dtype=bool)
+
+    def evaluate(idx, want, points, live):
+        """Values of `fun` at points[i] for the i with want[i] and live[i],
+        rows idx[i]; a row whose budget is spent leaves `live` instead."""
+        i = np.flatnonzero(want & live)
+        spent = nfev[idx[i]] >= maxfev
+        live[i[spent]] = False
+        i = i[~spent]
+        nfev[idx[i]] += 1
+        out = np.zeros(idx.size)
+        if i.size:
+            out[i] = fun(idx[i], points[i])
+        return out
+
+    every = np.arange(rows)
+    live = np.ones(rows, dtype=bool)
+    for v in range(dim + 1):
+        fsim[:, v] = np.where(live, evaluate(every, live, sim[:, v], live), np.inf)
+    # scipy sorts the start simplex twice; argsort is not stable, so the
+    # second sort can swap tied vertices
+    for _ in range(2):
+        sim, fsim = _sorted_simplex(sim, fsim)
+
+    while True:
+        idx = np.flatnonzero(~met & (nfev < maxfev) & (iterations < maxiter))
+        s, f = sim[idx], fsim[idx]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=2).max(axis=1) <= xatol)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
+        met[idx[done]] = True
+        idx, s, f = idx[~done], s[~done], f[~done]
+        if not idx.size:
+            break
+        live = np.ones(idx.size, dtype=bool)
+        xbar = np.add.reduce(s[:, :-1], 1) / dim
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = evaluate(idx, live, xr, live)
+        expand = live & (fxr < f[:, 0])
+        contract = live & ~expand & ~(fxr < f[:, -2])
+        outside = contract & (fxr < f[:, -1])
+        inside = contract & ~outside
+        xe = (1 + rho * chi) * xbar - rho * chi * worst
+        xc = (1 + psi * rho) * xbar - psi * rho * worst
+        xcc = (1 - psi) * xbar + psi * worst
+        x2 = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
+        fx2 = evaluate(idx, expand | contract, x2, live)
+        better = live & np.where(expand, fx2 < fxr,
+                                 np.where(outside, fx2 <= fxr, fx2 < f[:, -1]))
+        take2 = (expand | contract) & better
+        take_r = live & ~contract & ~take2
+        s[take2, -1], f[take2, -1] = x2[take2], fx2[take2]
+        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
+        shrink = contract & live & ~better
+        if shrink.any():
+            for v in range(1, dim + 1):
+                moved = shrink & live
+                s[moved, v] = s[moved, 0] + sigma * (s[moved, v] - s[moved, 0])
+                fv = evaluate(idx, moved, s[:, v], live)
+                f[moved & live, v] = fv[moved & live]
+        iterations[idx[live]] += 1
+        sim[idx], fsim[idx] = _sorted_simplex(s, f)
+
+    converged = (nfev < maxfev) & (iterations < maxiter)
+    return NelderMead(sim[:, 0], np.min(fsim, axis=1), nfev, converged)
+
+
+def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
+                    xatol: float) -> tuple[float, float, int]:
+    """Minimize the scalar `fun` on [lo, hi] by golden-section search until
+    the bracket is narrower than `xatol`; return the best point evaluated,
+    its value and the number of evaluations."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = fun(c), fun(d)
+    nfev = 2
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = fun(d)
+        nfev += 1
+    return (c, fc, nfev) if fc <= fd else (d, fd, nfev)
 
 
 def _closed_form(n, at_one: float, formula: Callable):

@@ -23,9 +23,9 @@ from .core import (
     DickeVector,
     _float_count,
     _libm_pow,
+    _nelder_mead,
     _require,
     _require_count,
-    _scipy_optimize,
     dilute_angle,
 )
 
@@ -34,8 +34,6 @@ MACHINE_DIM = 4
 UNITARITY_TOL = 1e-8
 
 RESTARTS = 8
-
-minimize = _scipy_optimize("minimize")
 
 
 class UnitarityError(ValueError):
@@ -147,25 +145,28 @@ def _device(n: int, eta1: float, eta4: float, w: float) -> DeviceTransform:
     return DeviceTransform(n, *v)
 
 
-def _gram(eta1: float, eta4: float, w: float) -> tuple[float, ...]:
+def _gram(eta1, eta4, w) -> tuple:
     """The Gram scalars that `_avg_fidelity` reads, of `_device(n, eta1, eta4, w)`
-    without building it: ||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>."""
-    return eta1, 1.0 - eta1, 1.0 - eta4, eta4, float(np.sqrt(eta1 * eta4) * w)
+    without building it: ||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>;
+    elementwise for arrays."""
+    return eta1, 1.0 - eta1, 1.0 - eta4, eta4, np.sqrt(eta1 * eta4) * w
 
 
-def _general(count: float, p: np.ndarray) -> tuple[float, float, float]:
+def _general(count, p) -> tuple:
     """General family: (eta1, eta4, w) = (sin^2 a, sin^2 b, cos c) for
-    p = (a, b, c), onto [0, 1]^2 x [-1, 1]; the count is not read."""
-    a, b, c = p
-    return float(np.sin(a) ** 2), float(np.sin(b) ** 2), float(np.cos(c))
+    p = (a, b, c), onto [0, 1]^2 x [-1, 1], or for each row of an array p
+    of shape (rows, 3); the count is not read."""
+    a, b, c = np.asarray(p).T
+    return np.sin(a) ** 2, np.sin(b) ** 2, np.cos(c)
 
 
-def _covariant(count, p: np.ndarray) -> tuple:
-    """Covariant family: (g^2, g^2, cos(omega)) for p = (omega,), with
+def _covariant(count, p) -> tuple:
+    """Covariant family: (g^2, g^2, cos(omega)) for p = (omega,), or for
+    each row of an array p of shape (rows, 1), with
     g^2 = (N+1) / (2 (N+1 - sqrt(N) cos(omega))) at the float count N, or
     at each of an array of them; matched norms and this g^2 make the
     pointwise fidelity independent of the input."""
-    x = float(np.cos(p[0]))
+    x = np.cos(np.asarray(p)[..., 0])
     g2 = (count + 1.0) / (2.0 * (count + 1.0 - np.sqrt(count) * x))
     return g2, g2, x
 
@@ -249,31 +250,51 @@ def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
                            q[:MACHINE_DIM, 1], q[MACHINE_DIM:, 1])
 
 
-def _restart_search(family, n: int, dim: int, seed: int) -> tuple[DeviceTransform, float]:
-    """Nelder-Mead from `RESTARTS` seeded starts on the average fidelity of
-    the Gram coordinates `family(count, p)`, p of length `dim`; the best
-    optimum is built by `_device` and evaluated through `device_avg_fidelity`."""
-    rng = np.random.default_rng(_require_count(seed, "seed", least=0))
-    count = _float_count(n)
-    moments = moment_integrals(n)
-    results = [minimize(lambda p: -_avg_fidelity(count, moments, *_gram(*family(count, p))),
-                        rng.uniform(0.0, np.pi, size=dim), method="Nelder-Mead",
-                        options={"xatol": 1e-8, "fatol": 1e-13,
-                                 "maxfev": 4000, "maxiter": 4000})
-               for _ in range(RESTARTS)]
-    if not any(res.success for res in results):
-        raise OptimizationError(f"none of {RESTARTS} device-search restarts converged")
-    best = min(results, key=lambda res: res.fun)
-    if not np.isfinite(best.fun):
-        raise OptimizationError("device search produced no feasible optimum")
-    best_t = _device(n, *family(count, best.x))
-    return best_t, device_avg_fidelity(best_t)
+def _restart_search(family, n, dim: int, seed: int):
+    """Nelder-Mead from `RESTARTS` seeded starts per count on the average
+    fidelity of the Gram coordinates `family(count, p)`, p of length `dim`.
+
+    n is a count or a sequence of counts; every (count, restart) row moves
+    in one lockstep search, and each count gets the starts it would get
+    alone, the first RESTARTS draws of default_rng(seed).  Per count, the
+    best optimum is built by `_device` and evaluated through
+    `device_avg_fidelity`; OptimizationError names the first count none of
+    whose restarts converged.  Returns the (device, value) pair for a
+    count, a list of them for a sequence."""
+    seed = _require_count(seed, "seed", least=0)
+    ns = [n] if np.ndim(n) == 0 else list(n)
+    _require(np.ndim(n) <= 1 and len(ns) > 0,
+             f"need a count or a nonempty sequence of counts, got {n!r}")
+    counts = np.repeat([_float_count(k) for k in ns], RESTARTS)
+    moments = np.repeat([moment_integrals(k) for k in ns], RESTARTS, axis=0).T
+    draws = np.random.default_rng(seed).uniform(0.0, np.pi, (RESTARTS, dim))
+    starts = np.tile(draws, (len(ns), 1))
+
+    def objective(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+        count = counts[rows]
+        return -_avg_fidelity(count, moments[:, rows], *_gram(*family(count, p)))
+
+    res = _nelder_mead(objective, starts, xatol=1e-8, fatol=1e-13,
+                       maxiter=4000, maxfev=4000)
+    found = []
+    for i, k in enumerate(ns):
+        rows = range(i * RESTARTS, (i + 1) * RESTARTS)
+        if not res.converged[rows].any():
+            raise OptimizationError(
+                f"none of {RESTARTS} device-search restarts converged at n={k}")
+        best = min(rows, key=res.fun.__getitem__)
+        if not np.isfinite(res.fun[best]):
+            raise OptimizationError(f"device search produced no feasible optimum at n={k}")
+        t = _device(k, *family(counts[best], res.x[best]))
+        found.append((t, device_avg_fidelity(t)))
+    return found if np.ndim(n) else found[0]
 
 
-def optimize_average(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
+def optimize_average(n, seed: int = 0):
     """Maximize the sphere-averaged fidelity over all unitarity-constrained
-    devices.  The optimum is the state-swapping device.  Raises
-    OptimizationError when no restart converges.
+    devices, at a count or at each of a sequence of counts (one batched
+    search).  The optimum is the state-swapping device.  Raises
+    OptimizationError when no restart at a count converges.
 
     The average fidelity of a unitary device reads only ||D1||^2, ||D4||^2
     (||D2||^2 and ||D3||^2 are their complements) and Re <D1|D4>, which obeys
@@ -282,8 +303,9 @@ def optimize_average(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
     return _restart_search(_general, n, 3, seed)
 
 
-def optimize_universal(n: int, seed: int = 0) -> tuple[DeviceTransform, float]:
-    """Maximize the (constant) fidelity over covariant devices.  The optimum
-    is the universal disentangler with gamma^2 fidelity.  Raises
-    OptimizationError when no restart converges."""
+def optimize_universal(n, seed: int = 0):
+    """Maximize the (constant) fidelity over covariant devices, at a count or
+    at each of a sequence of counts (one batched search).  The optimum is
+    the universal disentangler with gamma^2 fidelity.  Raises
+    OptimizationError when no restart at a count converges."""
     return _restart_search(_covariant, n, 1, seed)

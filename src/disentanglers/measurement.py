@@ -21,13 +21,11 @@ from .core import (
     DensityOperator,
     DickeVector,
     _closed_form,
+    _golden_section,
     _libm_pow,
     _require,
-    _scipy_optimize,
     dilute_angle,
 )
-
-minimize_scalar = _scipy_optimize("minimize_scalar")
 
 
 def _projector_amplitudes(theta_p, phi_p):
@@ -193,9 +191,13 @@ def optimal_measurement_bound_numeric(n: int) -> float:
     For each apparatus polar angle both branch suprema over the re-prepared
     qubit are taken exactly from the input ensemble's weighted Bloch vectors
     (`_branch_supremum`); their sum is then maximized numerically over that
-    angle, on a 64-point grid refined by a bounded scalar search.  The inputs
-    are averaged with the default 64x64 `BlochQuadrature`, and the apparatus
-    azimuth is fixed at zero: the ensemble is azimuthally covariant.
+    angle, on a 64-point grid whose best node's two neighbours bracket a
+    golden-section search (`core._golden_section`) to a width of 1e-6.  The
+    refine is needed: for N >= 2 the maximum lies at pi/2, between two grid
+    nodes, and the grid alone falls short by 1e-6 (N = 2) to 1e-5.  The
+    inputs are averaged with the default 64x64 `BlochQuadrature`, and the
+    apparatus azimuth is fixed at zero: the ensemble is azimuthally
+    covariant.
     """
     t = _ensemble_tables(n, BlochQuadrature())
 
@@ -208,7 +210,6 @@ def optimal_measurement_bound_numeric(n: int) -> float:
     best = coarse[k]
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     if hi > lo:
-        res = minimize_scalar(lambda tm: -h_sum(tm), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-6})
-        best = max(best, float(-res.fun))
+        _, low, _ = _golden_section(lambda tm: -h_sum(tm), lo, hi, 1e-6)
+        best = max(best, -low)
     return best

@@ -19,6 +19,7 @@ import disentanglers
 from disentanglers import (
     DomainError,
     cli,
+    core,
     devices,
     diluted_avg_fidelity,
     dilution_overlap,
@@ -432,20 +433,22 @@ class TestMain:
 
 
 class TestScipyOnDemand:
-    """Only the searches import scipy; `table` and `network` run on numpy."""
+    """No command loads scipy: both searches run on numpy, and scipy is only
+    the tests' oracle for them."""
 
     SCRIPT = """
 import contextlib, io, json, sys
 from disentanglers import cli
 codes = [cli.main(["table", "--n-min", "1", "--n-max", "50", "--output", sys.argv[1]]),
          cli.main(["network", "--theta", "1.1", "--n", "12", "--shots", "1000"])]
-loaded = "scipy" in sys.modules
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes.append(cli.main(["verify", "--level", "fast"]))
-print(json.dumps({"codes": codes, "scipy_before_verify": loaded,
-                  "scipy_after_verify": "scipy.optimize" in sys.modules,
-                  "verify": out.getvalue().splitlines()}))
+verify = {}
+for level in ("fast", "full"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(["verify", "--level", level]))
+    verify[level] = out.getvalue().splitlines()
+print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules,
+                  "verify": verify}))
 """
 
     def test_table_and_network_never_load_scipy(self, tmp_path):
@@ -455,20 +458,23 @@ print(json.dumps({"codes": codes, "scipy_before_verify": loaded,
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=300, check=True)
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0, 0, 0]
-        assert report["scipy_before_verify"] is False
-        assert report["scipy_after_verify"] is True
-        *lines, total = report["verify"]
-        assert lines and all(line.startswith("PASS") for line in lines)
-        assert total == f"{len(lines)}/{len(lines)} checks passed"
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["scipy_loaded"] is False
+        for level in ("fast", "full"):
+            *lines, total = report["verify"][level]
+            assert lines and all(line.startswith("PASS") for line in lines)
+            assert total == f"{len(lines)}/{len(lines)} checks passed"
 
     @pytest.mark.parametrize("module, own, other", [
         (devices, "minimize", "minimize_scalar"),
         (measurement, "minimize_scalar", "minimize"),
     ])
     def test_each_search_module_binds_only_its_own_optimizer(self, module, own, other):
-        assert callable(getattr(module, own))
-        for name in ("no_such_name", other):
+        # neither scipy optimizer a module once bound is left; its search
+        # calls the numpy routine it imports from `core`
+        routine = {devices: "_nelder_mead", measurement: "_golden_section"}[module]
+        assert getattr(module, routine) is getattr(core, routine)
+        for name in ("no_such_name", own, other):
             with pytest.raises(AttributeError):
                 getattr(module, name)
             assert not hasattr(module, name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from disentanglers import devices
+from disentanglers import core, devices
 from disentanglers import (
     BlochQuadrature,
     DeviceTransform,
@@ -274,19 +274,56 @@ class TestFamilyObjectives:
         assert g[0, 3].real == pytest.approx(np.sqrt(eta1 * eta4) * w, abs=1e-15)
         assert max(unitarity_residuals(t)) <= 1e-15
 
+    def test_array_objective_matches_scalar_rows(self):
+        # the searches evaluate each family on many rows at once, with a count
+        # per row; every row agrees with its scalar evaluation
+        rng = np.random.default_rng(17)
+        counts = rng.integers(1, 30, size=200).astype(float)
+        for family, dim in ((devices._general, 3), (devices._covariant, 1)):
+            p = rng.uniform(-4 * np.pi, 4 * np.pi, size=(counts.size, dim))
+            rows = np.stack(family(counts, p))
+            for i, count in enumerate(counts):
+                assert rows[:, i] == pytest.approx(family(count, p[i]), rel=0, abs=1e-15)
+
     def test_no_converged_restart_raises(self, monkeypatch):
-        real = devices.minimize
+        # a budget of 10 evaluations meets no stop rule
+        runs = starved(monkeypatch, 10)
+        for search in (optimize_average, optimize_universal):
+            with pytest.raises(OptimizationError, match="converged at n=2"):
+                search(2, seed=0)
+        assert [r.nfev.tolist() for r in runs] == [[10] * devices.RESTARTS] * 2
+        assert not any(r.converged.any() for r in runs)
 
-        def unconverged(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.success = False
-            return res
+    @pytest.mark.parametrize("ns", [(1, 10 ** 6), (10 ** 6, 1)])
+    def test_a_converged_count_hides_no_failed_one(self, monkeypatch, ns):
+        # at seed 1 every covariant restart at N = 1 meets the stop rule in
+        # fewer evaluations than any at N = 10^6; a budget between them
+        # starves N = 10^6 alone, and the batch raises for it
+        runs = starved(monkeypatch, 4000)
+        optimize_universal((1, 10 ** 6), seed=1)
+        need = runs[0].nfev.reshape(2, -1)
+        budget = need[0].max() + 1
+        assert budget <= need[1].min()
+        runs = starved(monkeypatch, budget)
+        with pytest.raises(OptimizationError, match="converged at n=1000000"):
+            optimize_universal(ns, seed=1)
+        converged = dict(zip(ns, runs[0].converged.reshape(2, -1)))
+        assert converged[1].all() and not converged[10 ** 6].any()
+        _, val = optimize_universal(1, seed=1)
+        assert val == pytest.approx(1.0, abs=1e-12)
 
-        monkeypatch.setattr(devices, "minimize", unconverged)
-        with pytest.raises(OptimizationError):
-            optimize_average(2, seed=0)
-        with pytest.raises(OptimizationError):
-            optimize_universal(2, seed=0)
+
+def starved(monkeypatch, maxfev):
+    """Run the device searches with an evaluation budget of `maxfev` per
+    restart; return the list that collects the routine's results."""
+    real, runs = core._nelder_mead, []
+
+    def search(fun, x0, **kwargs):
+        runs.append(real(fun, x0, **{**kwargs, "maxfev": maxfev}))
+        return runs[-1]
+
+    monkeypatch.setattr(devices, "_nelder_mead", search)
+    return runs
 
 
 class TestOptimizeAverage:
@@ -318,21 +355,39 @@ class TestOptimizeAverage:
                     search(2, seed=seed)
 
     def test_restart_count_validated(self, monkeypatch):
-        # both searches run exactly RESTARTS Nelder-Mead starts, and no caller
-        # can ask for fewer; they search 3 and 1 Gram coordinates
-        real = devices.minimize
-        dims = []
+        # both searches run exactly RESTARTS starts per count, in one call, and
+        # no caller can ask for fewer; each count draws its starts from a fresh
+        # default_rng(seed), and they search 3 and 1 Gram coordinates
+        real = devices._nelder_mead
+        starts = []
 
-        def counted(fun, x0, **kwargs):
-            dims.append(len(x0))
+        def recorded(fun, x0, **kwargs):
+            starts.append(x0)
             return real(fun, x0, **kwargs)
 
-        monkeypatch.setattr(devices, "minimize", counted)
+        monkeypatch.setattr(devices, "_nelder_mead", recorded)
         assert devices.RESTARTS == 8
         for search, dim in ((optimize_average, 3), (optimize_universal, 1)):
-            dims.clear()
-            search(2, seed=0)
-            assert dims == [dim] * devices.RESTARTS
+            starts.clear()
+            search((2, 3, 5), seed=4)
+            rng = np.random.default_rng(4)
+            want = [rng.uniform(0.0, np.pi, size=dim) for _ in range(devices.RESTARTS)]
+            assert len(starts) == 1
+            assert starts[0].tolist() == np.concatenate([want] * 3).tolist()
+
+    def test_counts_batch_as_they_run_alone(self):
+        for search in (optimize_average, optimize_universal):
+            found = search([3, 1, np.int64(5)], seed=2)
+            assert [val for _, val in found] == [search(n, seed=2)[1] for n in (3, 1, 5)]
+            assert [t.n for t, _ in found] == [3, 1, 5]
+
+    @pytest.mark.parametrize("ns, named", [((), "nonempty sequence"),
+                                           ([[2, 3]], "nonempty sequence"),
+                                           ((2, 0), "got 0"), ((2, 1.5), "got 1.5")])
+    def test_count_sequence_is_checked(self, ns, named):
+        for search in (optimize_average, optimize_universal):
+            with pytest.raises(DomainError, match=named):
+                search(ns)
 
 
 class TestOptimizeUniversal:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from disentanglers import measurement
+from disentanglers import core, measurement
 from disentanglers import (
     BlochQuadrature,
     DickeVector,
@@ -236,20 +236,28 @@ class TestOptimalBound:
             got = optimal_measurement_bound_numeric(n)
             assert got == pytest.approx(optimal_measurement_bound(n), abs=1e-9)
 
-    def test_search_calls_module_minimize_scalar(self, monkeypatch):
-        # the search calls the module attribute, so rebinding it reaches the
-        # search even though scipy is imported only on the first call
-        real = measurement.minimize_scalar
-        methods = []
+    def test_search_calls_module_golden_section(self, monkeypatch):
+        # one refine on the grid bracket around the best node, to xatol 1e-6;
+        # at N = 2 the optimum pi/2 lies between nodes 31 and 32 of the 64
+        real = measurement._golden_section
+        calls = []
 
-        def counted(fun, **kwargs):
-            methods.append(kwargs["method"])
-            return real(fun, **kwargs)
+        def counted(fun, lo, hi, xatol):
+            calls.append((lo, hi, xatol))
+            return real(fun, lo, hi, xatol)
 
-        monkeypatch.setattr(measurement, "minimize_scalar", counted)
+        monkeypatch.setattr(measurement, "_golden_section", counted)
         got = optimal_measurement_bound_numeric(2)
-        assert methods == ["bounded"]
+        grid = np.linspace(0.0, np.pi, 64)
+        assert calls in ([(grid[30], grid[32], 1e-6)], [(grid[31], grid[33], 1e-6)])
         assert got == pytest.approx(optimal_measurement_bound(2), abs=1e-9)
+
+    def test_golden_section_brackets_the_minimum(self):
+        x, fx, nfev = core._golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-6)
+        assert abs(x - 0.3) < 1e-6
+        assert fx == (x - 0.3) ** 2
+        # each step keeps 0.618 of the bracket: 29 steps reach 1e-6 from 1
+        assert nfev == 2 + 29
 
     def test_numeric_dominates_projective(self):
         for n in (2, 5, 10):

@@ -29,6 +29,26 @@ def _scaled_gamma(coefficients):
     return mutant
 
 
+def _nan_search(build):
+    """A device search that returns `build(n)` valued NaN, at a count or at
+    each of a sequence of counts."""
+    def mutant(n, seed=0):
+        found = [(build(k), np.nan) for k in np.atleast_1d(n)]
+        return found if np.ndim(n) else found[0]
+    return mutant
+
+
+def _bracket_midpoint(refine):
+    """The refine skipped: the value at the bracket midpoint, the grid node."""
+    return lambda fun, lo, hi, xatol: ((lo + hi) / 2, fun((lo + hi) / 2), 1)
+
+
+def _loose_stop(search):
+    """The Nelder-Mead stop rule loosened to xatol = fatol = 1e-3."""
+    return lambda fun, x0, **options: search(fun, x0, **{**options, "xatol": 1e-3,
+                                                          "fatol": 1e-3})
+
+
 def _scaled_m3(moments):
     def mutant(n):
         m1, m2, m3 = moments(n)
@@ -69,17 +89,22 @@ CATALOGUE = {
         "full", ["oracle-device-average", "optimizer-average-attains",
                  "optimizer-universal-attains", "optimizer-never-exceeds"]),
     "optimize_average-nan": (
-        devices, "optimize_average",
-        lambda f: lambda n, seed=0: (devices.swap_disentangler(n), np.nan),
+        devices, "optimize_average", lambda f: _nan_search(devices.swap_disentangler),
         "full", ["optimizer-average-attains", "optimizer-never-exceeds"]),
     "optimize_universal-nan": (
         devices, "optimize_universal",
-        lambda f: lambda n, seed=0: (devices.universal_disentangler(n), np.nan),
+        lambda f: _nan_search(devices.universal_disentangler),
         "full", ["optimizer-universal-attains", "optimizer-never-exceeds"]),
     # max() keeps 0.0 against a NaN that follows it
     "unitarity_residuals-nan": (
         devices, "unitarity_residuals", lambda f: lambda t: (0.0, 0.0, np.nan),
         "full", ["unitary-images-n-le-50"]),
+    "bracket-refine-skipped": (
+        measurement, "_golden_section", _bracket_midpoint,
+        "fast", ["measurement-bound-numeric-2"]),
+    "search-stop-loosened": (
+        devices, "_nelder_mead", _loose_stop,
+        "full", ["optimizer-average-attains"]),
 }
 
 
