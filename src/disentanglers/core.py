@@ -1,6 +1,6 @@
 """Qubit states, symmetric dilution, partial traces, sphere quadrature, and
 the two numpy searches the re-derivations use (a lockstep Nelder-Mead and a
-golden-section refine).
+grid refine).
 
 A single qubit |psi(theta, phi)> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
 spread symmetrically over N qubits stays inside the two-dimensional span of
@@ -188,27 +188,22 @@ def _nelder_mead(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.nda
     return NelderMead(sim[:, 0], np.min(fsim, axis=1), nfev, converged)
 
 
-def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
-                    xatol: float) -> tuple[float, float, int]:
-    """Minimize the scalar `fun` on [lo, hi] by golden-section search until
-    the bracket is narrower than `xatol`; return the best point evaluated,
-    its value and the number of evaluations."""
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = fun(c), fun(d)
-    nfev = 2
-    while b - a > xatol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = fun(d)
-        nfev += 1
-    return (c, fc, nfev) if fc <= fd else (d, fd, nfev)
+def _grid_refine(fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                 nodes: int, xatol: float) -> float:
+    """Maximize the array function `fun` on [lo, hi]: evaluate it on `nodes`
+    equally spaced points, narrow [lo, hi] to the best node's neighbours,
+    and repeat until that bracket is at most `xatol` wide.  A pass keeps
+    2 / (nodes - 1) of the bracket, so nodes >= 4.  Returns the largest
+    value evaluated, NaN if a pass's best is NaN."""
+    best = -np.inf
+    while True:
+        x = np.linspace(lo, hi, nodes)
+        f = fun(x)
+        k = int(np.argmax(f))
+        best = np.maximum(best, f[k])
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, nodes - 1)]
+        if hi - lo <= xatol:
+            return float(best)
 
 
 def _closed_form(n, at_one: float, formula: Callable):
@@ -396,7 +391,8 @@ def dicke_to_statevector(v: DickeVector) -> FullStateVector:
 
 def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:
     """Partial trace down to qubit `which` (1-indexed, qubit 1 = top bit)."""
-    _require(1 <= which <= state.n, f"qubit index {which} outside 1..{state.n}")
+    which = _require_count(which, "qubit index")
+    _require(which <= state.n, f"qubit index {which} outside 1..{state.n}")
     tensor = state.amps.reshape((2,) * state.n)
     m = np.moveaxis(tensor, which - 1, 0).reshape(2, -1)
     return DensityOperator(m @ m.conj().T)
@@ -448,7 +444,8 @@ class BlochQuadrature:
     phi_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _require(self.n_theta >= 2 and self.n_phi >= 2, "need at least 2 nodes per axis")
+        for name in ("n_theta", "n_phi"):
+            object.__setattr__(self, name, _require_count(getattr(self, name), name, least=2))
         u, wu = np.polynomial.legendre.leggauss(self.n_theta)
         for name, arr in (("theta_nodes", np.arccos(u)),
                           ("theta_weights", wu / 2.0),

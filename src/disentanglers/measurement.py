@@ -21,9 +21,10 @@ from .core import (
     DensityOperator,
     DickeVector,
     _closed_form,
-    _golden_section,
+    _grid_refine,
     _libm_pow,
     _require,
+    _require_count,
     dilute_angle,
 )
 
@@ -117,30 +118,34 @@ def optimal_measurement_bound(n):
 
 def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
     """Input-ensemble factors shared by the strategy-integral evaluations, from
-    the diluted (cb, sb) and input (c, s) half angles of the polar nodes."""
+    the diluted (cb, sb) and input (c, s) half angles of the polar nodes.
+    The rows of "bloch_th" and "bloch_ph" are the theta and phi factors of
+    the components 1, x, y, z of the inputs' Bloch vectors."""
     tbar = dilute_angle(quad.theta_nodes, n)
     cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
     c, s = np.cos(quad.theta_nodes / 2.0), np.sin(quad.theta_nodes / 2.0)
+    cos_ph, sin_ph = np.cos(quad.phi_nodes), np.sin(quad.phi_nodes)
     return {
         "cb2": cb ** 2, "sb2": sb ** 2, "cbsb2": 2.0 * (cb * sb), "c": c, "s": s,
-        "sin_th": 2.0 * c * s, "cos_th": c ** 2 - s ** 2,
-        "cos_ph": np.cos(quad.phi_nodes), "sin_ph": np.sin(quad.phi_nodes),
+        "cos_ph": cos_ph, "sin_ph": sin_ph,
+        "bloch_th": np.stack([np.ones_like(c), 2.0 * c * s, 2.0 * c * s, c ** 2 - s ** 2]),
+        "bloch_ph": np.stack([np.ones_like(cos_ph), cos_ph, sin_ph, np.ones_like(cos_ph)]),
         "w": quad.grid()[2],
     }
 
 
-def _branch_weights(j: int, theta_meas: float, phi_meas: float,
-                    t: dict[str, np.ndarray]) -> np.ndarray:
-    """Quadrature weight times outcome-j probability |<xi_j|Psi>|^2 on the
-    input grid of the tables `t`, for the apparatus at (theta_meas, phi_meas).
-    With Psi = (cb, e^{i phi} sb) and xi_j = (x0, x1) that probability is
-    |x0|^2 cb^2 + |x1|^2 sb^2 + 2 cb sb Re(x0 conj(x1) e^{i phi})."""
-    _require(j in (0, 1), f"outcome index {j} not in {{0, 1}}")
-    x0, x1 = _projector_amplitudes(theta_meas, phi_meas)[j]
+def _branch_weights(theta_meas, phi_meas, t: dict[str, np.ndarray]):
+    """Factors (amp, re) of the outcome probabilities |<xi_j|Psi>|^2 =
+    amp[theta] + cbsb2[theta] re[phi] on the input grid of the tables `t`:
+    with Psi = (cb, e^{i phi} sb) and xi_j = (x0, x1) at the apparatus angles,
+    amp = |x0|^2 cb^2 + |x1|^2 sb^2 and re = Re(x0 conj(x1) e^{i phi}).
+    Axis 0 is the outcome j, then come the broadcast shape of the angles and
+    the input axis."""
+    x = np.array(_projector_amplitudes(theta_meas, phi_meas))[..., None]
+    x0, x1 = x[:, 0], x[:, 1]
     z = x0 * np.conj(x1)
-    amp = abs(x0) ** 2 * t["cb2"] + abs(x1) ** 2 * t["sb2"]
-    re_phase = z.real * t["cos_ph"] - z.imag * t["sin_ph"]
-    return t["w"] * (amp[:, None] + t["cbsb2"][:, None] * re_phase[None, :])
+    amp = np.abs(x0) ** 2 * t["cb2"] + np.abs(x1) ** 2 * t["sb2"]
+    return amp, z.real * t["cos_ph"] - z.imag * t["sin_ph"]
 
 
 def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
@@ -151,8 +156,11 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     ensemble, where xi_j sits at the apparatus orientation and eta is the
     re-prepared qubit.  The preparation angles may be arrays (broadcast).
     """
+    j = _require_count(j, "outcome index", least=0)
+    _require(j <= 1, f"outcome index {j} not in {{0, 1}}")
     t = _ensemble_tables(n, quad)
-    wp = _branch_weights(j, theta_meas, phi_meas, t)
+    amp, re = _branch_weights(theta_meas, phi_meas, t)
+    wp = t["w"] * (amp[j][:, None] + t["cbsb2"][:, None] * re[j][None, :])
 
     tp = np.asarray(theta_prep, dtype=float)
     pp = np.asarray(phi_prep, dtype=float)
@@ -168,8 +176,9 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     return vals.reshape(shape) if shape else float(vals[0])
 
 
-def _branch_supremum(j: int, theta_meas: float, t: dict[str, np.ndarray]) -> float:
-    """sup over preparation directions of one branch integral, exactly.
+def _branch_suprema(theta_meas, t: dict[str, np.ndarray]) -> np.ndarray:
+    """sup over preparation directions of both branch integrals, exactly, at
+    each apparatus polar angle; shape (2,) + shape of theta_meas.
 
     |<psi|eta>|^2 = (1 + r_psi . r_eta) / 2, so the branch integral equals
     (P + R . r_eta) / 2, with P = sum w p_j the weighted outcome probability
@@ -177,39 +186,28 @@ def _branch_supremum(j: int, theta_meas: float, t: dict[str, np.ndarray]) -> flo
     unit r_eta the supremum is (P + |R|) / 2, attained at r_eta = R / |R|
     (Massar & Popescu, PRL 74, 1259 (1995)).  The apparatus azimuth is fixed
     at zero.
+
+    Each factor of p_j (`_branch_weights`) and of the Bloch components meets
+    w on its own axis: no array spans apparatus angles and both input axes.
     """
-    wp = _branch_weights(j, theta_meas, 0.0, t)
-    by_phi = t["sin_th"] @ wp
-    big_r = np.array([by_phi @ t["cos_ph"], by_phi @ t["sin_ph"],
-                      t["cos_th"] @ wp.sum(axis=1)])
-    return 0.5 * (float(wp.sum()) + float(np.linalg.norm(big_r)))
+    amp, re = _branch_weights(theta_meas, 0.0, t)
+    f_th, f_ph, w = t["bloch_th"], t["bloch_ph"], t["w"]
+    moments = amp @ (f_th * (f_ph @ w.T)).T + re @ (f_ph * ((f_th * t["cbsb2"]) @ w)).T
+    return 0.5 * (moments[..., 0] + np.linalg.norm(moments[..., 1:], axis=-1))
 
 
 def optimal_measurement_bound_numeric(n: int) -> float:
     """Re-derive the measurement bound by an apparatus-angle search.
 
-    For each apparatus polar angle both branch suprema over the re-prepared
-    qubit are taken exactly from the input ensemble's weighted Bloch vectors
-    (`_branch_supremum`); their sum is then maximized numerically over that
-    angle, on a 64-point grid whose best node's two neighbours bracket a
-    golden-section search (`core._golden_section`) to a width of 1e-6.  The
-    refine is needed: for N >= 2 the maximum lies at pi/2, between two grid
-    nodes, and the grid alone falls short by 1e-6 (N = 2) to 1e-5.  The
-    inputs are averaged with the default 64x64 `BlochQuadrature`, and the
-    apparatus azimuth is fixed at zero: the ensemble is azimuthally
-    covariant.
+    Both branch suprema over the re-prepared qubit are exact
+    (`_branch_suprema`); their sum is maximized over the apparatus polar
+    angle by `core._grid_refine`, from a 64-node grid on [0, pi] down to a
+    bracket at most 1e-6 wide.  The refine is needed: for N >= 2 the
+    maximum lies at pi/2, between nodes of the first grid, which alone falls
+    short by 1e-6 (N = 2) to 1e-5.  The inputs are averaged with the default
+    64x64 `BlochQuadrature`, and the apparatus azimuth is fixed at zero: the
+    ensemble is azimuthally covariant.
     """
     t = _ensemble_tables(n, BlochQuadrature())
-
-    def h_sum(theta_meas: float) -> float:
-        return sum(_branch_supremum(j, theta_meas, t) for j in (0, 1))
-
-    grid = np.linspace(0.0, np.pi, 64)
-    coarse = [h_sum(tm) for tm in grid]
-    k = int(np.argmax(coarse))
-    best = coarse[k]
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    if hi > lo:
-        _, low, _ = _golden_section(lambda tm: -h_sum(tm), lo, hi, 1e-6)
-        best = max(best, -low)
-    return best
+    return _grid_refine(lambda tm: _branch_suprema(tm, t).sum(axis=0),
+                        0.0, np.pi, 64, 1e-6)

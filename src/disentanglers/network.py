@@ -54,8 +54,8 @@ class OutcomeDecomposition:
 def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVector:
     """C-NOT as an exact amplitude permutation (norm preserved bit-for-bit)."""
     n = state.n
-    _require(1 <= control <= n and 1 <= target <= n,
-             f"gate ({control},{target}) outside 1..{n}")
+    control, target = _require_count(control, "control"), _require_count(target, "target")
+    _require(control <= n and target <= n, f"gate ({control},{target}) outside 1..{n}")
     _require(control != target, "control equals target")
     idx = np.arange(2 ** n)
     cbit = (idx >> (n - control)) & 1

@@ -472,7 +472,7 @@ print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules,
     def test_each_search_module_binds_only_its_own_optimizer(self, module, own, other):
         # neither scipy optimizer a module once bound is left; its search
         # calls the numpy routine it imports from `core`
-        routine = {devices: "_nelder_mead", measurement: "_golden_section"}[module]
+        routine = {devices: "_nelder_mead", measurement: "_grid_refine"}[module]
         assert getattr(module, routine) is getattr(core, routine)
         for name in ("no_such_name", own, other):
             with pytest.raises(AttributeError):

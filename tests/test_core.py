@@ -506,6 +506,47 @@ class TestIntegerCount:
             dilute_angle(1.0, 2.5)
 
 
+def _index_entry_points():
+    from disentanglers import apply_cnot, strategy_integral
+
+    sv = dicke_to_statevector(DickeVector(3, 0.6, 0.8))
+    small = BlochQuadrature(4, 4)
+    # name: (entry point of the index, a valid index)
+    return {
+        "strategy_integral": (
+            lambda j: strategy_integral(j, 0.5, 0.0, 0.3, 0.0, 2, small), 1),
+        "apply_cnot-control": (lambda k: apply_cnot(sv, k, 3), 1),
+        "apply_cnot-target": (lambda k: apply_cnot(sv, 3, k), 1),
+        "reduced_qubit": (lambda k: reduced_qubit(sv, k), 1),
+        "BlochQuadrature-n_theta": (lambda k: BlochQuadrature(k, 3), 3),
+        "BlochQuadrature-n_phi": (lambda k: BlochQuadrature(3, k), 3),
+    }
+
+
+class TestIntegerIndex:
+    """An index or node count that is not an integer is a DomainError, as a
+    count is; bool is not an integer here."""
+
+    @pytest.mark.parametrize("name", sorted(_index_entry_points()))
+    def test_rejects_non_integers(self, name):
+        entry, good = _index_entry_points()[name]
+        for bad in (1.5, "1", True):
+            with pytest.raises(DomainError):
+                entry(bad)
+        entry(np.int64(good))
+
+    def test_outcome_index_range(self):
+        from disentanglers import strategy_integral
+
+        for bad in (-1, 2, np.int64(-1)):
+            with pytest.raises(DomainError, match="outcome index"):
+                strategy_integral(bad, 0.5, 0.0, 0.3, 0.0, 2, QUAD)
+
+    def test_node_counts_stay_python_ints(self):
+        q = BlochQuadrature(np.int64(3), np.uint8(4))
+        assert (type(q.n_theta), type(q.n_phi)) == (int, int)
+
+
 POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
 AZIMUTH = st.one_of(
     st.sampled_from([0.0, float(np.nextafter(2 * np.pi, 0.0)), -1e-17]),

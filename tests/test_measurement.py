@@ -1,5 +1,7 @@
 """Projective disentangling strategy and the optimal measurement bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,27 +239,49 @@ class TestOptimalBound:
             assert got == pytest.approx(optimal_measurement_bound(n), abs=1e-9)
 
     def test_search_calls_module_golden_section(self, monkeypatch):
-        # one refine on the grid bracket around the best node, to xatol 1e-6;
-        # at N = 2 the optimum pi/2 lies between nodes 31 and 32 of the 64
-        real = measurement._golden_section
+        # named for the golden-section refine `_grid_refine` replaced: one
+        # refine from the 64-node grid on [0, pi] down to a 1e-6 bracket
+        real = measurement._grid_refine
         calls = []
 
-        def counted(fun, lo, hi, xatol):
-            calls.append((lo, hi, xatol))
-            return real(fun, lo, hi, xatol)
+        def counted(fun, lo, hi, nodes, xatol):
+            calls.append((lo, hi, nodes, xatol))
+            return real(fun, lo, hi, nodes, xatol)
 
-        monkeypatch.setattr(measurement, "_golden_section", counted)
+        monkeypatch.setattr(measurement, "_grid_refine", counted)
         got = optimal_measurement_bound_numeric(2)
-        grid = np.linspace(0.0, np.pi, 64)
-        assert calls in ([(grid[30], grid[32], 1e-6)], [(grid[31], grid[33], 1e-6)])
+        assert calls == [(0.0, np.pi, 64, 1e-6)]
         assert got == pytest.approx(optimal_measurement_bound(2), abs=1e-9)
 
     def test_golden_section_brackets_the_minimum(self):
-        x, fx, nfev = core._golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-6)
-        assert abs(x - 0.3) < 1e-6
-        assert fx == (x - 0.3) ** 2
-        # each step keeps 0.618 of the bracket: 29 steps reach 1e-6 from 1
-        assert nfev == 2 + 29
+        # `_grid_refine`, under the golden-section test's name, on a toy
+        # peak at 0.3, between nodes of the first grid; each pass keeps
+        # 2/63 of the bracket, so five passes take 1 down to 1e-7.  The best
+        # value evaluated is the peak value at a node within 1e-6 of 0.3
+        seen = []
+
+        def peak(x):
+            seen.append(x)
+            return -(x - 0.3) ** 2
+
+        best = core._grid_refine(peak, 0.0, 1.0, 64, 1e-6)
+        assert len(seen) == 5 and all(x.shape == (64,) for x in seen)
+        nodes = np.concatenate(seen)
+        values = -(nodes - 0.3) ** 2
+        assert best == values.max()
+        assert abs(nodes[values.argmax()] - 0.3) < 1e-6
+
+    def test_grid_refine_keeps_nan(self):
+        # a NaN in the first pass stays the result, though later passes are finite
+        calls = []
+
+        def first_pass_nan(x):
+            calls.append(x)
+            f = -(x - 0.3) ** 2
+            return np.where(x == 0.5, np.nan, f) if len(calls) == 1 else f
+
+        assert np.isnan(core._grid_refine(first_pass_nan, 0.0, 1.0, 5, 1e-6))
+        assert len(calls) > 1
 
     def test_numeric_dominates_projective(self):
         for n in (2, 5, 10):
@@ -273,14 +297,15 @@ class TestOptimalBound:
         for n in (1, 3, 10):
             tables = measurement._ensemble_tables(n, QUAD)
             for tm in (0.0, 0.4, 1.2, np.pi / 2, 2.9):
-                for j in (0, 1):
-                    best = measurement._branch_supremum(j, tm, tables)
+                amp, re = measurement._branch_weights(tm, 0.0, tables)
+                for j, best in enumerate(measurement._branch_suprema(tm, tables)):
                     scan = max(float(np.max(strategy_integral(j, tgrid, p, tm, 0.0,
                                                               n, QUAD)))
                                for p in pgrid)
                     assert best >= scan - 1e-14
 
-                    wp = measurement._branch_weights(j, tm, 0.0, tables)
+                    wp = tables["w"] * (amp[j][:, None]
+                                        + tables["cbsb2"][:, None] * re[j][None, :])
                     big_r = [np.sum(wp * np.sin(th) * np.cos(ph)),
                              np.sum(wp * np.sin(th) * np.sin(ph)),
                              np.sum(wp * np.cos(th))]
@@ -289,6 +314,30 @@ class TestOptimalBound:
                     p_prep = float(np.arctan2(big_r[1], big_r[0]))
                     attained = strategy_integral(j, t_prep, p_prep, tm, 0.0, n, QUAD)
                     assert best == pytest.approx(attained, abs=1e-14)
+
+
+class TestBranchSuprema:
+    def test_array_matches_angle_by_angle(self):
+        tables = measurement._ensemble_tables(3, QUAD)
+        angles = np.linspace(0.0, np.pi, 64)
+        both = measurement._branch_suprema(angles, tables)
+        assert both.shape == (2, 64)
+        for k, tm in enumerate(angles):
+            one = measurement._branch_suprema(float(tm), tables)
+            assert one.shape == (2,)
+            assert np.max(np.abs(both[:, k] - one)) <= 1e-15
+
+    def test_search_memory_stays_small(self):
+        # the suprema contract the rank-2 weights factor by factor; a search
+        # that formed an (apparatus x theta x phi) array would peak at MiBs
+        optimal_measurement_bound_numeric(8)
+        tracemalloc.start()
+        try:
+            optimal_measurement_bound_numeric(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestSymmetricStateConsistency:

@@ -38,9 +38,9 @@ def _nan_search(build):
     return mutant
 
 
-def _bracket_midpoint(refine):
-    """The refine skipped: the value at the bracket midpoint, the grid node."""
-    return lambda fun, lo, hi, xatol: ((lo + hi) / 2, fun((lo + hi) / 2), 1)
+def _single_pass(refine):
+    """The refine skipped: one pass of the grid, stopped at its first bracket."""
+    return lambda fun, lo, hi, nodes, xatol: refine(fun, lo, hi, nodes, hi - lo)
 
 
 def _loose_stop(search):
@@ -100,7 +100,7 @@ CATALOGUE = {
         devices, "unitarity_residuals", lambda f: lambda t: (0.0, 0.0, np.nan),
         "full", ["unitary-images-n-le-50"]),
     "bracket-refine-skipped": (
-        measurement, "_golden_section", _bracket_midpoint,
+        measurement, "_grid_refine", _single_pass,
         "fast", ["measurement-bound-numeric-2"]),
     "search-stop-loosened": (
         devices, "_nelder_mead", _loose_stop,

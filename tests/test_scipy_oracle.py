@@ -4,8 +4,8 @@ scipy is a test dependency only (the `test` extra).  Given the same scalar
 objective and starts, `core._nelder_mead` must follow
 `scipy.optimize.minimize(method="Nelder-Mead")` bit for bit; the shipped
 array objective must reach scipy's best value per (N, seed) to 1e-15; and the
-golden-section refine of the measurement bound must reach the value that
-scipy's bounded `minimize_scalar` finds on the same bracket to 1e-15.
+grid refine of the measurement bound must reach the value that scipy's
+bounded `minimize_scalar` finds on the first grid's bracket to 1e-15.
 """
 
 import math
@@ -117,9 +117,9 @@ def test_spent_budget_follows_scipy(family):
 
 def scipy_bound(n):
     """The measurement-bound search refined by scipy's bounded Brent search
-    on the same grid, bracket and xatol."""
+    on the bracket of the first grid's best node, to the same xatol."""
     tables = measurement._ensemble_tables(n, BlochQuadrature())
-    h = lambda tm: sum(measurement._branch_supremum(j, tm, tables) for j in (0, 1))
+    h = lambda tm: float(measurement._branch_suprema(tm, tables).sum())
     grid = np.linspace(0.0, np.pi, 64)
     coarse = [h(tm) for tm in grid]
     k = int(np.argmax(coarse))
@@ -130,5 +130,5 @@ def scipy_bound(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 25, 100])
-def test_golden_refine_reaches_scipy_bounded(n):
+def test_grid_refine_reaches_scipy_bounded(n):
     assert abs(measurement.optimal_measurement_bound_numeric(n) - scipy_bound(n)) <= 1e-15
