@@ -15,6 +15,7 @@ from .core import (
     DomainError,
     FullStateVector,
     PureQubit,
+    SupportStateVector,
     bloch_average,
     dicke_to_statevector,
     dilute_angle,

@@ -329,7 +329,7 @@ def _check_cascade_action() -> list[CheckResult]:
         for v, image in ((DickeVector(n, 1.0, 0.0), (1.0, 0.0, 0)),
                          (DickeVector(n, 0.0, 1.0),
                           (1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1))):
-            out = network._cascade(v)
+            out = network._cascade(v).dense()
             gated = dicke_to_statevector(v)
             for control, target in network.cnot_cascade(n):
                 gated = network.apply_cnot(gated, control, target)
@@ -466,7 +466,7 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
         counts = network.sample_shots(psi, n, shots, seed)
         out = network.run_cascade(psi, n)
         recovered = (network.post_selected_state(out, n) if n >= 2
-                     else PureQubit.from_amplitudes(out.amps))
+                     else PureQubit.from_amplitudes(out.dense().amps))
     except (DomainError, CapacityError) as exc:
         print(f"network: {exc}", file=sys.stderr)
         return 2

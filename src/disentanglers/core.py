@@ -5,9 +5,11 @@ grid refine).
 A single qubit |psi(theta, phi)> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
 spread symmetrically over N qubits stays inside the two-dimensional span of
 the fully symmetric states with zero or one excitation, so most of the
-machinery here works with two complex amplitudes regardless of N.  Dense
-statevectors are only materialized where an honest brute-force cross-check
-(partial trace, gate network) is wanted.
+machinery here works with two complex amplitudes regardless of N.  A state
+with few nonzero amplitudes, such as the network's output, is a
+`SupportStateVector` of those rows; dense statevectors are only
+materialized where an honest brute-force cross-check (partial trace, gate
+network) is wanted.
 
 Conventions fixed throughout the package:
   * qubit 1 is the most significant bit of a statevector index,
@@ -332,6 +334,47 @@ class FullStateVector:
 
 
 @dataclass(frozen=True)
+class SupportStateVector:
+    """A 2^n statevector held as its support: the rows that may be nonzero,
+    strictly ascending, and their amplitudes; every other row is zero.
+
+    Rows are numbered as in `FullStateVector`, whose norm bound applies, and
+    n has the same cap, so `dense()` always exists.  A dense state is the
+    support over every row, np.arange(2^n).
+    """
+
+    n: int
+    rows: np.ndarray
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = _require_count(self.n)
+        _require(n <= MAX_STATEVECTOR_QUBITS,
+                 f"n={n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector cap",
+                 CapacityError)
+        # copies, so freezing them leaves the caller's arrays writable
+        rows = np.array(self.rows)
+        a = np.array(self.amps, dtype=complex)
+        _require(rows.dtype.kind in "iu" and rows.ndim == 1 and a.shape == rows.shape,
+                 "expected equally long 1-D integer rows and amplitudes")
+        norm = np.linalg.norm(a)
+        _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL, f"statevector norm {norm} != 1")
+        _require(bool(rows[0] >= 0 and rows[-1] < 2 ** n and (rows[1:] > rows[:-1]).all()),
+                 f"rows not strictly ascending in [0, 2^{n})")
+        rows.setflags(write=False)
+        a.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "amps", a)
+
+    def dense(self) -> FullStateVector:
+        """The 2^n amplitudes, for checks against the gate-level definition."""
+        amps = np.zeros(2 ** self.n, dtype=complex)
+        amps[self.rows] = self.amps
+        return FullStateVector(self.n, amps)
+
+
+@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix."""
 
@@ -380,13 +423,7 @@ def _dicke_support(v: DickeVector) -> tuple[np.ndarray, np.ndarray]:
 
 def dicke_to_statevector(v: DickeVector) -> FullStateVector:
     """Expand the two-amplitude symmetric state into a dense 2^n statevector."""
-    _require(v.n <= MAX_STATEVECTOR_QUBITS,
-             f"n={v.n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector cap",
-             CapacityError)
-    rows, vals = _dicke_support(v)
-    amps = np.zeros(2 ** v.n, dtype=complex)
-    amps[rows] = vals
-    return FullStateVector(v.n, amps)
+    return SupportStateVector(v.n, *_dicke_support(v)).dense()
 
 
 def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:

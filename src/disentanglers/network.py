@@ -5,6 +5,11 @@ Projecting the leading qubits onto a fixed vector afterwards either leaves
 the target in exactly the original qubit state (success) or in the reference
 state (failure); the success probability depends on the input orientation
 but the recovered state never deviates.
+
+The cascade's output has n+1 nonzero amplitudes, so it is carried as a
+`SupportStateVector` from the cascade through the projection; no 2^n array
+is formed.  `apply_cnot` is the gate-level definition on dense states that
+`verify` and the tests compare the cascade with.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .core import (
     DickeVector,
     FullStateVector,
     PureQubit,
+    SupportStateVector,
     _dicke_support,
     _float_count,
     _require,
@@ -25,6 +31,8 @@ from .core import (
     symmetric_state,
 )
 
+# The limit on n of `run_cascade` and so of the `network` command, whose exit
+# code at n = 21 it fixes; the support form itself would go further.
 MAX_CASCADE_QUBITS = 20
 
 
@@ -63,31 +71,30 @@ def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVe
     return FullStateVector(n, state.amps[perm])
 
 
-def _cascade(v: DickeVector) -> FullStateVector:
-    """The cascade on a symmetric input, written as its n+1 nonzero amplitudes.
+def _cascade(v: DickeVector) -> SupportStateVector:
+    """The cascade on a symmetric input, as the support of its output.
 
     The gates share the target (the last, least significant bit) and have
     distinct controls, so together they XOR the target with the parity of the
     control bits.  On the support of `v` that parity is 1 exactly at rows
     2, 4, ..., 2^(n-1), the single excitations on a control qubit, so each
-    of those amplitudes moves from row r to row r + 1 and the rest stay.
+    of those amplitudes moves from row r to row r + 1 and the rest stay;
+    the rows stay ascending.
     """
     rows, amps = _dicke_support(v)
-    out = np.zeros(2 ** v.n, dtype=complex)
-    out[rows ^ (rows > 1)] = amps
-    return FullStateVector(v.n, out)
+    return SupportStateVector(v.n, rows ^ (rows > 1), amps)
 
 
-def run_cascade(psi: PureQubit, n: int) -> FullStateVector:
+def run_cascade(psi: PureQubit, n: int) -> SupportStateVector:
     """Dilute `psi` into the symmetric n-qubit state and run the cascade.
 
-    Only the n+1 amplitudes of the symmetric sector are written, the same
-    amplitudes at the same rows as applying `apply_cnot` gate by gate over
-    `cnot_cascade(n)` to the dense input.  That gate-level definition, and
-    the defining action on the two sector basis vectors (the zero-excitation
-    input maps to (all blanks)|0>, the one-excitation input to
-    (sqrt(n-1) one-excitation + blanks)|1> / sqrt(n)), are checked by
-    `verify` and the tests, not on every call.
+    The output is the support of the n+1 amplitudes of the symmetric sector:
+    its `dense()` form has the same amplitudes at the same rows as applying
+    `apply_cnot` gate by gate over `cnot_cascade(n)` to the dense input.
+    That gate-level definition, and the defining action on the two sector
+    basis vectors (the zero-excitation input maps to (all blanks)|0>, the
+    one-excitation input to (sqrt(n-1) one-excitation + blanks)|1> /
+    sqrt(n)), are checked by `verify` and the tests, not on every call.
     """
     n = _require_count(n)
     _require(n <= MAX_CASCADE_QUBITS,
@@ -109,44 +116,50 @@ def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
             DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
 
 
-def _branches(output: FullStateVector) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project the output onto the two branches; returns the last-qubit
     vectors riding on each branch, the norm of what is left over, and the
     squared norm of the output.
 
     Both basis vectors live on the n rows of the (2^(n-1), 2) amplitude
     matrix that hold the zero- and one-excitation states of the leading
-    qubits, so only those rows are projected.  The residual adds the
-    squared norm of every row outside them, read in place gap by gap
-    (rows 2^k + 1 .. 2^(k+1) - 1, the last gap ending at the matrix's end),
-    to that of the projected remainder; nothing is copied, so rows that
-    the cascade never wrote are only read, never duplicated.  It is not
-    sqrt(|m|^2 - |branches|^2), whose 1e-16 rounding reads as about 1e-8.
-    The squared norm of the output is that residual's with the rows restored.
+    qubits.  An entry of the support at row r sits in matrix row r >> 1,
+    column r & 1: if that matrix row is one of the n, the entry goes into
+    the (n, 2) block that is projected, and otherwise its squared modulus
+    goes straight into the residual, together with that of the projected
+    remainder.  The residual is not sqrt(|m|^2 - |branches|^2), whose 1e-16
+    rounding reads as about 1e-8.  The squared norm of the output is that
+    residual's with the block restored.
     """
     plus, minus = postselect_basis(output.n)
-    rows, p = _dicke_support(plus)
+    basis, p = _dicke_support(plus)
     _, q = _dicke_support(minus)
-    m = output.amps.reshape(-1, 2)
-    block = m[rows]
+    pair = output.rows >> 1
+    k = np.searchsorted(basis, pair)
+    on = basis[np.minimum(k, len(basis) - 1)] == pair
+    block = np.zeros((len(basis), 2), dtype=complex)
+    block[k[on], output.rows[on] & 1] = output.amps[on]
+    off = output.amps[~on]
     branch_plus = p.conj() @ block
     branch_minus = q.conj() @ block
     remainder = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
-    bounds = [*rows.tolist(), len(m)]
-    gaps = (m[lo + 1:hi] for lo, hi in zip(bounds, bounds[1:]))
-    residual_sq = sum(np.vdot(g, g).real for g in gaps) + np.vdot(remainder, remainder).real
+    residual_sq = np.vdot(off, off).real + np.vdot(remainder, remainder).real
     residual = float(np.sqrt(residual_sq))
     norm_sq = residual ** 2 + float(np.sum(np.abs(block) ** 2 - np.abs(remainder) ** 2))
     return branch_plus, branch_minus, residual, norm_sq
 
 
-def decompose(output: FullStateVector, n: int) -> OutcomeDecomposition:
+def decompose(output: SupportStateVector, n: int) -> OutcomeDecomposition:
     """Resolve a network output into its success and failure branches.
 
     The one checked projection: the failure branch must carry the reference
     state on the last qubit, nothing may fall outside the two branches, and
     their weights must add up to the output's own squared norm (not to 1).
+    A dense state is decomposed as its support over every row.
     """
+    _require(isinstance(output, SupportStateVector),
+             "decompose takes a SupportStateVector; a dense state is the "
+             "support over every row, np.arange(2**n)")
     _require(output.n == n, "qubit count mismatch")
     branch_plus, branch_minus, residual, norm_sq = _branches(output)
     if residual > 1e-10:
@@ -173,7 +186,7 @@ def success_probability(theta: float, n: int) -> float:
     return float(1.0 / (n * c2 + (1.0 - c2)))
 
 
-def post_selected_state(output: FullStateVector, n: int) -> PureQubit:
+def post_selected_state(output: SupportStateVector, n: int) -> PureQubit:
     """Last-qubit state conditioned on the success branch, as checked by
     `decompose`; reproduces the original input exactly (up to global phase)."""
     return decompose(output, n).recovered

@@ -389,23 +389,30 @@ class TestCmdNetwork:
             assert captured.err.startswith("network: ")
             assert named in captured.err
 
+    # stdout of `network --theta 1.1 --phi 2.3 --shots 100000 --seed 7` at
+    # each n; a change that moves any printed digit, such as another way of
+    # sampling the shots, updates these
+    DIGESTS = {
+        1: "70bf40104e2a6fa8d89b05a63dbc5bd582381553278a985021c0f1fd88b1db8d",
+        2: "f2ec80062018ca3d35e02240e5c8acf22c2c8f37a20a53dc5297c6e8b1a76959",
+        12: "723ba46eedd6378cace304ff292ccbacb518a1ee58a10212747b9909c7405963",
+        17: "bc83fde8042c27cbbed92cc91394e61acb594587d158753fba61aa6e9df4e03c",
+        20: "179052ec4d63dc205477115235d10205770ea9837f36b04f2bdc772552d03587",
+    }
+
     def test_digests(self, capsys):
-        # stdout of one fixed run at each n; a change that moves any printed
-        # digit, such as another way of sampling the shots, updates these
-        for n, want in (
-                (1, "70bf40104e2a6fa8d89b05a63dbc5bd582381553278a985021c0f1fd88b1db8d"),
-                (2, "f2ec80062018ca3d35e02240e5c8acf22c2c8f37a20a53dc5297c6e8b1a76959"),
-                (12, "723ba46eedd6378cace304ff292ccbacb518a1ee58a10212747b9909c7405963"),
-                (17, "bc83fde8042c27cbbed92cc91394e61acb594587d158753fba61aa6e9df4e03c"),
-                (20, "179052ec4d63dc205477115235d10205770ea9837f36b04f2bdc772552d03587")):
+        for n, want in self.DIGESTS.items():
             assert main(["network", "--theta", "1.1", "--phi", "2.3", "--n", str(n),
                          "--shots", "100000", "--seed", "7"]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == want, n
 
-    def test_n20_holds_one_output(self, capsys):
-        # the whole network path at the cap, cascade and post-selection,
-        # allocates one 16 MiB output and no copy of it
+    def test_n20_allocates_only_the_shot_draws(self, capsys):
+        # at the cap the cascade and post-selection stay on the n+1 rows of
+        # the output; what remains is the 10^5 uniform draws and their
+        # comparison with p (0.90 MB measured).  A first call is made
+        # untraced: numpy's first use of its generator allocates once.
+        assert cmd_network(1.1, 2.3, 2, 10, 7) == 0
         tracemalloc.start()
         try:
             assert cmd_network(1.1, 2.3, 20, 10 ** 5, 7) == 0
@@ -413,7 +420,16 @@ class TestCmdNetwork:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak <= 1.1 * 16 * 2 ** 20
+        assert peak <= 2 ** 20
+
+    def test_n20_builds_no_dense_statevector(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a dense statevector was built")
+
+        monkeypatch.setattr(core.FullStateVector, "__post_init__", refuse)
+        assert cmd_network(1.1, 2.3, 20, 10 ** 5, 7) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[20]
 
 
 class TestMain:
@@ -509,7 +525,8 @@ class TestOptimizedInterpreter:
             "BlochQuadrature", "CapacityError", "DecompositionError",
             "DensityOperator", "DeviceTransform", "DickeVector", "DomainError",
             "FullStateVector", "OptimizationError", "OutcomeDecomposition",
-            "PureQubit", "ShotCounts", "UnitarityError", "apply_cnot",
+            "PureQubit", "ShotCounts", "SupportStateVector", "UnitarityError",
+            "apply_cnot",
             "apply_transform", "averaged_estimator", "bloch_average",
             "cnot_cascade", "core", "covariance_spread", "decompose",
             "device_avg_fidelity", "devices", "dicke_to_statevector",

@@ -17,6 +17,7 @@ from disentanglers import (
     DomainError,
     FullStateVector,
     PureQubit,
+    SupportStateVector,
     bloch_average,
     dicke_to_statevector,
     dilute_angle,
@@ -205,6 +206,49 @@ class TestFullStateVector:
         for n in (1, 8, 16):
             amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
             FullStateVector(n, amps / np.linalg.norm(amps))
+
+
+class TestSupportStateVector:
+    def test_dense_scatters_the_rows(self):
+        sv = SupportStateVector(3, np.array([1, 6]), np.array([0.6, 0.8j]))
+        assert np.array_equal(sv.dense().amps, [0, 0.6, 0, 0, 0, 0, 0.8j, 0])
+
+    def test_every_row_is_the_dense_state(self):
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        amps /= np.linalg.norm(amps)
+        assert np.array_equal(SupportStateVector(4, np.arange(16), amps).dense().amps, amps)
+
+    def test_dicke_expansion_is_its_support(self):
+        v = DickeVector(4, 0.6, 0.8)
+        sv = SupportStateVector(4, np.array([0, 1, 2, 4, 8]),
+                                np.array([0.6, *[0.4] * 4]))
+        assert np.array_equal(dicke_to_statevector(v).amps, sv.dense().amps)
+
+    @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [1, 8], [0.0, 1.0],
+                                      [[0, 1]], [0, 1, 2]],
+                             ids=["descending", "repeated", "negative", "past-2^n",
+                                  "float", "2-D", "longer-than-amps"])
+    def test_rejects_rows_that_are_not_a_support(self, rows):
+        with pytest.raises(DomainError):
+            SupportStateVector(3, np.array(rows), np.array([0.6, 0.8]))
+
+    def test_norm_and_capacity(self):
+        with pytest.raises(DomainError, match="norm"):
+            SupportStateVector(3, np.array([0, 1]), np.array([0.6, 0.8 + 1e-9]))
+        with pytest.raises(DomainError, match="norm"):
+            SupportStateVector(3, np.array([], dtype=int), np.array([]))
+        with pytest.raises(CapacityError):
+            SupportStateVector(MAX_STATEVECTOR_QUBITS + 1, np.array([0]), np.ones(1))
+
+    def test_read_only_copies(self):
+        rows, amps = np.array([0, 3]), np.array([0.6, 0.8j])
+        sv = SupportStateVector(2, rows, amps)
+        for arr in (sv.rows, sv.amps):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        rows[0], amps[0] = 1, 0.0
+        assert sv.rows[0] == 0 and sv.amps[0] == 0.6
 
 
 class TestReducedQubit:

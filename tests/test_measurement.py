@@ -1,6 +1,8 @@
 """Projective disentangling strategy and the optimal measurement bound."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,30 @@ class TestStrategyIntegral:
                 a = strategy_integral(j, tp, pp, tm, pm, 3, QUAD)
                 b = strategy_integral(j, tp, pp + shift, tm, pm + shift, 3, QUAD)
                 assert a == pytest.approx(b, abs=1e-13)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 0.0, np.nan, 0.0), "apparatus theta=nan"),
+        ((0.5, 0.0, 7.0, 0.0), "apparatus theta=7.0"),
+        ((0.5, 0.0, 0.3, np.inf), "apparatus phi=inf"),
+        ((0.5, 0.0, np.array([0.3, 0.4]), 0.0), "apparatus angles must be scalars"),
+        ((np.nan, 0.0, 0.3, 0.0), "preparation theta=nan"),
+        ((np.array([0.1, np.nan]), 0.0, 0.3, 0.0), "preparation theta="),
+        ((0.5, np.array([0.0, -np.inf]), 0.3, 0.0), "preparation phi="),
+    ], ids=["theta_meas-nan", "theta_meas-7", "phi_meas-inf", "theta_meas-array",
+            "theta_prep-nan", "theta_prep-array-nan", "phi_prep-array-inf"])
+    def test_rejects_angles_outside_their_ranges(self, args, message):
+        # a DomainError before any evaluation: no NaN, no value for an
+        # apparatus outside [0, pi], no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                strategy_integral(0, *args, 3, BlochQuadrature(8, 8))
+
+    def test_takes_every_finite_azimuth(self):
+        # the integral is 2 pi-periodic in both azimuths, which need not be
+        # reduced first
+        small = BlochQuadrature(8, 8)
+        assert np.isfinite(strategy_integral(1, 0.5, 9.0, 0.3, -4.0, 3, small))
 
     def test_vectorized_matches_scalar(self):
         grid = np.linspace(0, np.pi, 7)

@@ -19,7 +19,7 @@ of `verify --level full --seed 42`):
 import numpy as np
 import pytest
 
-from disentanglers import cli, devices, measurement, network
+from disentanglers import SupportStateVector, cli, devices, measurement, network
 
 
 def _scaled_gamma(coefficients):
@@ -47,6 +47,17 @@ def _loose_stop(search):
     """The Nelder-Mead stop rule loosened to xatol = fatol = 1e-3."""
     return lambda fun, x0, **options: search(fun, x0, **{**options, "xatol": 1e-3,
                                                           "fatol": 1e-3})
+
+
+def _first_gate_dropped(cascade):
+    """The cascade without its (1, n) gate: the single excitation on qubit 1,
+    at row 2^(n-1), keeps its row instead of moving to 2^(n-1) + 1."""
+    def mutant(v):
+        out = cascade(v)
+        rows = out.rows.copy()
+        rows[-1] = 2 ** (v.n - 1)
+        return SupportStateVector(v.n, rows, out.amps)
+    return mutant
 
 
 def _scaled_m3(moments):
@@ -102,6 +113,10 @@ CATALOGUE = {
     "bracket-refine-skipped": (
         measurement, "_grid_refine", _single_pass,
         "fast", ["measurement-bound-numeric-2"]),
+    # the network group raises DecompositionError, so it fails as one line
+    "cascade-first-gate-dropped": (
+        network, "_cascade", _first_gate_dropped,
+        "fast", ["network-cascade-action", "network"]),
     "search-stop-loosened": (
         devices, "_nelder_mead", _loose_stop,
         "full", ["optimizer-average-attains"]),

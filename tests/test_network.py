@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from disentanglers import (
@@ -14,6 +14,7 @@ from disentanglers import (
     DomainError,
     FullStateVector,
     PureQubit,
+    SupportStateVector,
     apply_cnot,
     cnot_cascade,
     decompose,
@@ -25,7 +26,7 @@ from disentanglers import (
     success_probability,
     symmetric_state,
 )
-from disentanglers import cli, network
+from disentanglers import network
 from disentanglers.cli import _dicke_with_last
 
 
@@ -36,6 +37,11 @@ def random_qubit(rng):
 def random_state(rng, n):
     amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return FullStateVector(n, amps / np.linalg.norm(amps))
+
+
+def every_row(n, amps):
+    """A dense state as the support over every row."""
+    return SupportStateVector(n, np.arange(2 ** n), amps)
 
 
 class TestApplyCnot:
@@ -91,44 +97,38 @@ class TestCascade:
                 gated = dicke_to_statevector(symmetric_state(psi, n))
                 for c, t in cnot_cascade(n):
                     gated = apply_cnot(gated, c, t)
-                assert np.array_equal(run_cascade(psi, n).amps, gated.amps)
+                assert np.array_equal(run_cascade(psi, n).dense().amps, gated.amps)
 
     def test_basis_action_up_to_cap(self):
         for n in range(2, 21):
-            out0 = run_cascade(PureQubit(0.0, 0.0), n)
+            out0 = run_cascade(PureQubit(0.0, 0.0), n).dense()
             assert np.max(np.abs(out0.amps - _dicke_with_last(n, 1.0, 0.0, 0))) <= 1e-12
-            out1 = run_cascade(PureQubit(np.pi, 0.0), n)
+            out1 = run_cascade(PureQubit(np.pi, 0.0), n).dense()
             expect1 = _dicke_with_last(n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1)
             assert np.max(np.abs(out1.amps - expect1)) <= 1e-12
 
-    def test_verify_fails_when_a_gate_is_dropped(self, monkeypatch, capsys):
-        def without_first_gate(v):
-            # the (1, n) gate is missing: row 2^(n-1) keeps its amplitude
-            rows, amps = network._dicke_support(v)
-            out = np.zeros(2 ** v.n, dtype=complex)
-            out[rows ^ ((rows > 1) & (rows != 2 ** (v.n - 1)))] = amps
-            return FullStateVector(v.n, out)
-
-        monkeypatch.setattr(network, "_cascade", without_first_gate)
-        assert not any(r.passed for r in cli._check_cascade_action())
-        assert cli.cmd_verify("fast", 42) == 1
-        assert "FAIL  network-cascade-action" in capsys.readouterr().out
+    def test_output_is_the_sector_support(self):
+        # n+1 ascending rows: the blank row 0 and the single excitations,
+        # each moved to its odd neighbour when a control qubit holds it
+        out = run_cascade(PureQubit(1.1, 0.4), 5)
+        assert out.rows.tolist() == [0, 1, 3, 5, 9, 17]
+        assert out.amps.shape == (6,)
 
     def test_zero_input(self):
-        out = run_cascade(PureQubit(0.0, 0.0), 3)
+        out = run_cascade(PureQubit(0.0, 0.0), 3).dense()
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(out.amps, expected, atol=1e-15)
 
     def test_one_input_n2(self):
-        out = run_cascade(PureQubit(np.pi, 0.0), 2)
+        out = run_cascade(PureQubit(np.pi, 0.0), 2).dense()
         # (|01> + |11>) / sqrt(2)
         assert np.allclose(out.amps, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)],
                            atol=1e-12)
 
     def test_trivial_at_n1(self):
         psi = PureQubit(1.2, 0.7)
-        out = run_cascade(psi, 1)
+        out = run_cascade(psi, 1).dense()
         assert np.allclose(out.amps, psi.amplitudes(), atol=1e-15)
 
     def test_capacity_cap(self):
@@ -138,7 +138,7 @@ class TestCascade:
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(22)
         for n in range(2, 13):
-            out = run_cascade(random_qubit(rng), n)
+            out = run_cascade(random_qubit(rng), n).dense()
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -177,7 +177,7 @@ def dense_branches(output):
 class TestBranches:
     def assert_matches_dense(self, output):
         got = network._branches(output)
-        want = dense_branches(output)
+        want = dense_branches(output.dense())
         assert np.max(np.abs(got[0] - want[0])) <= 1e-15
         assert np.max(np.abs(got[1] - want[1])) <= 1e-15
         assert abs(got[2] - want[2]) <= 1e-15
@@ -192,7 +192,7 @@ class TestBranches:
         # branches span the leading qubit and nothing is left over
         rng = np.random.default_rng(29)
         for n in range(2, 13):
-            out = random_state(rng, n)
+            out = every_row(n, random_state(rng, n).amps)
             if n > 2:
                 assert network._branches(out)[2] > 0.1
             self.assert_matches_dense(out)
@@ -204,18 +204,27 @@ class TestBranches:
         eps = 1e-6
         rng = np.random.default_rng(30)
         for n in range(3, 11):
-            base = run_cascade(random_qubit(rng), n).amps * np.sqrt(1.0 - eps ** 2)
+            base = run_cascade(random_qubit(rng), n).dense().amps * np.sqrt(1.0 - eps ** 2)
             rows = [0, *(2 ** k for k in range(n - 1))]
             branch = np.isin(np.arange(2 ** n) // 2, rows)
             assert np.count_nonzero(branch) == 2 * n
             for index in np.flatnonzero(~branch):
                 amps = base.copy()
                 amps[index] = eps
-                out = FullStateVector(n, amps)
+                out = every_row(n, amps)
                 self.assert_matches_dense(out)
                 assert abs(network._branches(out)[2] - eps) <= 1e-15
                 with pytest.raises(DecompositionError):
                     decompose(out, n)
+
+    @given(n=st.integers(2, 8), data=st.data())
+    def test_random_supports_match_dense_projection(self, n, data):
+        rows = sorted(data.draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1)))
+        part = st.floats(-1.0, 1.0)
+        amps = np.array([complex(data.draw(part), data.draw(part)) for _ in rows])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        self.assert_matches_dense(SupportStateVector(n, np.array(rows), amps / norm))
 
     def test_decompose_allocates_no_copy(self):
         out = run_cascade(PureQubit(1.1, 0.4), 20)
@@ -228,13 +237,15 @@ class TestBranches:
         assert peak <= 64 * 1024
 
     def test_run_cascade_allocates_only_its_output(self):
+        # the 21 rows and amplitudes of the support, never a 2^20 array
+        # (3.7 KB measured)
         tracemalloc.start()
         try:
-            out = run_cascade(PureQubit(1.1, 0.4), 20)
+            run_cascade(PureQubit(1.1, 0.4), 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * out.amps.nbytes
+        assert peak <= 16 * 1024
 
 
 class TestDecompose:
@@ -276,9 +287,10 @@ class TestDecompose:
             assert np.sqrt(n) / abs(dec.amp_plus_psi) == pytest.approx(expected, abs=1e-10)
 
     def test_accepts_norm_within_statevector_tolerance(self):
-        # FullStateVector admits norms within 1e-10 of 1; the branch weights
+        # a statevector's norm may be within 1e-10 of 1; the branch weights
         # are compared with the output's own squared norm, not with 1
-        out = FullStateVector(6, run_cascade(PureQubit(1.0, 0.3), 6).amps * (1 + 5e-11))
+        cascade = run_cascade(PureQubit(1.0, 0.3), 6)
+        out = SupportStateVector(6, cascade.rows, cascade.amps * (1 + 5e-11))
         dec = decompose(out, 6)
         assert dec.recovered.theta == pytest.approx(1.0, abs=1e-12)
         assert dec.recovered.phi == pytest.approx(0.3, abs=1e-12)
@@ -289,7 +301,15 @@ class TestDecompose:
         amps = np.zeros(8, dtype=complex)
         amps[6] = 1.0  # |110>: two excitations on the leading qubits
         with pytest.raises(DecompositionError):
-            decompose(FullStateVector(3, amps), 3)
+            decompose(every_row(3, amps), 3)
+        # the same state as its one-row support
+        with pytest.raises(DecompositionError):
+            decompose(SupportStateVector(3, np.array([6]), np.ones(1)), 3)
+
+    def test_rejects_a_dense_state(self):
+        dense = run_cascade(PureQubit(1.0, 0.3), 4).dense()
+        with pytest.raises(DomainError, match="SupportStateVector"):
+            decompose(dense, 4)
 
 
 class TestSuccessProbability:
@@ -340,7 +360,7 @@ class TestPostSelectedState:
     def test_rejects_failure_branch_carrying_one(self):
         # (success x |0> + failure x |1>) / sqrt(2): inside the branch
         # subspace, but the failure branch does not carry the reference state
-        out = FullStateVector(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
+        out = every_row(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
         with pytest.raises(DecompositionError, match="failure branch"):
             post_selected_state(out, 2)
 
