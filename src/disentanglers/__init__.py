@@ -13,7 +13,6 @@ from .core import (
     DensityOperator,
     DickeVector,
     DomainError,
-    FullStateVector,
     PureQubit,
     SupportStateVector,
     bloch_average,

@@ -313,7 +313,7 @@ def _check_unitary_images() -> list[CheckResult]:
 
 def _dicke_with_last(n: int, c0: complex, c1: complex, last: int) -> np.ndarray:
     """Dense amplitudes of (c0 |n-1;0> + c1 |n-1;1>) tensor |last>."""
-    left = dicke_to_statevector(DickeVector(n - 1, c0, c1)).amps
+    left = dicke_to_statevector(DickeVector(n - 1, c0, c1)).dense()
     qubit = np.array([1.0 - last, last], dtype=complex)
     return np.kron(left, qubit)
 
@@ -333,10 +333,10 @@ def _check_cascade_action() -> list[CheckResult]:
             gated = dicke_to_statevector(v)
             for control, target in network.cnot_cascade(n):
                 gated = network.apply_cnot(gated, control, target)
-            if not np.array_equal(out.amps, gated.amps):
+            if not np.array_equal(out, gated.dense()):
                 mismatched.add(n)
             if n > 1:
-                residuals.append(np.max(np.abs(out.amps - _dicke_with_last(n, *image))))
+                residuals.append(np.max(np.abs(out - _dicke_with_last(n, *image))))
     worst = _worst(residuals)
     gates = (f"differs from gate-by-gate at n={sorted(mismatched)}" if mismatched
              else "equals gate-by-gate")
@@ -466,7 +466,7 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
         counts = network.sample_shots(psi, n, shots, seed)
         out = network.run_cascade(psi, n)
         recovered = (network.post_selected_state(out, n) if n >= 2
-                     else PureQubit.from_amplitudes(out.dense().amps))
+                     else PureQubit.from_amplitudes(out.dense()))
     except (DomainError, CapacityError) as exc:
         print(f"network: {exc}", file=sys.stderr)
         return 2

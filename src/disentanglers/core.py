@@ -5,11 +5,11 @@ grid refine).
 A single qubit |psi(theta, phi)> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
 spread symmetrically over N qubits stays inside the two-dimensional span of
 the fully symmetric states with zero or one excitation, so most of the
-machinery here works with two complex amplitudes regardless of N.  A state
-with few nonzero amplitudes, such as the network's output, is a
-`SupportStateVector` of those rows; dense statevectors are only
-materialized where an honest brute-force cross-check (partial trace, gate
-network) is wanted.
+machinery here works with two complex amplitudes regardless of N.  A 2^n
+statevector is a `SupportStateVector`: the rows that may be nonzero and
+their amplitudes, n+1 of them for a symmetric state or the network's
+output.  Its `dense()` amplitudes are only materialized where an honest
+brute-force cross-check (partial trace, gate network) is wanted.
 
 Conventions fixed throughout the package:
   * qubit 1 is the most significant bit of a statevector index,
@@ -300,47 +300,24 @@ class DickeVector:
 
 
 @dataclass(frozen=True)
-class FullStateVector:
-    """Dense 2^n statevector; index bit k-1 (from the top) is the state of qubit k.
-
-    The norm must be within STATEVECTOR_NORM_TOL = 1e-10 of 1 at every n.
-    `np.linalg.norm` evaluates sqrt(re.re + im.im) from two dot products of
-    m = 2^n terms.  Its worst-case relative error, about m u with
-    u = 2^-53, exceeds 1e-10 from n = 20 on, but rounding errors of a sum
-    behave like a random walk: with probability at least
-    1 - 2 exp(-lambda^2 / 2) the error of the squared norm stays below
-    lambda sqrt(2m) u (Higham & Mary, SIAM J. Sci. Comput. 41, A2815
-    (2019)).  At the 24-qubit cap and lambda = 10 that is 6.4e-12, half of
-    it for the norm; a caller's own normalization by `np.linalg.norm`
-    adds as much again, which leaves a margin above 10.  Dense random
-    states at n = 20 measure below 1e-14.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = _require_count(self.n)
-        _require(n <= MAX_STATEVECTOR_QUBITS,
-                 f"n={n} outside [1, {MAX_STATEVECTOR_QUBITS}]", CapacityError)
-        a = np.asarray(self.amps, dtype=complex)
-        _require(a.shape == (2 ** n,), f"expected {2 ** n} amplitudes")
-        norm = np.linalg.norm(a)
-        _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL,
-                 f"statevector norm {norm} != 1")
-        a.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amps", a)
-
-
-@dataclass(frozen=True)
 class SupportStateVector:
     """A 2^n statevector held as its support: the rows that may be nonzero,
-    strictly ascending, and their amplitudes; every other row is zero.
+    strictly ascending, and their amplitudes; every other row is zero.  Bit
+    k-1 of a row (from the top) is the state of qubit k.  A dense state is
+    the support over every row, np.arange(2^n); n is capped at
+    MAX_STATEVECTOR_QUBITS = 24, so `dense()` always exists.
 
-    Rows are numbered as in `FullStateVector`, whose norm bound applies, and
-    n has the same cap, so `dense()` always exists.  A dense state is the
-    support over every row, np.arange(2^n).
+    The norm must be within STATEVECTOR_NORM_TOL = 1e-10 of 1 for any
+    m <= 2^n amplitudes.  `np.linalg.norm` evaluates sqrt(re.re + im.im)
+    from two dot products of m terms.  Its worst-case relative error, about
+    m u with u = 2^-53, exceeds 1e-10 from m = 2^20 on, but rounding errors
+    of a sum behave like a random walk: with probability at least
+    1 - 2 exp(-lambda^2 / 2) the error of the squared norm stays below
+    lambda sqrt(2m) u (Higham & Mary, SIAM J. Sci. Comput. 41, A2815
+    (2019)).  At m = 2^24 and lambda = 10 that is 6.4e-12, half of it for
+    the norm; a caller's own normalization by `np.linalg.norm` adds as much
+    again, which leaves a margin above 10.  Dense random states at n = 20
+    measure below 1e-14.
     """
 
     n: int
@@ -357,6 +334,9 @@ class SupportStateVector:
         a = np.array(self.amps, dtype=complex)
         _require(rows.dtype.kind in "iu" and rows.ndim == 1 and a.shape == rows.shape,
                  "expected equally long 1-D integer rows and amplitudes")
+        # int64 holds every row below 2^24, so a gate's bit shift cannot wrap
+        # as it would in a narrow dtype such as uint8
+        rows = rows.astype(np.int64, copy=False)
         norm = np.linalg.norm(a)
         _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL, f"statevector norm {norm} != 1")
         _require(bool(rows[0] >= 0 and rows[-1] < 2 ** n and (rows[1:] > rows[:-1]).all()),
@@ -367,11 +347,11 @@ class SupportStateVector:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "amps", a)
 
-    def dense(self) -> FullStateVector:
-        """The 2^n amplitudes, for checks against the gate-level definition."""
+    def dense(self) -> np.ndarray:
+        """The 2^n complex amplitudes, zero off the support."""
         amps = np.zeros(2 ** self.n, dtype=complex)
         amps[self.rows] = self.amps
-        return FullStateVector(self.n, amps)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -381,7 +361,8 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
+        # a copy, so freezing it leaves the caller's array writable
+        m = np.array(self.entries, dtype=complex)
         _require(m.shape == (2, 2), f"expected a 2x2 matrix, got shape {m.shape}")
         _require(np.max(np.abs(m - m.conj().T)) < 1e-10, "matrix is not Hermitian")
         _require(abs(np.trace(m).real - 1.0) < 1e-10, f"trace {np.trace(m)} != 1")
@@ -421,16 +402,18 @@ def _dicke_support(v: DickeVector) -> tuple[np.ndarray, np.ndarray]:
     return rows, amps
 
 
-def dicke_to_statevector(v: DickeVector) -> FullStateVector:
-    """Expand the two-amplitude symmetric state into a dense 2^n statevector."""
-    return SupportStateVector(v.n, *_dicke_support(v)).dense()
+def dicke_to_statevector(v: DickeVector) -> SupportStateVector:
+    """The two-amplitude symmetric state as a 2^n statevector: the support
+    of its n+1 nonzero rows."""
+    return SupportStateVector(v.n, *_dicke_support(v))
 
 
-def reduced_qubit(state: FullStateVector, which: int) -> DensityOperator:
-    """Partial trace down to qubit `which` (1-indexed, qubit 1 = top bit)."""
+def reduced_qubit(state: SupportStateVector, which: int) -> DensityOperator:
+    """Partial trace of the dense amplitudes down to qubit `which`
+    (1-indexed, qubit 1 = top bit)."""
     which = _require_count(which, "qubit index")
     _require(which <= state.n, f"qubit index {which} outside 1..{state.n}")
-    tensor = state.amps.reshape((2,) * state.n)
+    tensor = state.dense().reshape((2,) * state.n)
     m = np.moveaxis(tensor, which - 1, 0).reshape(2, -1)
     return DensityOperator(m @ m.conj().T)
 

@@ -57,7 +57,8 @@ class DeviceTransform:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
         for name in ("d1", "d2", "d3", "d4"):
-            v = np.asarray(getattr(self, name), dtype=complex)
+            # a copy, so freezing it leaves the caller's array writable
+            v = np.array(getattr(self, name), dtype=complex)
             _require(v.shape == (MACHINE_DIM,), f"{name} must have {MACHINE_DIM} components")
             v.setflags(write=False)
             object.__setattr__(self, name, v)

@@ -6,10 +6,10 @@ the target in exactly the original qubit state (success) or in the reference
 state (failure); the success probability depends on the input orientation
 but the recovered state never deviates.
 
-The cascade's output has n+1 nonzero amplitudes, so it is carried as a
-`SupportStateVector` from the cascade through the projection; no 2^n array
-is formed.  `apply_cnot` is the gate-level definition on dense states that
-`verify` and the tests compare the cascade with.
+The cascade's input and output have n+1 nonzero amplitudes, so both are
+carried as a `SupportStateVector` from the dilution through the projection;
+no 2^n array is formed.  `apply_cnot` is the gate-level definition, acting
+on any support, that `verify` and the tests compare the cascade with.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     CapacityError,
     DickeVector,
-    FullStateVector,
     PureQubit,
     SupportStateVector,
     _dicke_support,
@@ -59,16 +58,19 @@ class OutcomeDecomposition:
     recovered: PureQubit
 
 
-def apply_cnot(state: FullStateVector, control: int, target: int) -> FullStateVector:
-    """C-NOT as an exact amplitude permutation (norm preserved bit-for-bit)."""
+def apply_cnot(state: SupportStateVector, control: int, target: int) -> SupportStateVector:
+    """C-NOT as an exact move of amplitudes between rows (norm preserved bit
+    for bit): each row's target bit flips where its control bit is set, and
+    the rows are sorted back into ascending order.  On the support over
+    every row this is the dense amplitude permutation."""
     n = state.n
     control, target = _require_count(control, "control"), _require_count(target, "target")
     _require(control <= n and target <= n, f"gate ({control},{target}) outside 1..{n}")
     _require(control != target, "control equals target")
-    idx = np.arange(2 ** n)
-    cbit = (idx >> (n - control)) & 1
-    perm = idx ^ (cbit << (n - target))
-    return FullStateVector(n, state.amps[perm])
+    cbit = (state.rows >> (n - control)) & 1
+    rows = state.rows ^ (cbit << (n - target))
+    order = np.argsort(rows)
+    return SupportStateVector(n, rows[order], state.amps[order])
 
 
 def _cascade(v: DickeVector) -> SupportStateVector:
@@ -89,8 +91,9 @@ def run_cascade(psi: PureQubit, n: int) -> SupportStateVector:
     """Dilute `psi` into the symmetric n-qubit state and run the cascade.
 
     The output is the support of the n+1 amplitudes of the symmetric sector:
-    its `dense()` form has the same amplitudes at the same rows as applying
-    `apply_cnot` gate by gate over `cnot_cascade(n)` to the dense input.
+    it has the same amplitudes at the same rows as applying `apply_cnot`
+    gate by gate over `cnot_cascade(n)` to the input, on its n+1 rows or on
+    every row.
     That gate-level definition, and the defining action on the two sector
     basis vectors (the zero-excitation input maps to (all blanks)|0>, the
     one-excitation input to (sqrt(n-1) one-excitation + blanks)|1> /

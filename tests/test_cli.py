@@ -426,7 +426,7 @@ class TestCmdNetwork:
         def refuse(self):
             raise AssertionError("a dense statevector was built")
 
-        monkeypatch.setattr(core.FullStateVector, "__post_init__", refuse)
+        monkeypatch.setattr(core.SupportStateVector, "dense", refuse)
         assert cmd_network(1.1, 2.3, 20, 10 ** 5, 7) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[20]
@@ -524,7 +524,7 @@ class TestOptimizedInterpreter:
         assert disentanglers.__all__ == [
             "BlochQuadrature", "CapacityError", "DecompositionError",
             "DensityOperator", "DeviceTransform", "DickeVector", "DomainError",
-            "FullStateVector", "OptimizationError", "OutcomeDecomposition",
+            "OptimizationError", "OutcomeDecomposition",
             "PureQubit", "ShotCounts", "SupportStateVector", "UnitarityError",
             "apply_cnot",
             "apply_transform", "averaged_estimator", "bloch_average",

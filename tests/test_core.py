@@ -15,7 +15,6 @@ from disentanglers import (
     DensityOperator,
     DickeVector,
     DomainError,
-    FullStateVector,
     PureQubit,
     SupportStateVector,
     bloch_average,
@@ -154,9 +153,9 @@ class TestSymmetricState:
 
 class TestDickeToStatevector:
     def test_n2_basis(self):
-        assert np.allclose(dicke_to_statevector(DickeVector(2, 1.0, 0.0)).amps,
+        assert np.allclose(dicke_to_statevector(DickeVector(2, 1.0, 0.0)).dense(),
                            [1, 0, 0, 0])
-        assert np.allclose(dicke_to_statevector(DickeVector(2, 0.0, 1.0)).amps,
+        assert np.allclose(dicke_to_statevector(DickeVector(2, 0.0, 1.0)).dense(),
                            [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0])
 
     def test_n3_expansion(self):
@@ -164,8 +163,8 @@ class TestDickeToStatevector:
         expected = np.zeros(8, dtype=complex)
         expected[0] = 0.6
         expected[[1, 2, 4]] = 0.8 / np.sqrt(3)
-        assert np.allclose(sv.amps, expected, atol=1e-15)
-        assert np.linalg.norm(sv.amps) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(sv.dense(), expected, atol=1e-15)
+        assert np.linalg.norm(sv.dense()) == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -174,7 +173,7 @@ class TestDickeToStatevector:
             c1 = rng.standard_normal() + 1j * rng.standard_normal()
             norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
             sv = dicke_to_statevector(DickeVector(n, c0 / norm, c1 / norm))
-            tensor = sv.amps.reshape((2,) * n)
+            tensor = sv.dense().reshape((2,) * n)
             for i in range(n):
                 for j in range(i + 1, n):
                     swapped = np.swapaxes(tensor, i, j)
@@ -184,10 +183,15 @@ class TestDickeToStatevector:
         with pytest.raises(CapacityError):
             dicke_to_statevector(DickeVector(25, 1.0, 0.0))
         with pytest.raises(CapacityError):
-            FullStateVector(25, np.zeros(2 ** 25))
+            SupportStateVector(25, np.array([0]), np.ones(1))
 
 
-class TestFullStateVector:
+def every_row(n, amps):
+    """The dense amplitudes `amps` as the support over every row."""
+    return SupportStateVector(n, np.arange(2 ** n), amps)
+
+
+class TestSupportStateVector:
     def test_norm_tolerance_never_looser_than_before(self):
         # the earlier tolerance was 1e-10 * 2^(n/2): 1.4e-10 at n=1, 4e-7 at n=24
         for n in range(1, MAX_STATEVECTOR_QUBITS + 1):
@@ -197,33 +201,32 @@ class TestFullStateVector:
     def test_rejects_norm_off_by_1e9_at_n20(self):
         n = 20
         exact = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-        assert FullStateVector(n, exact).n == n
+        assert every_row(n, exact).n == n
         with pytest.raises(DomainError):
-            FullStateVector(n, exact * (1.0 + 1e-9))
+            every_row(n, exact * (1.0 + 1e-9))
 
     def test_accepts_normalized_dense_states(self):
         rng = np.random.default_rng(4)
         for n in (1, 8, 16):
             amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            FullStateVector(n, amps / np.linalg.norm(amps))
+            every_row(n, amps / np.linalg.norm(amps))
 
-
-class TestSupportStateVector:
     def test_dense_scatters_the_rows(self):
         sv = SupportStateVector(3, np.array([1, 6]), np.array([0.6, 0.8j]))
-        assert np.array_equal(sv.dense().amps, [0, 0.6, 0, 0, 0, 0, 0.8j, 0])
+        assert np.array_equal(sv.dense(), [0, 0.6, 0, 0, 0, 0, 0.8j, 0])
 
     def test_every_row_is_the_dense_state(self):
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         amps /= np.linalg.norm(amps)
-        assert np.array_equal(SupportStateVector(4, np.arange(16), amps).dense().amps, amps)
+        assert np.array_equal(every_row(4, amps).dense(), amps)
 
     def test_dicke_expansion_is_its_support(self):
         v = DickeVector(4, 0.6, 0.8)
         sv = SupportStateVector(4, np.array([0, 1, 2, 4, 8]),
                                 np.array([0.6, *[0.4] * 4]))
-        assert np.array_equal(dicke_to_statevector(v).amps, sv.dense().amps)
+        out = dicke_to_statevector(v)
+        assert np.array_equal(out.rows, sv.rows) and np.array_equal(out.amps, sv.amps)
 
     @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [1, 8], [0.0, 1.0],
                                       [[0, 1]], [0, 1, 2]],
@@ -290,7 +293,7 @@ class TestReducedQubit:
         for _ in range(10_000):
             n = int(rng.integers(1, 7))
             amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            sv = FullStateVector(n, amps / np.linalg.norm(amps))
+            sv = every_row(n, amps / np.linalg.norm(amps))
             rho = reduced_qubit(sv, int(rng.integers(1, n + 1)))
             assert rho.entries.shape == (2, 2)
 
@@ -307,6 +310,14 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+    def test_read_only_copy(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityOperator(a)
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 0.5
+        a[0, 0] = 0.5
+        assert rho.entries[0, 0] == 1.0
 
 
 class TestFidelityPure:
@@ -420,7 +431,7 @@ def _count_entry_points():
 
     zero = np.zeros(4)
     return {
-        "FullStateVector": lambda n: FullStateVector(n, np.eye(8)[0]),
+        "SupportStateVector": lambda n: SupportStateVector(n, np.array([0]), np.ones(1)),
         "postselect_basis": postselect_basis,
         "run_cascade": lambda n: run_cascade(PureQubit(1.0, 0.0), n),
         "dilute_angle": lambda n: dilute_angle(1.0, n),
@@ -467,7 +478,7 @@ class TestIntegerCount:
                             lambda n: dilute_angle(1.0, n)):
             assert closed_form(narrow) == closed_form(int(narrow))
         assert type(DickeVector(narrow, 1.0, 0.0).n) is int
-        assert type(FullStateVector(np.uint8(3), np.eye(8)[0]).n) is int
+        assert type(SupportStateVector(np.uint8(3), np.array([0]), np.ones(1)).n) is int
 
     @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64, 10 ** 30, MAX_CLOSED_FORM_N - 1,
                                    MAX_CLOSED_FORM_N, 10 ** 200, 10 ** 400],

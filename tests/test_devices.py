@@ -46,6 +46,16 @@ def basis(k):
     return e
 
 
+class TestDeviceTransform:
+    def test_read_only_copies(self):
+        d1, d4 = basis(0), basis(0)
+        t = DeviceTransform(2, d1, np.zeros(4), np.zeros(4), d4)
+        with pytest.raises(ValueError):
+            t.d1[0] = 0
+        d1[0], d4[1] = 0, 1
+        assert np.array_equal(t.vectors(), swap_disentangler(2).vectors())
+
+
 class TestUnitarityResiduals:
     @pytest.mark.parametrize("n", [1, 2, 5, 50])
     def test_universal_satisfies_constraints(self, n):

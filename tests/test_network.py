@@ -12,7 +12,6 @@ from disentanglers import (
     DecompositionError,
     DickeVector,
     DomainError,
-    FullStateVector,
     PureQubit,
     SupportStateVector,
     apply_cnot,
@@ -36,7 +35,7 @@ def random_qubit(rng):
 
 def random_state(rng, n):
     amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return FullStateVector(n, amps / np.linalg.norm(amps))
+    return every_row(n, amps / np.linalg.norm(amps))
 
 
 def every_row(n, amps):
@@ -44,13 +43,17 @@ def every_row(n, amps):
     return SupportStateVector(n, np.arange(2 ** n), amps)
 
 
+def assert_same_support(a, b):
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.amps, b.amps)
+
+
 class TestApplyCnot:
     def test_basis_action(self):
-        state = FullStateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
+        state = every_row(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
         out = apply_cnot(state, 1, 2)
-        assert np.array_equal(out.amps, [0, 0, 0, 1])  # |11>
-        zero = FullStateVector(2, np.array([1, 0, 0, 0], dtype=complex))
-        assert np.array_equal(apply_cnot(zero, 1, 2).amps, [1, 0, 0, 0])
+        assert np.array_equal(out.dense(), [0, 0, 0, 1])  # |11>
+        zero = every_row(2, np.array([1, 0, 0, 0], dtype=complex))
+        assert np.array_equal(apply_cnot(zero, 1, 2).dense(), [1, 0, 0, 0])
 
     def test_involution(self):
         rng = np.random.default_rng(20)
@@ -59,7 +62,31 @@ class TestApplyCnot:
             state = random_state(rng, n)
             c, t = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             twice = apply_cnot(apply_cnot(state, int(c), int(t)), int(c), int(t))
-            assert np.array_equal(twice.amps, state.amps)
+            assert_same_support(twice, state)
+
+    @given(n=st.integers(2, 8), data=st.data())
+    def test_support_form_is_the_dense_permutation(self, n, data):
+        # any rows, some of them holding a zero amplitude, and any gate
+        rows = sorted(data.draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1)))
+        part = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+        amps = np.array([complex(data.draw(part), data.draw(part)) for _ in rows])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        state = SupportStateVector(n, np.array(rows), amps / norm)
+        c, t = data.draw(st.permutations(range(1, n + 1)))[:2]
+        # the dense definition: row i takes the amplitude of row i with its
+        # target bit flipped where its control bit is set
+        idx = np.arange(2 ** n)
+        perm = idx ^ (((idx >> (n - c)) & 1) << (n - t))
+        out = apply_cnot(state, c, t)
+        assert np.array_equal(out.dense(), state.dense()[perm])
+        assert_same_support(apply_cnot(out, c, t), state)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+    def test_narrow_rows_do_not_wrap(self, dtype):
+        # row 1 at n = 9 moves to 1 + 2^8, past the range of uint8
+        state = SupportStateVector(9, np.array([1], dtype=dtype), np.ones(1))
+        assert apply_cnot(state, 9, 1).rows.tolist() == [257]
 
     def test_index_errors(self):
         state = random_state(np.random.default_rng(0), 3)
@@ -87,25 +114,26 @@ class TestCascade:
         shuffled = state
         for c, t in rng.permutation(gates):
             shuffled = apply_cnot(shuffled, int(c), int(t))
-        assert np.array_equal(forward.amps, shuffled.amps)
+        assert_same_support(forward, shuffled)
 
     def test_run_cascade_matches_gate_by_gate(self):
         rng = np.random.default_rng(30)
         for n in range(1, 15):
             for _ in range(3):
                 psi = random_qubit(rng)
-                gated = dicke_to_statevector(symmetric_state(psi, n))
+                # the brute-force route: every gate moves all 2^n rows
+                gated = every_row(n, dicke_to_statevector(symmetric_state(psi, n)).dense())
                 for c, t in cnot_cascade(n):
                     gated = apply_cnot(gated, c, t)
-                assert np.array_equal(run_cascade(psi, n).dense().amps, gated.amps)
+                assert np.array_equal(run_cascade(psi, n).dense(), gated.dense())
 
     def test_basis_action_up_to_cap(self):
         for n in range(2, 21):
             out0 = run_cascade(PureQubit(0.0, 0.0), n).dense()
-            assert np.max(np.abs(out0.amps - _dicke_with_last(n, 1.0, 0.0, 0))) <= 1e-12
+            assert np.max(np.abs(out0 - _dicke_with_last(n, 1.0, 0.0, 0))) <= 1e-12
             out1 = run_cascade(PureQubit(np.pi, 0.0), n).dense()
             expect1 = _dicke_with_last(n, 1.0 / np.sqrt(n), np.sqrt((n - 1.0) / n), 1)
-            assert np.max(np.abs(out1.amps - expect1)) <= 1e-12
+            assert np.max(np.abs(out1 - expect1)) <= 1e-12
 
     def test_output_is_the_sector_support(self):
         # n+1 ascending rows: the blank row 0 and the single excitations,
@@ -118,18 +146,18 @@ class TestCascade:
         out = run_cascade(PureQubit(0.0, 0.0), 3).dense()
         expected = np.zeros(8)
         expected[0] = 1.0
-        assert np.allclose(out.amps, expected, atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_one_input_n2(self):
         out = run_cascade(PureQubit(np.pi, 0.0), 2).dense()
         # (|01> + |11>) / sqrt(2)
-        assert np.allclose(out.amps, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)],
+        assert np.allclose(out, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)],
                            atol=1e-12)
 
     def test_trivial_at_n1(self):
         psi = PureQubit(1.2, 0.7)
         out = run_cascade(psi, 1).dense()
-        assert np.allclose(out.amps, psi.amplitudes(), atol=1e-15)
+        assert np.allclose(out, psi.amplitudes(), atol=1e-15)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -139,7 +167,7 @@ class TestCascade:
         rng = np.random.default_rng(22)
         for n in range(2, 13):
             out = run_cascade(random_qubit(rng), n).dense()
-            assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-14)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestPostselectBasis:
@@ -166,8 +194,8 @@ class TestPostselectBasis:
 def dense_branches(output):
     """The projection written out on the dense 2^(n-1) basis vectors, with
     the full 2^n reconstruction: the reference for `network._branches`."""
-    plus, minus = (dicke_to_statevector(v).amps for v in postselect_basis(output.n))
-    m = output.amps.reshape(-1, 2)
+    plus, minus = (dicke_to_statevector(v).dense() for v in postselect_basis(output.n))
+    m = output.dense().reshape(-1, 2)
     branch_plus = plus.conj() @ m
     branch_minus = minus.conj() @ m
     recon = np.outer(plus, branch_plus) + np.outer(minus, branch_minus)
@@ -177,7 +205,7 @@ def dense_branches(output):
 class TestBranches:
     def assert_matches_dense(self, output):
         got = network._branches(output)
-        want = dense_branches(output.dense())
+        want = dense_branches(output)
         assert np.max(np.abs(got[0] - want[0])) <= 1e-15
         assert np.max(np.abs(got[1] - want[1])) <= 1e-15
         assert abs(got[2] - want[2]) <= 1e-15
@@ -192,7 +220,7 @@ class TestBranches:
         # branches span the leading qubit and nothing is left over
         rng = np.random.default_rng(29)
         for n in range(2, 13):
-            out = every_row(n, random_state(rng, n).amps)
+            out = random_state(rng, n)
             if n > 2:
                 assert network._branches(out)[2] > 0.1
             self.assert_matches_dense(out)
@@ -204,7 +232,7 @@ class TestBranches:
         eps = 1e-6
         rng = np.random.default_rng(30)
         for n in range(3, 11):
-            base = run_cascade(random_qubit(rng), n).dense().amps * np.sqrt(1.0 - eps ** 2)
+            base = run_cascade(random_qubit(rng), n).dense() * np.sqrt(1.0 - eps ** 2)
             rows = [0, *(2 ** k for k in range(n - 1))]
             branch = np.isin(np.arange(2 ** n) // 2, rows)
             assert np.count_nonzero(branch) == 2 * n
