@@ -80,10 +80,6 @@ def fidelity_columns(n) -> np.ndarray:
     return cols
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def _round12(v: np.ndarray) -> np.ndarray:
     """round-half-even(v 10^12) as uint64, exactly, for doubles v in [1/2, 1].
 
@@ -182,40 +178,52 @@ def cmd_table(n_min: int, n_max: int, output: str | None) -> int:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One `verify` line: the worst of a check's values against its bound.
+
+    The constructor folds `value` (a number, a list or an array) into the
+    worst entry under `relation`, the largest for "<=" and the smallest for
+    ">", or inf or -inf if any is not finite, so a NaN fails where max() or
+    min() would keep what it has; `fmt` names value, tol and relation."""
+
     name: str
-    passed: bool
-    detail: str
+    value: float
+    tol: float
+    relation: str = "<="
+    fmt: str = "residual={value:.3e} tol={tol:.0e}"
 
+    def __post_init__(self) -> None:
+        _require(self.relation in ("<=", ">"), f"unknown relation {self.relation!r}")
+        sign = 1.0 if self.relation == "<=" else -1.0
+        v = sign * np.asarray(self.value, dtype=float)
+        worst = v.max() if np.isfinite(v).all() else np.inf
+        object.__setattr__(self, "value", sign * float(worst))
 
-def _check(name: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(name, bool(residual <= tol), f"residual={residual:.3e} tol={tol:.0e}")
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.tol if self.relation == "<=" else self.value > self.tol)
 
-
-def _worst(values) -> float:
-    """The largest of `values`, or inf if any is not finite: every check
-    folds its residuals with this, so a NaN fails where max() keeps the
-    residual it already has."""
-    v = np.fromiter(values, dtype=float)
-    return float(v.max()) if np.isfinite(v).all() else np.inf
+    @property
+    def detail(self) -> str:
+        return self.fmt.format(value=self.value, tol=self.tol, relation=self.relation)
 
 
 def _check_endpoints() -> list[CheckResult]:
     """The n=1 values of the five table columns, exactly."""
     got = fidelity_columns(1)
     want = np.array([1.0, 2.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
-    return [_check("endpoint-values-n1", _worst(np.abs(got - want)), 0.0)]
+    return [CheckResult("endpoint-values-n1", np.abs(got - want), 0.0)]
 
 
 def _check_asymptotes() -> list[CheckResult]:
-    residual = _worst(np.abs(fidelity_columns(MAX_TABLE_N) - 0.5))
-    return [_check("asymptotic-limits-n1e6", residual, 2e-3)]
+    return [CheckResult("asymptotic-limits-n1e6",
+                        np.abs(fidelity_columns(MAX_TABLE_N) - 0.5), 2e-3)]
 
 
 def _check_ordering() -> list[CheckResult]:
     # fidelity_columns raises if the ordering invariant breaks
-    min_gap = np.min(np.diff(fidelity_columns(np.arange(2, 51))[1:], axis=0))
-    return [CheckResult("strategy-ordering-2-50", bool(min_gap > 1e-6),
-                        f"min gap={min_gap:.3e} (needs > 1e-06)")]
+    gaps = np.diff(fidelity_columns(np.arange(2, 51))[1:], axis=0)
+    return [CheckResult("strategy-ordering-2-50", gaps, 1e-6, ">",
+                        "min gap={value:.3e} (needs {relation} {tol:.0e})")]
 
 
 def _overlap_sq(th: np.ndarray, n: int) -> np.ndarray:
@@ -255,10 +263,10 @@ def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
         res_moments.extend(np.abs(np.array(devices.moment_integrals(n))
                                   - np.array(quads)))
 
-    return [_check("oracle-diluted-average", _worst(res_f0), 1e-9),
-            _check("oracle-dilution-overlap", _worst(res_overlap), 1e-9),
-            _check("oracle-measurement-average", _worst(res_f1), 1e-9),
-            _check("oracle-moment-integrals", _worst(res_moments), 1e-10)]
+    return [CheckResult("oracle-diluted-average", res_f0, 1e-9),
+            CheckResult("oracle-dilution-overlap", res_overlap, 1e-9),
+            CheckResult("oracle-measurement-average", res_f1, 1e-9),
+            CheckResult("oracle-moment-integrals", res_moments, 1e-10)]
 
 
 def _check_device_average_oracle(quad: BlochQuadrature,
@@ -274,7 +282,7 @@ def _check_device_average_oracle(quad: BlochQuadrature,
             via_quad = bloch_average(
                 lambda th, ph: devices.pointwise_fidelity(t, th, ph), quad)
             residuals.append(abs(closed - via_quad))
-    return [_check("oracle-device-average", _worst(residuals), 1e-9)]
+    return [CheckResult("oracle-device-average", residuals, 1e-9)]
 
 
 def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
@@ -292,23 +300,23 @@ def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
         _, rho = devices.apply_transform(t, symmetric_state(psi, n))
         direct = fidelity_pure(psi, rho)
         residuals.append(abs(closed - direct))
-    return [_check("pointwise-closed-vs-direct", _worst(residuals), 1e-11)]
+    return [CheckResult("pointwise-closed-vs-direct", residuals, 1e-11)]
 
 
 def _check_covariance() -> list[CheckResult]:
-    worst = _worst(devices.covariance_spread(devices.universal_disentangler(n))
-                   for n in (2, 5, 10))
+    spreads = [devices.covariance_spread(devices.universal_disentangler(n))
+               for n in (2, 5, 10)]
     swap_spread = devices.covariance_spread(devices.swap_disentangler(2))
-    return [_check("universal-covariance-spread", worst, 1e-12),
-            CheckResult("swap-state-dependence", bool(swap_spread > 0.01),
-                        f"spread={swap_spread:.3e} (needs > 1e-02)")]
+    return [CheckResult("universal-covariance-spread", spreads, 1e-12),
+            CheckResult("swap-state-dependence", swap_spread, 0.01, ">",
+                        "spread={value:.3e} (needs {relation} {tol:.0e})")]
 
 
 def _check_unitary_images() -> list[CheckResult]:
     """Unitarity residuals of the covariant device for N = 1..50."""
-    worst = _worst(r for n in range(1, 51)
-                   for r in devices.unitarity_residuals(devices.universal_disentangler(n)))
-    return [_check("unitary-images-n-le-50", worst, 1e-12)]
+    residuals = [devices.unitarity_residuals(devices.universal_disentangler(n))
+                 for n in range(1, 51)]
+    return [CheckResult("unitary-images-n-le-50", residuals, 1e-12)]
 
 
 def _dicke_with_last(n: int, c0: complex, c1: complex, last: int) -> np.ndarray:
@@ -335,13 +343,13 @@ def _check_cascade_action() -> list[CheckResult]:
                 gated = network.apply_cnot(gated, control, target)
             if not np.array_equal(out, gated.dense()):
                 mismatched.add(n)
+                residuals.append(np.inf)
             if n > 1:
                 residuals.append(np.max(np.abs(out - _dicke_with_last(n, *image))))
-    worst = _worst(residuals)
     gates = (f"differs from gate-by-gate at n={sorted(mismatched)}" if mismatched
              else "equals gate-by-gate")
-    return [CheckResult("network-cascade-action", not mismatched and worst <= 1e-12,
-                        f"residual={worst:.3e} tol=1e-12, {gates}")]
+    return [CheckResult("network-cascade-action", residuals, 1e-12,
+                        fmt="residual={value:.3e} tol={tol:.0e}, " + gates)]
 
 
 def _check_network(seed: int, angles_per_n: int,
@@ -365,16 +373,16 @@ def _check_network(seed: int, angles_per_n: int,
     p = 0.25
     sigma = np.sqrt(p * (1 - p) / 10 ** 5)
     dev = abs(counts.plus / 10 ** 5 - p)
-    return [_check("network-postselect-fidelity", _worst(res_fid), 1e-12),
-            _check("network-success-probability", _worst(res_prob), 1e-12),
-            CheckResult("network-shot-sampling", bool(dev <= 3 * sigma),
-                        f"|freq-p|={dev:.3e} (needs <= 3 sigma = {3 * sigma:.3e})")]
+    return [CheckResult("network-postselect-fidelity", res_fid, 1e-12),
+            CheckResult("network-success-probability", res_prob, 1e-12),
+            CheckResult("network-shot-sampling", dev, 3 * sigma,
+                        fmt="|freq-p|={value:.3e} (needs {relation} 3 sigma = {tol:.3e})")]
 
 
 def _check_bound_numeric(ns: tuple[int, ...]) -> list[CheckResult]:
-    worst = _worst(abs(measurement.optimal_measurement_bound_numeric(n)
-                       - measurement.optimal_measurement_bound(n)) for n in ns)
-    return [_check(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", worst, 1e-9)]
+    res = [abs(measurement.optimal_measurement_bound_numeric(n)
+               - measurement.optimal_measurement_bound(n)) for n in ns]
+    return [CheckResult(f"measurement-bound-numeric-{'-'.join(map(str, ns))}", res, 1e-9)]
 
 
 def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
@@ -397,19 +405,18 @@ def _check_optimizers(seeds: tuple[int, ...]) -> list[CheckResult]:
             res_avg.append(abs(val - target))
             res_uni.append(abs(val_u - target_u))
             excess += [val - target, val_u - target_u]
-    exceed = _worst(excess)
-    return [_check("optimizer-average-attains", _worst(res_avg), 1e-12),
-            _check("optimizer-universal-attains", _worst(res_uni), 1e-12),
-            CheckResult("optimizer-never-exceeds", bool(exceed <= 1e-12),
-                        f"max excess={exceed:.3e} (needs <= 1e-12)")]
+    return [CheckResult("optimizer-average-attains", res_avg, 1e-12),
+            CheckResult("optimizer-universal-attains", res_uni, 1e-12),
+            CheckResult("optimizer-never-exceeds", excess, 1e-12,
+                        fmt="max excess={value:.3e} (needs {relation} {tol:.0e})")]
 
 
 def cmd_verify(level: str, seed: int) -> int:
     """Run the cross-check suite; exit 0 iff every check passes.
 
     A check that raises (e.g. a corrupted build tripping a unitarity guard)
-    counts as a failure; only a usage error (an unknown level, a seed that
-    is not an integer >= 0) or harness-level trouble yields exit code 2.
+    fails as one line for its group, an inf residual; only a usage error
+    (an unknown level, a seed that is not an integer >= 0) yields exit 2.
     """
     try:
         _require(level in ("fast", "full"), f"unknown level {level!r}")
@@ -417,39 +424,36 @@ def cmd_verify(level: str, seed: int) -> int:
     except DomainError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    try:
-        quad = BlochQuadrature()
-        groups = [
-            ("endpoint-values-n1", _check_endpoints),
-            ("asymptotic-limits-n1e6", _check_asymptotes),
-            ("strategy-ordering-2-50", _check_ordering),
-            ("closed-form-oracles", lambda: _check_closed_form_oracles(quad)),
-            ("oracle-device-average",
-             lambda: _check_device_average_oracle(quad, seed)),
-            ("pointwise-closed-vs-direct",
-             lambda: _check_pointwise_dual_route(seed + 1)),
-            ("covariance", _check_covariance),
-            ("unitary-images", _check_unitary_images),
-            ("network-cascade-action", _check_cascade_action),
-            ("network", lambda: _check_network(seed + 2, 20, seed)),
-        ]
-        if level == "fast":
-            groups.append(("measurement-bound-numeric",
-                           lambda: _check_bound_numeric((2,))))
-        else:
-            groups.append(("measurement-bound-numeric",
-                           lambda: _check_bound_numeric((1, 2, 3, 5, 8))))
-            groups.append(("optimizers", lambda: _check_optimizers((seed,))))
+    quad = BlochQuadrature()
+    groups = [
+        ("endpoint-values-n1", _check_endpoints),
+        ("asymptotic-limits-n1e6", _check_asymptotes),
+        ("strategy-ordering-2-50", _check_ordering),
+        ("closed-form-oracles", lambda: _check_closed_form_oracles(quad)),
+        ("oracle-device-average",
+         lambda: _check_device_average_oracle(quad, seed)),
+        ("pointwise-closed-vs-direct",
+         lambda: _check_pointwise_dual_route(seed + 1)),
+        ("covariance", _check_covariance),
+        ("unitary-images", _check_unitary_images),
+        ("network-cascade-action", _check_cascade_action),
+        ("network", lambda: _check_network(seed + 2, 20, seed)),
+    ]
+    if level == "fast":
+        groups.append(("measurement-bound-numeric",
+                       lambda: _check_bound_numeric((2,))))
+    else:
+        groups.append(("measurement-bound-numeric",
+                       lambda: _check_bound_numeric((1, 2, 3, 5, 8))))
+        groups.append(("optimizers", lambda: _check_optimizers((seed,))))
 
-        checks: list[CheckResult] = []
-        for name, thunk in groups:
-            try:
-                checks += thunk()
-            except Exception as exc:
-                checks.append(CheckResult(name, False, f"raised {exc!r}"))
-    except Exception as exc:  # harness failure, not a failed tolerance
-        print(f"verify: internal error: {exc}", file=sys.stderr)
-        return 2
+    checks: list[CheckResult] = []
+    for name, thunk in groups:
+        try:
+            checks += thunk()
+        except Exception as exc:
+            text = repr(exc).replace("{", "{{").replace("}", "}}")  # braces as text
+            checks.append(CheckResult(name, np.inf, 0.0, fmt=f"raised {text}"))
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:34s}  {c.detail}")
     failed = sum(not c.passed for c in checks)
@@ -473,10 +477,10 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
     fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
     freq = counts.plus / shots
     stderr_bin = float(np.sqrt(p * (1.0 - p) / shots))
-    print(f"exact_success_probability = {_fmt(p)}")
-    print(f"empirical_plus_fraction = {_fmt(freq)}")
-    print(f"binomial_standard_error = {_fmt(stderr_bin)}")
-    print(f"post_selected_fidelity = {_fmt(fid)}")
+    print(f"exact_success_probability = {p:.12g}")
+    print(f"empirical_plus_fraction = {freq:.12g}")
+    print(f"binomial_standard_error = {stderr_bin:.12g}")
+    print(f"post_selected_fidelity = {fid:.12g}")
     print(f"shots = {shots}  plus = {counts.plus}  minus = {counts.minus}  "
           f"rng = pcg64  seed = {seed}")
     return 0

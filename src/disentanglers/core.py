@@ -56,6 +56,19 @@ def _require_count(n, name: str = "n", least: int = 1) -> int:
     return int(n)
 
 
+def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False) -> np.ndarray:
+    """The polar angles as a float array; DomainError unless each is in
+    [0, pi], each azimuth is finite (any is taken, being 2 pi-periodic; NaN
+    is neither) and, if `scalar`, both are scalars.  Arrays print on failure only."""
+    th = np.asarray(theta, dtype=float)
+    _require(not scalar or th.ndim == np.ndim(phi) == 0, f"{what}angles must be scalars")
+    if not ((th >= 0.0) & (th <= np.pi)).all():
+        raise DomainError(f"{what}theta={theta} outside [0, pi]")
+    if not np.isfinite(phi).all():
+        raise DomainError(f"{what}phi={phi} not finite")
+    return th
+
+
 def _float_count(n):
     """A checked count as the float the closed forms compute with.
 
@@ -240,7 +253,7 @@ class PureQubit:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(0.0 <= self.theta <= np.pi, f"theta={self.theta} outside [0, pi]")
+        _require_angles(self.theta, self.phi, scalar=True)
         _require(0.0 <= self.phi < TWO_PI, f"phi={self.phi} outside [0, 2 pi)")
 
     @property
@@ -380,8 +393,7 @@ def dilute_angle(theta, n: int):
     cosine is within rounding of 1.  Accepts scalars or arrays.
     """
     n = _float_count(n)
-    th = np.asarray(theta, dtype=float)
-    _require(bool(np.all((th >= 0.0) & (th <= np.pi))), "theta outside [0, pi]")
+    th = _require_angles(theta)
     out = 2.0 * np.arctan2(np.sin(th / 2.0), np.sqrt(n) * np.cos(th / 2.0))
     return out if out.ndim else float(out)
 

@@ -24,6 +24,7 @@ from .core import (
     _grid_refine,
     _libm_pow,
     _require,
+    _require_angles,
     _require_count,
     dilute_angle,
 )
@@ -148,16 +149,6 @@ def _branch_weights(theta_meas, phi_meas, t: dict[str, np.ndarray]):
     return amp, z.real * t["cos_ph"] - z.imag * t["sin_ph"]
 
 
-def _require_angles(theta, phi, what: str) -> None:
-    """DomainError unless each polar angle lies in [0, pi], as in
-    `PureQubit`, and each azimuth is finite; NaN is neither.  Azimuths are
-    2 pi-periodic, so any finite one is taken, as `PureQubit.from_angles`
-    takes it.  Scalars or arrays."""
-    th = np.asarray(theta, dtype=float)
-    _require(bool(np.all((th >= 0.0) & (th <= np.pi))), f"{what} theta={theta} outside [0, pi]")
-    _require(bool(np.all(np.isfinite(phi))), f"{what} phi={phi} not finite")
-
-
 def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
                       phi_meas: float, n: int, quad: BlochQuadrature):
     """Joint success-fidelity integral of one outcome branch.
@@ -169,10 +160,8 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     """
     j = _require_count(j, "outcome index", least=0)
     _require(j <= 1, f"outcome index {j} not in {{0, 1}}")
-    _require(np.ndim(theta_meas) == 0 and np.ndim(phi_meas) == 0,
-             "apparatus angles must be scalars")
-    _require_angles(theta_meas, phi_meas, "apparatus")
-    _require_angles(theta_prep, phi_prep, "preparation")
+    _require_angles(theta_meas, phi_meas, "apparatus ", scalar=True)
+    _require_angles(theta_prep, phi_prep, "preparation ")
     t = _ensemble_tables(n, quad)
     amp, re = _branch_weights(theta_meas, phi_meas, t)
     wp = t["w"] * (amp[j][:, None] + t["cbsb2"][:, None] * re[j][None, :])

@@ -26,6 +26,7 @@ from .core import (
     _dicke_support,
     _float_count,
     _require,
+    _require_angles,
     _require_count,
     symmetric_state,
 )
@@ -184,7 +185,7 @@ def success_probability(theta: float, n: int) -> float:
     """Chance the post-selection succeeds:
     1 / (N cos^2(theta/2) + sin^2(theta/2)), between 1/N and 1."""
     n = _float_count(n)
-    _require(0.0 <= theta <= np.pi, f"theta={theta} outside [0, pi]")
+    _require_angles(theta, scalar=True)
     c2 = np.cos(theta / 2.0) ** 2
     return float(1.0 / (n * c2 + (1.0 - c2)))
 

@@ -28,7 +28,7 @@ from disentanglers import (
     optimal_measurement_bound,
     universal_coefficients,
 )
-from disentanglers.cli import cmd_network, cmd_table, fidelity_columns, main
+from disentanglers.cli import CheckResult, cmd_network, cmd_table, fidelity_columns, main
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -292,7 +292,69 @@ class TestCmdTable:
         assert "cannot write" in capsys.readouterr().err
 
 
+class TestCheckResult:
+    def test_worst_entry_under_each_relation(self):
+        assert CheckResult("c", [0.0, 3e-16, 1e-17], 1e-15).value == 3e-16
+        assert CheckResult("c", [0.5, 0.2, 0.3], 0.1, ">").value == 0.2
+
+    def test_scalar_list_and_array_fold_alike(self):
+        for relation, want in (("<=", 2.0), (">", -1.0)):
+            folded = [CheckResult("c", v, 0.0, relation).value
+                      for v in ([-1.0, 2.0], (-1.0, 2.0), np.array([[-1.0], [2.0]]))]
+            assert folded == [want] * 3
+        assert CheckResult("c", np.float64(1.5), 0.0).value == 1.5
+        assert CheckResult("c", 1.5, 0.0, ">").value == 1.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fails_both_relations(self, bad):
+        # max() or min() would keep the finite entry it met first
+        for values in (bad, [0.0, bad], [bad, 0.0]):
+            below = CheckResult("c", values, 1.0)
+            above = CheckResult("c", values, -1.0, ">")
+            assert (below.value, below.passed) == (np.inf, False)
+            assert (above.value, above.passed) == (-np.inf, False)
+
+    def test_bound_itself_passes_only_non_strict(self):
+        assert CheckResult("c", 1e-12, 1e-12).passed is True
+        assert CheckResult("c", 1e-6, 1e-6, ">").passed is False
+        assert CheckResult("c", 2e-6, 1e-6, ">").passed is True
+
+    def test_detail_formats_the_fields(self):
+        assert CheckResult("c", [1e-16, 2e-16], 1e-12).detail == "residual=2.000e-16 tol=1e-12"
+        gap = CheckResult("c", 0.25, 1e-6, ">", "min gap={value:.3e} (needs {relation} {tol:.0e})")
+        assert gap.detail == "min gap=2.500e-01 (needs > 1e-06)"
+
+    def test_unknown_relation_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="relation"):
+            CheckResult("c", 0.0, 0.0, "<")
+
+    def test_gate_by_gate_mismatch_is_an_inf_residual(self, monkeypatch):
+        # the sector cascade is untouched, so its defining-action residuals
+        # stay small and only the gate-by-gate comparison sees the fault
+        monkeypatch.setattr(cli.network, "apply_cnot", lambda state, control, target: state)
+        (result,) = cli._check_cascade_action()
+        assert (result.value, result.passed) == (np.inf, False)
+        assert result.detail.endswith(f"differs from gate-by-gate at n={list(range(2, 13))}")
+
+    def test_exception_line_prints_braces_intact(self, capsys, monkeypatch):
+        def raising():
+            raise ValueError("bad {value} } {")
+
+        monkeypatch.setattr(cli, "_check_unitary_images", raising)
+        assert cli.cmd_verify("fast", 42) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail = [line for line in lines if line.startswith("FAIL")]
+        assert fail == [f"FAIL  {'unitary-images':34s}  raised ValueError('bad {{value}} }} {{')"]
+
+
 class TestCmdVerify:
+    # stdout of `verify --seed 42` at each level; a change that moves any
+    # printed digit updates these on purpose and says so in CHANGES.md
+    DIGESTS = {
+        "fast": "b818f06d10778a07197c6a87afba734586d99c1eab8c39bac84bb08677de592b",
+        "full": "3400355b9a1688c59c06eb4f12828ec2e40792b2511d403a6285a40cee6379b6",
+    }
+
     def test_fast_passes(self, capsys):
         # both levels run exactly these checks, in this order, and pass them
         common = ["endpoint-values-n1", "asymptotic-limits-n1e6",
@@ -309,7 +371,9 @@ class TestCmdVerify:
                                        "optimizer-universal-attains",
                                        "optimizer-never-exceeds"])):
             assert cli.cmd_verify(level, 42) == 0
-            *lines, total = capsys.readouterr().out.splitlines()
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[level]
+            *lines, total = out.splitlines()
             assert [line.split()[1] for line in lines] == common + extra
             assert [line.split()[0] for line in lines] == ["PASS"] * len(lines)
             assert total == f"{len(lines)}/{len(lines)} checks passed"
@@ -330,12 +394,6 @@ class TestCmdVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "verify: need an integer seed >= 0, got -3\n"
-
-    def test_worst_is_inf_unless_all_finite(self):
-        assert cli._worst([0.0, 3e-16, 1e-17]) == 3e-16
-        assert cli._worst(x for x in [-2.0, -1.0]) == -1.0
-        for bad in ([np.nan, 1.0], [1.0, np.nan], [0.0, np.inf], [-np.inf]):
-            assert cli._worst(bad) == np.inf
 
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
         true_coeffs = devices.universal_coefficients

@@ -46,7 +46,9 @@ class TestPureQubit:
         assert abs(abs(psi.alpha) ** 2 + abs(psi.beta) ** 2 - 1.0) < 1e-12
 
     @pytest.mark.parametrize("theta,phi", [(-0.1, 0.0), (np.pi + 0.1, 0.0),
-                                           (1.0, -0.5), (1.0, 2 * np.pi)])
+                                           (1.0, -0.5), (1.0, 2 * np.pi),
+                                           (np.array([0.1, 0.2]), 0.0),
+                                           (1.0, np.array([0.1, 0.2]))])
     def test_range_validation(self, theta, phi):
         with pytest.raises(DomainError):
             PureQubit(theta, phi)

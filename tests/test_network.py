@@ -1,5 +1,6 @@
 """C-NOT cascade, post-selection branches, and shot sampling."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -345,6 +346,13 @@ class TestSuccessProbability:
         assert success_probability(np.pi, 9) == pytest.approx(1.0)
         assert success_probability(0.0, 8) == pytest.approx(1 / 8)
         assert success_probability(np.pi / 2, 2) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("theta, message", [
+        (-0.1, "theta=-0.1 outside"), (np.nan, "theta=nan outside"),
+        (np.array([0.1, 0.2]), "angles must be scalars")])
+    def test_rejects_theta_outside_its_range(self, theta, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            success_probability(theta, 3)
 
     def test_monotone_in_n(self):
         for theta in np.linspace(0.0, np.pi - 0.05, 12):
