@@ -56,17 +56,22 @@ def _require_count(n, name: str = "n", least: int = 1) -> int:
     return int(n)
 
 
-def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False) -> np.ndarray:
-    """The polar angles as a float array; DomainError unless each is in
+def _require_angles(theta, phi=0.0, what: str = "",
+                    scalar: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The polar angles as float arrays (theta, phi); DomainError unless each
+    is a real number (not complex, a string or an object), each theta is in
     [0, pi], each azimuth is finite (any is taken, being 2 pi-periodic; NaN
     is neither) and, if `scalar`, both are scalars.  Arrays print on failure only."""
-    th = np.asarray(theta, dtype=float)
-    _require(not scalar or th.ndim == np.ndim(phi) == 0, f"{what}angles must be scalars")
+    th, ph = np.asarray(theta), np.asarray(phi)
+    if th.dtype.kind not in "biuf" or ph.dtype.kind not in "biuf":
+        raise DomainError(f"{what}angles must be real numbers, got {theta!r}, {phi!r}")
+    th, ph = th.astype(float, copy=False), ph.astype(float, copy=False)
+    _require(not scalar or th.ndim == ph.ndim == 0, f"{what}angles must be scalars")
     if not ((th >= 0.0) & (th <= np.pi)).all():
         raise DomainError(f"{what}theta={theta} outside [0, pi]")
-    if not np.isfinite(phi).all():
+    if not np.isfinite(ph).all():
         raise DomainError(f"{what}phi={phi} not finite")
-    return th
+    return th, ph
 
 
 def _float_count(n):
@@ -301,6 +306,9 @@ class DickeVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
+        c0, c1 = np.asarray(self.c0), np.asarray(self.c1)
+        if c0.ndim or c1.ndim or c0.dtype.kind not in "biufc" or c1.dtype.kind not in "biufc":
+            raise DomainError(f"amplitudes must be two numbers, got {self.c0!r}, {self.c1!r}")
         norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
         _require(abs(norm2 - 1.0) < 1e-12, f"amplitudes not normalized: |c|^2 = {norm2}")
 
@@ -393,7 +401,7 @@ def dilute_angle(theta, n: int):
     cosine is within rounding of 1.  Accepts scalars or arrays.
     """
     n = _float_count(n)
-    th = _require_angles(theta)
+    th, _ = _require_angles(theta)
     out = 2.0 * np.arctan2(np.sin(th / 2.0), np.sqrt(n) * np.cos(th / 2.0))
     return out if out.ndim else float(out)
 

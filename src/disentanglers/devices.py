@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     DensityOperator,
     DickeVector,
+    _closed_form,
     _float_count,
     _libm_pow,
     _nelder_mead,
@@ -203,23 +204,24 @@ def covariance_spread(t: DeviceTransform) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
-def moment_integrals(n: int) -> tuple[float, float, float]:
-    """Polar moments of the diluted ensemble against cos^4, sin^4, and
-    sin^2 cos^2 of the half-angle.
+def _moment(num):
+    """The formula num(N, ln N) / (N-1)^3 of a moment, for float counts N > 1."""
+    return lambda n: num(n, np.log(n)) / _libm_pow(n - 1.0, 3.0)
 
-    These are integrals of sin(theta) dtheta / (N cos^2(theta/2) +
-    sin^2(theta/2)) times the respective half-angle factor, in closed form.
-    They obey N m1 + m2 + (N+1) m3 = 2 and are (2/3, 2/3, 1/3) at N=1.
-    """
-    n = _float_count(n)
-    if n == 1:
-        return 2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
-    d = _libm_pow(n - 1.0, 3.0)
-    ln = np.log(n)
-    m1 = (3.0 - 4.0 * n + n * n + 2.0 * ln) / d
-    m2 = (-1.0 + 4.0 * n - 3.0 * n * n + 2.0 * n * n * ln) / d
-    m3 = (-1.0 + n * n - 2.0 * n * ln) / d
-    return float(m1), float(m2), float(m3)
+
+# each moment written once; `measurement.optimal_measurement_bound` reads m3
+_m1 = _moment(lambda n, ln: 3.0 - 4.0 * n + n * n + 2.0 * ln)
+_m2 = _moment(lambda n, ln: -1.0 + 4.0 * n - 3.0 * n * n + 2.0 * n * n * ln)
+_m3 = _moment(lambda n, ln: -1.0 + n * n - 2.0 * n * ln)
+
+
+def moment_integrals(n):
+    """Polar moments (m1, m2, m3) of the diluted ensemble: integrals of
+    sin(theta) dtheta / (N cos^2(theta/2) + sin^2(theta/2)) times cos^4, sin^4
+    and sin^2 cos^2 of the half-angle.  N m1 + m2 + (N+1) m3 = 2; (2/3, 2/3,
+    1/3) at N=1.  Floats for a count, arrays for an integer array of counts."""
+    return (_closed_form(n, 2.0 / 3.0, _m1), _closed_form(n, 2.0 / 3.0, _m2),
+            _closed_form(n, 1.0 / 3.0, _m3))
 
 
 def _avg_fidelity(n: float, moments: tuple[float, float, float], d1_sq: float,

@@ -28,6 +28,7 @@ from .core import (
     _require_count,
     dilute_angle,
 )
+from .devices import _m3
 
 
 def _projector_amplitudes(theta_p, phi_p):
@@ -88,13 +89,21 @@ def dilution_overlap(n):
     """Sphere average of the squared overlap between a qubit and its dilution.
 
     Closed form (N^2 + 4 N^{3/2} - 4 N^{1/2} - 1 + 2 N ln N) /
-    (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2.  Takes a
-    count or an integer array of counts, as do the two forms below.
+    (2 (N-1) (sqrt(N)+1)^2); equals 1 at N=1 and tends to 1/2 from above.
+    Takes a count or an integer array of counts, as do the two forms below.
+
+    The true value exceeds 1/2 at every N, but rounding takes the quotient
+    to 0.4999999999999999 at some N >= 2^106 (2^107 is the first power of
+    two), so it is floored at 1/2.  Where the floor acts, the true value
+    lies above 1/2 by at most 2 * 2^-53, the worst error against a
+    150-digit evaluation at about 720 N between 2^100 and 2^340.  Below
+    10^6 the quotient exceeds 0.5007 and the floor moves no value.  With f
+    >= 1/2, (1 + f) / 3 >= 1/2 as well.
     """
     def overlap(n):
         rt = np.sqrt(n)
         num = n * n + 4.0 * n * rt - 4.0 * rt - 1.0 + 2.0 * n * np.log(n)
-        return num / (2.0 * (n - 1.0) * _libm_pow(rt + 1.0, 2.0))
+        return np.maximum(0.5, num / (2.0 * (n - 1.0) * _libm_pow(rt + 1.0, 2.0)))
 
     return _closed_form(n, 1.0, overlap)
 
@@ -111,10 +120,9 @@ def measurement_avg_fidelity(n):
 
 
 def optimal_measurement_bound(n):
-    """Upper bound on any measure-and-prepare strategy's average fidelity:
-    (1/2) [1 + sqrt(N) (N^2 - 1 - 2 N ln N) / (N-1)^3], with limit 2/3 at N=1."""
-    return _closed_form(n, 2.0 / 3.0, lambda n: 0.5 * (
-        1.0 + np.sqrt(n) * (n * n - 1.0 - 2.0 * n * np.log(n)) / _libm_pow(n - 1.0, 3.0)))
+    """(1 + sqrt(N) m3) / 2, m3 of `devices.moment_integrals`, 2/3 at N=1: the
+    best measure-and-prepare average fidelity (Massar & Popescu, PRL 74, 1259 (1995))."""
+    return _closed_form(n, 2.0 / 3.0, lambda n: 0.5 * (1.0 + np.sqrt(n) * _m3(n)))
 
 
 def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
@@ -161,13 +169,11 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     j = _require_count(j, "outcome index", least=0)
     _require(j <= 1, f"outcome index {j} not in {{0, 1}}")
     _require_angles(theta_meas, phi_meas, "apparatus ", scalar=True)
-    _require_angles(theta_prep, phi_prep, "preparation ")
+    tp, pp = _require_angles(theta_prep, phi_prep, "preparation ")
     t = _ensemble_tables(n, quad)
     amp, re = _branch_weights(theta_meas, phi_meas, t)
     wp = t["w"] * (amp[j][:, None] + t["cbsb2"][:, None] * re[j][None, :])
 
-    tp = np.asarray(theta_prep, dtype=float)
-    pp = np.asarray(phi_prep, dtype=float)
     shape = np.broadcast_shapes(tp.shape, pp.shape)
     tp = np.broadcast_to(tp, shape).reshape(-1, 1, 1)
     pp = np.broadcast_to(pp, shape).reshape(-1, 1, 1)

@@ -53,6 +53,14 @@ class TestPureQubit:
         with pytest.raises(DomainError):
             PureQubit(theta, phi)
 
+    def test_string_angle_raises_domain_error(self):
+        with pytest.raises(DomainError, match="real numbers"):
+            PureQubit("a")
+
+    def test_complex_angle_raises_domain_error(self):
+        with pytest.raises(DomainError, match="real numbers"):
+            PureQubit(1j)
+
     def test_from_amplitudes_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -151,6 +159,10 @@ class TestSymmetricState:
             DickeVector(3, 0.9, 0.9)
         with pytest.raises(DomainError):
             DickeVector(0, 1.0, 0.0)
+
+    def test_string_amplitude_raises_domain_error(self):
+        with pytest.raises(DomainError, match="two numbers"):
+            DickeVector(2, "a", 0)
 
 
 class TestDickeToStatevector:
@@ -417,6 +429,12 @@ class TestLibmPow:
             assert type(got) is float and got == 9.0
 
 
+# without its floor at 1/2, the rounded overlap falls below 1/2 at 2^107 and at
+# this N, and the projective fidelity (1 + f) / 3 at 10^100 and at this N
+OVERLAP_BELOW_HALF_339_BITS = int(
+    "503912aa36cf7eb70ba6527d99a23e4f7625eafe6790abc18a40b55c7ed9d4d4985dc09aedbd06d316b4a", 16)
+
+
 def _count_entry_points():
     from disentanglers import (
         DeviceTransform,
@@ -468,13 +486,14 @@ class TestIntegerCount:
     def test_narrow_integers_do_not_wrap(self, narrow):
         from disentanglers import (
             dilution_overlap,
+            moment_integrals,
             optimal_measurement_bound,
             success_probability,
             universal_coefficients,
         )
 
         # n * n in uint8 is 0 at n = 16; the count is widened before use
-        for closed_form in (diluted_avg_fidelity, dilution_overlap,
+        for closed_form in (diluted_avg_fidelity, dilution_overlap, moment_integrals,
                             optimal_measurement_bound, universal_coefficients,
                             lambda n: success_probability(1.0, n),
                             lambda n: dilute_angle(1.0, n)):
@@ -482,10 +501,11 @@ class TestIntegerCount:
         assert type(DickeVector(narrow, 1.0, 0.0).n) is int
         assert type(SupportStateVector(np.uint8(3), np.array([0]), np.ones(1)).n) is int
 
-    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64, 10 ** 30, MAX_CLOSED_FORM_N - 1,
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64, 10 ** 30, 2 ** 107, 10 ** 100,
+                                   OVERLAP_BELOW_HALF_339_BITS, MAX_CLOSED_FORM_N - 1,
                                    MAX_CLOSED_FORM_N, 10 ** 200, 10 ** 400],
-                             ids=["2^63", "2^64", "1e30", "2^340-1", "2^340",
-                                  "1e200", "1e400"])
+                             ids=["2^63", "2^64", "1e30", "2^107", "1e100", "339-bit",
+                                  "2^340-1", "2^340", "1e200", "1e400"])
     def test_float_range(self, n):
         # a value in range or DomainError, never an untyped error, NaN or inf
         from disentanglers import (

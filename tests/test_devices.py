@@ -194,6 +194,29 @@ class TestCovarianceSpread:
 
 
 class TestMomentIntegrals:
+    def test_array_matches_scalars_with_exact_n1(self):
+        arrays = moment_integrals(np.array([1, 2, 3]))
+        assert all(type(m) is np.ndarray and m.shape == (3,) for m in arrays)
+        assert [m[0] for m in arrays] == [2 / 3, 2 / 3, 1 / 3]
+        for k, n in enumerate((1, 2, 3)):
+            assert tuple(m[k] for m in arrays) == moment_integrals(n)
+
+    def test_array_equals_scalar_bit_for_bit(self):
+        ns = np.concatenate([np.arange(1, 2001),
+                             np.geomspace(2001, 10 ** 6, 200).astype(np.int64)])
+        scalars = np.array([moment_integrals(int(n)) for n in ns]).T
+        assert np.array_equal(np.array(moment_integrals(ns)), scalars)
+
+    def test_array_rejects_zero_naming_it(self):
+        with pytest.raises(DomainError, match="got 0"):
+            moment_integrals(np.array([0, 2]))
+
+    def test_sum_rule_on_arrays(self):
+        n = np.arange(1, 10 ** 5)
+        m1, m2, m3 = moment_integrals(n)
+        # the terms are at most 2 in size, so a few ulp of 2 covers the sum
+        assert np.max(np.abs(n * m1 + m2 + (n + 1) * m3 - 2.0)) <= 8 * np.spacing(2.0)
+
     def test_frozen_n2(self):
         m1, m2, m3 = moment_integrals(2)
         assert m1 == pytest.approx(0.3862943611198906, abs=1e-14)  # 2 ln 2 - 1

@@ -19,6 +19,7 @@ from disentanglers import (
     dilution_overlap,
     estimator_output,
     measurement_avg_fidelity,
+    moment_integrals,
     optimal_measurement_bound,
     optimal_measurement_bound_numeric,
     projector_pair,
@@ -175,6 +176,12 @@ class TestOverlapAndAverageFidelity:
                                                             abs=1e-12)
         assert abs(measurement_avg_fidelity(10 ** 6) - 0.5) < 1e-3
 
+    def test_floored_at_half(self):
+        # rounding alone gives 0.4999999999999999 at 2^107
+        assert dilution_overlap(2 ** 107) == 0.5
+        assert measurement_avg_fidelity(2 ** 107) == 0.5
+        assert measurement_avg_fidelity(10 ** 100) == 0.5
+
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 25, 50])
     def test_overlap_closed_form_vs_quadrature(self, n):
         def overlap_sq(th, ph):
@@ -254,6 +261,21 @@ class TestOptimalBound:
         assert optimal_measurement_bound(2) == pytest.approx(0.6608040566225483,
                                                              abs=1e-12)
         assert abs(optimal_measurement_bound(10 ** 6) - 0.5) < 1e-3
+
+    def test_reads_m3(self):
+        n = np.arange(2, 5000)
+        m3 = moment_integrals(n)[2]
+        assert np.array_equal(optimal_measurement_bound(n), 0.5 * (1.0 + np.sqrt(n) * m3))
+
+    @pytest.mark.parametrize("n,pinned", [
+        (2, "0x1.5254e8c884159p-1"), (3, "0x1.4e0eaf7587bf9p-1"),
+        (5, "0x1.46b5c40cb1965p-1"), (8, "0x1.3ec216b528e5cp-1"),
+        (10, "0x1.3acc5a7c6a599p-1"), (25, "0x1.2ae025acf7b69p-1"),
+        (10 ** 6, "0x1.004188cd8198ap-1")])
+    def test_bits_at_verify_counts(self, n, pinned):
+        # the counts `verify` reads the bound at; written as sqrt(N) times
+        # the quotient m3 or as one quotient, the bound has these same bits
+        assert optimal_measurement_bound(n) == float.fromhex(pinned)
 
     def test_dominates_projective_strategy(self):
         for n in range(2, 51):

@@ -1,0 +1,110 @@
+"""Check that this checkout prints what an earlier git revision prints.
+
+    python tools/same_outputs.py --base REV
+
+REV is exported with `git archive` into a temporary directory.  Both trees
+run the `disentanglers` command as subprocesses, each with its own `src` on
+PYTHONPATH; this checkout runs as it is on disk, uncommitted edits
+included.  Four gates compare stdout and exit code:
+
+  * verify-fast: `verify --level fast` at seeds 0-49;
+  * verify-full: `verify --level full` at seeds 1-11, 23 and 42;
+  * network: `network --theta 1.1 --phi 2.3 --shots 100000 --seed 7` at
+    n = 1, 2, 12, 17, 20 and 21 (21 is past the cascade cap and exits 2);
+  * table: the sha256 of `table --n-min 1 --n-max 1000000`.
+
+One line per gate: SAME, or DIFF with the first run that differs and its
+first differing line.  Exits 0 iff every gate is SAME.  The whole check
+runs 70 subprocesses per tree, two at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+NETWORK = ["network", "--theta", "1.1", "--phi", "2.3", "--shots", "100000", "--seed", "7"]
+
+GATES = {
+    "verify-fast": {f"seed {s}": ["verify", "--level", "fast", "--seed", str(s)]
+                    for s in range(50)},
+    "verify-full": {f"seed {s}": ["verify", "--level", "full", "--seed", str(s)]
+                    for s in [*range(1, 12), 23, 42]},
+    "network": {f"n {n}": [*NETWORK, "--n", str(n)] for n in (1, 2, 12, 17, 20, 21)},
+    "table": {"1..1000000 sha256": ["table", "--n-min", "1", "--n-max", "1000000"]},
+}
+
+
+def run(src: Path, argv: list[str], digest: bool = False) -> str:
+    """The command's stdout, or its sha256 if `digest`, then a last line
+    with its exit code."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen([sys.executable, "-m", "disentanglers.cli", *argv], env=env,
+                          cwd=src, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
+        if digest:
+            h = hashlib.sha256()
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                h.update(chunk)
+            out = h.hexdigest() + "\n"
+        else:
+            out = proc.stdout.read().decode()
+    return f"{out}[exit {proc.returncode}]\n"
+
+
+def first_difference(base: str, head: str) -> str | None:
+    """None if the texts are equal, else the number (from 1) of the first
+    line where they differ and both versions of it."""
+    lines = itertools.zip_longest(base.splitlines(keepends=True),
+                                  head.splitlines(keepends=True))
+    for k, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return f"line {k}: {a!r} != {b!r}"
+    return None
+
+
+def gate_line(gate: str, base: dict[str, str], head: dict[str, str]) -> str:
+    """SAME if every run of the gate printed the same in both trees, else
+    DIFF with the first run that differs and where."""
+    for label in base:
+        where = first_difference(base[label], head[label])
+        if where is not None:
+            return f"DIFF {gate}: {label}, {where}"
+    return f"SAME {gate}: {len(base)} runs"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    rev = parser.parse_args(argv).base
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "base.tar"
+        subprocess.run(["git", "-C", str(REPO), "archive", "-o", str(archive), rev],
+                       check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(Path(tmp) / "base", filter="data")
+        trees = {"base": Path(tmp) / "base" / "src", "head": REPO / "src"}
+        jobs = [(tree, gate, label, argv) for gate, runs in GATES.items()
+                for label, argv in runs.items() for tree in trees]
+        with ThreadPoolExecutor(2) as pool:
+            outs = list(pool.map(lambda j: run(trees[j[0]], j[3], j[1] == "table"), jobs))
+    results = {tree: {gate: {} for gate in GATES} for tree in trees}
+    for (tree, gate, label, _), out in zip(jobs, outs):
+        results[tree][gate][label] = out
+    lines = [gate_line(g, results["base"][g], results["head"][g]) for g in GATES]
+    print("\n".join(lines))
+    return 0 if all(line.startswith("SAME") for line in lines) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
