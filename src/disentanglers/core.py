@@ -19,6 +19,8 @@ Conventions fixed throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -56,12 +58,21 @@ def _require_count(n, name: str = "n", least: int = 1) -> int:
     return int(n)
 
 
-def _require_angles(theta, phi=0.0, what: str = "",
-                    scalar: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The polar angles as float arrays (theta, phi); DomainError unless each
-    is a real number (not complex, a string or an object), each theta is in
+def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False):
+    """The polar angles (theta, phi), converted; DomainError unless each is a
+    real number (not complex, a string or an object), each theta is in
     [0, pi], each azimuth is finite (any is taken, being 2 pi-periodic; NaN
-    is neither) and, if `scalar`, both are scalars.  Arrays print on failure only."""
+    is neither) and, if `scalar`, both are scalars.  Two float scalars
+    (Python or numpy) come back as Python floats by a branch of their own,
+    with the same checks and messages; anything else comes back as two float
+    arrays.  Values are formatted only into a message that is raised."""
+    if isinstance(theta, float) and isinstance(phi, float):
+        # NaN fails every comparison, so both guards reject it
+        if not 0.0 <= theta <= np.pi:
+            raise DomainError(f"{what}theta={theta} outside [0, pi]")
+        if not math.isfinite(phi):
+            raise DomainError(f"{what}phi={phi}: phi not finite")
+        return float(theta), float(phi)
     th, ph = np.asarray(theta), np.asarray(phi)
     if th.dtype.kind not in "biuf" or ph.dtype.kind not in "biuf":
         raise DomainError(f"{what}angles must be real numbers, got {theta!r}, {phi!r}")
@@ -70,7 +81,7 @@ def _require_angles(theta, phi=0.0, what: str = "",
     if not ((th >= 0.0) & (th <= np.pi)).all():
         raise DomainError(f"{what}theta={theta} outside [0, pi]")
     if not np.isfinite(ph).all():
-        raise DomainError(f"{what}phi={phi} not finite")
+        raise DomainError(f"{what}phi={phi}: phi not finite")
     return th, ph
 
 
@@ -259,7 +270,8 @@ class PureQubit:
 
     def __post_init__(self) -> None:
         _require_angles(self.theta, self.phi, scalar=True)
-        _require(0.0 <= self.phi < TWO_PI, f"phi={self.phi} outside [0, 2 pi)")
+        if not 0.0 <= self.phi < TWO_PI:
+            raise DomainError(f"phi={self.phi} outside [0, 2 pi)")
 
     @property
     def alpha(self) -> float:
@@ -274,11 +286,13 @@ class PureQubit:
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "PureQubit":
-        """Build with phi reduced mod 2 pi (theta must already be in range).
+        """Build with phi reduced mod 2 pi (theta must already be in range);
+        the angles pass `_require_angles` first, as scalars.
 
         A phi a rounding error below a multiple of 2 pi reduces to exactly
         2 pi in floating point; that value is folded back to 0.
         """
+        theta, phi = _require_angles(theta, phi, scalar=True)
         phi = float(phi) % TWO_PI
         return cls(float(theta), 0.0 if phi == TWO_PI else phi)
 
@@ -375,9 +389,32 @@ class SupportStateVector:
         return amps
 
 
+def _min_eigenvalue(a: float, d: float, b: complex) -> float:
+    """The smaller eigenvalue (a + d)/2 - hypot((a - d)/2, |b|) of the
+    Hermitian 2x2 matrix [[a, conj(b)], [b, d]].
+
+    Error model, with u = 2^-53 and r the hypot: the half sum and the half
+    difference round once each (halving is exact), `math.hypot` is within
+    one ulp and carries the half difference's rounding at most once more,
+    and the final subtraction rounds once, so the result is within
+    u (|a + d|/2 + 3 r + |result|) of the exact eigenvalue.  For a unit-trace
+    matrix near the PSD cut r is about 1/2, which bounds the error by about
+    2u = 2.2e-16; `eigvalsh` is backward stable to a few u as well.
+    """
+    return (a + d) / 2.0 - math.hypot((a - d) / 2.0, b.real, b.imag)
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix."""
+    """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix.
+
+    The checks read the four entries as Python scalars: each Hermiticity
+    residual |m_ij - conj(m_ji)| below 1e-10, compared one by one so that a
+    NaN or an infinite entry fails as in the array form; the real trace
+    within 1e-10 of 1; and the smaller eigenvalue of the lower triangle (as
+    `eigvalsh` reads it), in the closed form of `_min_eigenvalue`, above
+    -1e-10.
+    """
 
     entries: np.ndarray
 
@@ -385,9 +422,13 @@ class DensityOperator:
         # a copy, so freezing it leaves the caller's array writable
         m = np.array(self.entries, dtype=complex)
         _require(m.shape == (2, 2), f"expected a 2x2 matrix, got shape {m.shape}")
-        _require(np.max(np.abs(m - m.conj().T)) < 1e-10, "matrix is not Hermitian")
-        _require(abs(np.trace(m).real - 1.0) < 1e-10, f"trace {np.trace(m)} != 1")
-        _require(float(np.linalg.eigvalsh(m).min()) > -1e-10, "matrix is not PSD")
+        a, b, c, d = m.ravel().tolist()
+        # not max(): it keeps its first operand when a later one is NaN
+        _require(abs(a - a.conjugate()) < 1e-10 and abs(b - c.conjugate()) < 1e-10
+                 and abs(d - d.conjugate()) < 1e-10, "matrix is not Hermitian")
+        if not abs(a.real + d.real - 1.0) < 1e-10:
+            raise DomainError(f"trace {np.trace(m)} != 1")
+        _require(_min_eigenvalue(a.real, d.real, c) > -1e-10, "matrix is not PSD")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -468,13 +509,26 @@ def fidelity_pure(psi: PureQubit, rho: DensityOperator) -> float:
     return complex(v.conj() @ rho.entries @ v).real
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only polar nodes arccos(u) and weights w/2 of the n_theta-point
+    Gauss-Legendre rule in u = cos(theta), built once per size (the 16
+    sizes used last are kept)."""
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    nodes, weights = np.arccos(u), wu / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 @dataclass(frozen=True, eq=False)
 class BlochQuadrature:
     """Gauss-Legendre (in cos theta) x trapezoid (in phi) rule on the sphere.
 
     Weights are normalized to the measure sin(theta) dtheta dphi / (4 pi), so
     they sum to one.  Exact for integrands polynomial of degree <= 2 n_theta - 1
-    in cos(theta) and bandlimited below n_phi in phi.
+    in cos(theta) and bandlimited below n_phi in phi.  Every array, the
+    meshed grid included, is built once per rule and is read-only.
     """
 
     n_theta: int = 64
@@ -482,30 +536,40 @@ class BlochQuadrature:
     theta_nodes: np.ndarray = field(init=False, repr=False)
     theta_weights: np.ndarray = field(init=False, repr=False)
     phi_nodes: np.ndarray = field(init=False, repr=False)
+    _grid: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n_theta", "n_phi"):
             object.__setattr__(self, name, _require_count(getattr(self, name), name, least=2))
-        u, wu = np.polynomial.legendre.leggauss(self.n_theta)
-        for name, arr in (("theta_nodes", np.arccos(u)),
-                          ("theta_weights", wu / 2.0),
-                          ("phi_nodes", TWO_PI * np.arange(self.n_phi) / self.n_phi)):
+        nodes, weights = _gauss_legendre(self.n_theta)
+        phi_nodes = TWO_PI * np.arange(self.n_phi) / self.n_phi
+        th, ph = np.meshgrid(nodes, phi_nodes, indexing="ij")
+        w = np.outer(weights, np.full(self.n_phi, 1.0 / self.n_phi))
+        for arr in (phi_nodes, th, ph, w):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "theta_nodes", nodes)
+        object.__setattr__(self, "theta_weights", weights)
+        object.__setattr__(self, "phi_nodes", phi_nodes)
+        object.__setattr__(self, "_grid", (th, ph, w))
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Meshed (theta, phi, weight) arrays of shape (n_theta, n_phi)."""
-        th, ph = np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
-        w = np.outer(self.theta_weights, np.full(self.n_phi, 1.0 / self.n_phi))
-        return th, ph, w
+        return self._grid
 
 
 def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   quad: BlochQuadrature) -> float:
-    """Average f(theta, phi) over the sphere; f must broadcast over arrays."""
-    th, ph, w = quad.grid()
-    vals = np.broadcast_to(np.asarray(f(th, ph), dtype=float), th.shape)
-    return float(np.sum(w * vals))
+    """Average f(theta, phi) over the sphere; f must act elementwise and
+    broadcast over arrays.
+
+    The rule is a product, so f gets the polar nodes as a column and the
+    azimuth nodes as a row: a factor of theta alone is evaluated once per
+    polar node, not once per grid point.  Each grid point's value, and so
+    the weighted sum over the meshed grid, is the same as from the meshed
+    arrays of `grid()`."""
+    w = quad.grid()[2]
+    vals = f(quad.theta_nodes[:, None], quad.phi_nodes[None, :])
+    return float(np.sum(w * np.broadcast_to(np.asarray(vals, dtype=float), w.shape)))
 
 
 def diluted_avg_fidelity(n):

@@ -14,7 +14,7 @@ and only the optimum a search returns is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     _libm_pow,
     _nelder_mead,
     _require,
+    _require_angles,
     _require_count,
     dilute_angle,
 )
@@ -47,13 +48,17 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DeviceTransform:
-    """Four machine vectors defining a sector-preserving device unitary."""
+    """Four machine vectors defining a sector-preserving device unitary.
+
+    Their Gram matrix is formed once, here, and read by `gram_summary`;
+    unitarity is checked where the device is used, not here."""
 
     n: int
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
     d4: np.ndarray
+    _gram_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
@@ -63,15 +68,19 @@ class DeviceTransform:
             _require(v.shape == (MACHINE_DIM,), f"{name} must have {MACHINE_DIM} components")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        v = self.vectors()
+        g = v.conj() @ v.T
+        g.setflags(write=False)
+        object.__setattr__(self, "_gram_matrix", g)
 
     def vectors(self) -> np.ndarray:
         return np.stack([self.d1, self.d2, self.d3, self.d4])
 
 
 def gram_summary(t: DeviceTransform) -> np.ndarray:
-    """Gram matrix <Di|Dj> of the four machine vectors; ||Di||^2 on its diagonal."""
-    v = t.vectors()
-    return v.conj() @ v.T
+    """Gram matrix <Di|Dj> of the four machine vectors, read-only; ||Di||^2
+    on its diagonal."""
+    return t._gram_matrix
 
 
 def _gram_residuals(g: np.ndarray) -> tuple[float, float, float]:
@@ -114,7 +123,7 @@ def apply_transform(t: DeviceTransform,
 
 def pointwise_fidelity(t: DeviceTransform, theta, phi):
     """Fidelity of the disentangled qubit against the original at one input
-    orientation; broadcasts over angle arrays.
+    orientation; broadcasts over angle arrays, checked by `_require_angles`.
 
     The Gram quadratic form Re(x^H G x), with x = (diluted input) (x)
     conj(original qubit) and Gram index 2i + a for sector input i and
@@ -122,9 +131,7 @@ def pointwise_fidelity(t: DeviceTransform, theta, phi):
     state left by projecting the output qubit onto the original.
     """
     g = _check_unitary(t)
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    _require(bool(np.all(np.isfinite(ph))), "phi not finite")
+    th, ph = _require_angles(theta, phi)
     phase = np.exp(1j * ph)
     tbar = dilute_angle(th, t.n)
     qubit = np.broadcast_arrays(np.cos(th / 2.0), phase * np.sin(th / 2.0))

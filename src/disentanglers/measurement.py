@@ -48,7 +48,9 @@ def _projector_amplitudes(theta_p, phi_p):
 
 def projector_pair(theta_p: float, phi_p: float,
                    n: int) -> tuple[DickeVector, DickeVector]:
-    """Apparatus projectors (xi0, xi1) at orientation (theta_p, phi_p)."""
+    """Apparatus projectors (xi0, xi1) at orientation (theta_p, phi_p), two
+    scalar angles checked by `_require_angles`."""
+    theta_p, phi_p = _require_angles(theta_p, phi_p, "apparatus ", scalar=True)
     return tuple(DickeVector(n, *xi) for xi in _projector_amplitudes(theta_p, phi_p))
 
 
@@ -174,7 +176,7 @@ def strategy_integral(j: int, theta_prep, phi_prep, theta_meas: float,
     amp, re = _branch_weights(theta_meas, phi_meas, t)
     wp = t["w"] * (amp[j][:, None] + t["cbsb2"][:, None] * re[j][None, :])
 
-    shape = np.broadcast_shapes(tp.shape, pp.shape)
+    shape = np.broadcast_shapes(np.shape(tp), np.shape(pp))
     tp = np.broadcast_to(tp, shape).reshape(-1, 1, 1)
     pp = np.broadcast_to(pp, shape).reshape(-1, 1, 1)
     cp, sp = np.cos(tp / 2.0), np.sin(tp / 2.0)

@@ -14,11 +14,13 @@ on any support, that `verify` and the tests compare the cascade with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    MAX_STATEVECTOR_QUBITS,
     CapacityError,
     DickeVector,
     PureQubit,
@@ -120,6 +122,18 @@ def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
             DickeVector(n - 1, np.sqrt(n - 1.0) / rt, -1.0 / rt))
 
 
+@functools.lru_cache(maxsize=MAX_STATEVECTOR_QUBITS)
+def _postselect_support(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and the success and failure amplitudes of
+    `postselect_basis(n)` on them, read-only; built once per n."""
+    plus, minus = postselect_basis(n)
+    rows, p = _dicke_support(plus)
+    _, q = _dicke_support(minus)
+    for a in (rows, p, q):
+        a.setflags(write=False)
+    return rows, p, q
+
+
 def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project the output onto the two branches; returns the last-qubit
     vectors riding on each branch, the norm of what is left over, and the
@@ -135,9 +149,7 @@ def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float
     rounding reads as about 1e-8.  The squared norm of the output is that
     residual's with the block restored.
     """
-    plus, minus = postselect_basis(output.n)
-    basis, p = _dicke_support(plus)
-    _, q = _dicke_support(minus)
+    basis, p, q = _postselect_support(output.n)
     pair = output.rows >> 1
     k = np.searchsorted(basis, pair)
     on = basis[np.minimum(k, len(basis) - 1)] == pair

@@ -1,5 +1,6 @@
 """State representations, dilution map, partial traces, and quadrature."""
 
+import itertools
 import math
 import warnings
 from dataclasses import astuple
@@ -30,7 +31,10 @@ from disentanglers.core import (
     MAX_CLOSED_FORM_N,
     MAX_STATEVECTOR_QUBITS,
     STATEVECTOR_NORM_TOL,
+    TWO_PI,
     _libm_pow,
+    _min_eigenvalue,
+    _require_angles,
 )
 
 QUAD = BlochQuadrature()
@@ -60,6 +64,11 @@ class TestPureQubit:
     def test_complex_angle_raises_domain_error(self):
         with pytest.raises(DomainError, match="real numbers"):
             PureQubit(1j)
+
+    @pytest.mark.parametrize("theta,phi", [("a", 0.0), (1j, 0.0), (0.5, "a")])
+    def test_from_angles_non_real_raises_domain_error(self, theta, phi):
+        with pytest.raises(DomainError, match="real numbers"):
+            PureQubit.from_angles(theta, phi)
 
     def test_from_amplitudes_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -325,6 +334,41 @@ class TestDensityOperator:
         with pytest.raises(DomainError):
             DensityOperator(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entry_is_not_hermitian(self, entry, bad):
+        # a NaN residual must fail wherever it sits; a max() fold would drop
+        # it unless it came first, and the trace check would report it instead
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[entry] = bad
+        with pytest.raises(DomainError, match="matrix is not Hermitian"):
+            DensityOperator(m)
+
+    def test_closed_form_eigenvalue_matches_eigvalsh_near_the_cut(self):
+        # Hermitian unit-trace matrices whose smaller eigenvalue lies within
+        # 1e-9 of the -1e-10 PSD cut, in random eigenbases
+        rng = np.random.default_rng(2027)
+        verdicts = set()
+        for _ in range(2000):
+            lam = -1e-10 + rng.uniform(-1e-9, 1e-9)
+            u, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                                + 1j * rng.standard_normal((2, 2)))
+            m = (u * [lam, 1.0 - lam]) @ u.conj().T
+            m = (m + m.conj().T) / 2.0
+            want = float(np.linalg.eigvalsh(m)[0])
+            got = _min_eigenvalue(m[0, 0].real, m[1, 1].real, complex(m[1, 0]))
+            assert abs(got - want) < 1e-15
+            if abs(want + 1e-10) > 1e-15:
+                try:
+                    DensityOperator(m)
+                    accepted = True
+                except DomainError as exc:
+                    assert str(exc) == "matrix is not PSD"
+                    accepted = False
+                assert accepted == (want > -1e-10)
+                verdicts.add(accepted)
+        assert verdicts == {True, False}
+
     def test_read_only_copy(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         rho = DensityOperator(a)
@@ -375,6 +419,15 @@ class TestBlochQuadrature:
     def test_node_counts_validated(self):
         with pytest.raises(DomainError):
             BlochQuadrature(1, 8)
+
+    def test_arrays_are_read_only_and_built_once(self):
+        q = BlochQuadrature()
+        for arr in (q.theta_nodes, q.theta_weights, q.phi_nodes, *q.grid()):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert q.grid() is q.grid()
+        # the Gauss-Legendre rule is shared by every quadrature of its size
+        assert BlochQuadrature(64, 8).theta_nodes is q.theta_nodes
 
     def test_constant(self):
         assert bloch_average(lambda th, ph: 1.0, QUAD) == pytest.approx(1.0,
@@ -630,7 +683,41 @@ AZIMUTH = st.one_of(
     st.floats(-4 * np.pi, 4 * np.pi))
 
 
+# the edges of both angle ranges, as floats
+EDGE_ANGLES = [math.nan, math.inf, -math.inf, -0.0, 0.0, math.pi,
+               math.nextafter(math.pi, 4.0), math.nextafter(TWO_PI, 0.0)]
+ANY_FLOAT = st.sampled_from(EDGE_ANGLES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _guard_outcome(theta, phi):
+    """What `_require_angles` makes of one form of a pair: the bits of the
+    converted angles, or the message with the offending value's text elided."""
+    try:
+        th, ph = _require_angles(theta, phi)
+    except DomainError as exc:
+        return str(exc).replace(f"theta={theta}", "theta=").replace(f"phi={phi}", "phi=")
+    return tuple(np.float64(np.ravel(x)[0]).tobytes() for x in (th, ph))
+
+
+def _assert_guard_forms_agree(theta, phi):
+    """The float branch of `_require_angles` and its array path accept and
+    reject a pair alike, with the same message: as Python floats, numpy
+    float64 scalars, 0-d and 1-d arrays."""
+    forms = [(float(theta), float(phi)), (np.float64(theta), np.float64(phi)),
+             (np.array(theta), np.array(phi)), (np.array([theta]), np.array([phi]))]
+    outcomes = [_guard_outcome(*form) for form in forms]
+    assert outcomes[1:] == outcomes[:-1], (theta, phi)
+
+
 class TestProperties:
+    @given(theta=ANY_FLOAT, phi=ANY_FLOAT)
+    def test_angle_guard_float_and_array_forms_agree(self, theta, phi):
+        _assert_guard_forms_agree(theta, phi)
+
+    def test_angle_guard_forms_agree_on_every_pair_of_edges(self):
+        for theta, phi in itertools.product(EDGE_ANGLES, repeat=2):
+            _assert_guard_forms_agree(theta, phi)
+
     @given(theta=POLAR, phi=AZIMUTH)
     def test_amplitudes_round_trip(self, theta, phi):
         psi = PureQubit.from_angles(theta, phi)

@@ -163,6 +163,11 @@ class TestPointwiseFidelity:
         assert pointwise_fidelity(t, 1.0, 7.0) == pytest.approx(
             pointwise_fidelity(t, 1.0, 7.0 - 2 * np.pi), abs=1e-15)
 
+    @pytest.mark.parametrize("theta,phi", [("a", 0.0), (0.5, "a"), (1j, 0.0)])
+    def test_non_real_angle_raises_domain_error(self, theta, phi):
+        with pytest.raises(DomainError, match="real numbers"):
+            pointwise_fidelity(universal_disentangler(3), theta, phi)
+
 
 class TestUniversalCoefficients:
     def test_identity_at_n1(self):
@@ -261,6 +266,18 @@ class TestDeviceAvgFidelity:
                                      QUAD)
             assert abs(closed - via_quad) < 1e-9
 
+    def test_quadrature_equals_the_meshed_sum(self):
+        # bloch_average hands the integrand a column of polar nodes and a row
+        # of azimuth nodes; the result must equal the sum over the meshed
+        # grid bit for bit
+        th, ph, w = QUAD.grid()
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 10, 25):
+            t = random_transform(n, rng)
+            meshed = float(np.sum(w * pointwise_fidelity(t, th, ph)))
+            assert bloch_average(lambda th, ph: pointwise_fidelity(t, th, ph),
+                                 QUAD) == meshed
+
 
 def overlap_14(g):
     """Re <D4|D1> normalized by ||D1|| ||D4||; 1 for matched parallel vectors."""
@@ -274,6 +291,13 @@ class TestGramSummary:
         assert g[3, 0].real / g[3, 3].real == pytest.approx(1.0, abs=1e-14)
         assert overlap_14(g) == pytest.approx(1.0, abs=1e-14)
         assert g[0, 0].real == pytest.approx(g[3, 3].real, abs=1e-14)
+
+    def test_read_only_and_formed_once(self):
+        t = random_transform(3, np.random.default_rng(15))
+        g = gram_summary(t)
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+        assert gram_summary(t) is g
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(15)

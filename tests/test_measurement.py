@@ -67,6 +67,15 @@ class TestProjectorPair:
                 overlap = abs(np.vdot(eta.amplitudes(), xi.amplitudes())) ** 2
                 assert overlap == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("theta,phi,message", [
+        ("a", 0.0, "apparatus angles must be real numbers"),
+        (np.nan, 0.0, "apparatus theta=nan outside"),
+        (0.5, np.inf, "apparatus phi=inf"),
+        (np.array([0.3, 0.4]), 0.0, "apparatus angles must be scalars")])
+    def test_rejects_angles_naming_them(self, theta, phi, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            projector_pair(theta, phi, 2)
+
 
 class TestMeasurementOutcomes:
     def test_probabilities_sum_to_one(self):
