@@ -55,7 +55,6 @@ from .measurement import (
 from .network import (
     DecompositionError,
     OutcomeDecomposition,
-    ShotCounts,
     apply_cnot,
     cnot_cascade,
     decompose,

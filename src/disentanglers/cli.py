@@ -231,7 +231,8 @@ def _overlap_sq(th: np.ndarray, n: int) -> np.ndarray:
     return np.cos((th - tbar) / 2.0) ** 2
 
 
-def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
+def _check_closed_form_oracles() -> list[CheckResult]:
+    quad = BlochQuadrature()
     res_f0, res_overlap, res_f1, res_moments = [], [], [], []
     for n in (2, 3, 5, 10, 25):
         def diluted_integrand(th, ph, n=n):
@@ -269,10 +270,10 @@ def _check_closed_form_oracles(quad: BlochQuadrature) -> list[CheckResult]:
             CheckResult("oracle-moment-integrals", res_moments, 1e-10)]
 
 
-def _check_device_average_oracle(quad: BlochQuadrature,
-                                 seed: int) -> list[CheckResult]:
+def _check_device_average_oracle(seed: int) -> list[CheckResult]:
     """Closed-form device average against quadrature, for 5 transforms per
     N drawn from default_rng(seed)."""
+    quad = BlochQuadrature()
     rng = np.random.default_rng(seed)
     residuals = []
     for n in (2, 3, 5, 10, 25):
@@ -369,10 +370,10 @@ def _check_network(seed: int, angles_per_n: int,
             res_fid.append(abs(fid - 1.0))
             res_prob.append(abs(abs(dec.amp_plus_psi) ** 2
                                 - network.success_probability(psi.theta, n)))
-    counts = network.sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, shot_seed)
+    plus = network.sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, shot_seed)
     p = 0.25
     sigma = np.sqrt(p * (1 - p) / 10 ** 5)
-    dev = abs(counts.plus / 10 ** 5 - p)
+    dev = abs(plus / 10 ** 5 - p)
     return [CheckResult("network-postselect-fidelity", res_fid, 1e-12),
             CheckResult("network-success-probability", res_prob, 1e-12),
             CheckResult("network-shot-sampling", dev, 3 * sigma,
@@ -424,14 +425,12 @@ def cmd_verify(level: str, seed: int) -> int:
     except DomainError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    quad = BlochQuadrature()
     groups = [
         ("endpoint-values-n1", _check_endpoints),
         ("asymptotic-limits-n1e6", _check_asymptotes),
         ("strategy-ordering-2-50", _check_ordering),
-        ("closed-form-oracles", lambda: _check_closed_form_oracles(quad)),
-        ("oracle-device-average",
-         lambda: _check_device_average_oracle(quad, seed)),
+        ("closed-form-oracles", _check_closed_form_oracles),
+        ("oracle-device-average", lambda: _check_device_average_oracle(seed)),
         ("pointwise-closed-vs-direct",
          lambda: _check_pointwise_dual_route(seed + 1)),
         ("covariance", _check_covariance),
@@ -467,7 +466,7 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
     try:
         psi = PureQubit(theta, phi)
         p = network.success_probability(theta, n)
-        counts = network.sample_shots(psi, n, shots, seed)
+        plus = network.sample_shots(psi, n, shots, seed)
         out = network.run_cascade(psi, n)
         recovered = (network.post_selected_state(out, n) if n >= 2
                      else PureQubit.from_amplitudes(out.dense()))
@@ -475,13 +474,13 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
         print(f"network: {exc}", file=sys.stderr)
         return 2
     fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
-    freq = counts.plus / shots
+    freq = plus / shots
     stderr_bin = float(np.sqrt(p * (1.0 - p) / shots))
     print(f"exact_success_probability = {p:.12g}")
     print(f"empirical_plus_fraction = {freq:.12g}")
     print(f"binomial_standard_error = {stderr_bin:.12g}")
     print(f"post_selected_fidelity = {fid:.12g}")
-    print(f"shots = {shots}  plus = {counts.plus}  minus = {counts.minus}  "
+    print(f"shots = {shots}  plus = {plus}  minus = {shots - plus}  "
           f"rng = pcg64  seed = {seed}")
     return 0
 

@@ -273,16 +273,9 @@ class PureQubit:
         if not 0.0 <= self.phi < TWO_PI:
             raise DomainError(f"phi={self.phi} outside [0, 2 pi)")
 
-    @property
-    def alpha(self) -> float:
-        return float(np.cos(self.theta / 2.0))
-
-    @property
-    def beta(self) -> complex:
-        return complex(np.exp(1j * self.phi) * np.sin(self.theta / 2.0))
-
     def amplitudes(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
+        return np.array([np.cos(self.theta / 2.0),
+                         np.exp(1j * self.phi) * np.sin(self.theta / 2.0)], dtype=complex)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "PureQubit":
@@ -328,10 +321,6 @@ class DickeVector:
 
     def amplitudes(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)
-
-    def overlap(self, other: "DickeVector") -> complex:
-        _require(self.n == other.n, "qubit counts differ")
-        return complex(np.conj(self.c0) * other.c0 + np.conj(self.c1) * other.c1)
 
 
 @dataclass(frozen=True)
@@ -527,34 +516,33 @@ class BlochQuadrature:
 
     Weights are normalized to the measure sin(theta) dtheta dphi / (4 pi), so
     they sum to one.  Exact for integrands polynomial of degree <= 2 n_theta - 1
-    in cos(theta) and bandlimited below n_phi in phi.  Every array, the
-    meshed grid included, is built once per rule and is read-only.
+    in cos(theta) and bandlimited below n_phi in phi.  The nodes and the
+    (n_theta, n_phi) weights are built once per rule and are read-only.
     """
 
     n_theta: int = 64
     n_phi: int = 64
     theta_nodes: np.ndarray = field(init=False, repr=False)
-    theta_weights: np.ndarray = field(init=False, repr=False)
     phi_nodes: np.ndarray = field(init=False, repr=False)
-    _grid: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n_theta", "n_phi"):
             object.__setattr__(self, name, _require_count(getattr(self, name), name, least=2))
         nodes, weights = _gauss_legendre(self.n_theta)
         phi_nodes = TWO_PI * np.arange(self.n_phi) / self.n_phi
-        th, ph = np.meshgrid(nodes, phi_nodes, indexing="ij")
         w = np.outer(weights, np.full(self.n_phi, 1.0 / self.n_phi))
-        for arr in (phi_nodes, th, ph, w):
-            arr.setflags(write=False)
+        phi_nodes.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "theta_nodes", nodes)
-        object.__setattr__(self, "theta_weights", weights)
         object.__setattr__(self, "phi_nodes", phi_nodes)
-        object.__setattr__(self, "_grid", (th, ph, w))
+        object.__setattr__(self, "weights", w)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Meshed (theta, phi, weight) arrays of shape (n_theta, n_phi)."""
-        return self._grid
+        """Meshed (theta, phi, weight) arrays of shape (n_theta, n_phi); the
+        two meshes are built on each call."""
+        th, ph = np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
+        return th, ph, self.weights
 
 
 def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -567,7 +555,7 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     polar node, not once per grid point.  Each grid point's value, and so
     the weighted sum over the meshed grid, is the same as from the meshed
     arrays of `grid()`."""
-    w = quad.grid()[2]
+    w = quad.weights
     vals = f(quad.theta_nodes[:, None], quad.phi_nodes[None, :])
     return float(np.sum(w * np.broadcast_to(np.asarray(vals, dtype=float), w.shape)))
 

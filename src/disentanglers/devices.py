@@ -48,33 +48,29 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DeviceTransform:
-    """Four machine vectors defining a sector-preserving device unitary.
+    """A sector-preserving device unitary, fixed by its four machine vectors:
+    the rows D1..D4 of one read-only (4, MACHINE_DIM) complex array.
 
     Their Gram matrix is formed once, here, and read by `gram_summary`;
     unitarity is checked where the device is used, not here."""
 
     n: int
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    d4: np.ndarray
+    vectors: np.ndarray
     _gram_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
-        for name in ("d1", "d2", "d3", "d4"):
-            # a copy, so freezing it leaves the caller's array writable
-            v = np.array(getattr(self, name), dtype=complex)
-            _require(v.shape == (MACHINE_DIM,), f"{name} must have {MACHINE_DIM} components")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        v = self.vectors()
+        try:  # a copy, so freezing it leaves the caller's array writable
+            v = np.array(self.vectors, dtype=complex)
+        except ValueError:  # ragged rows
+            v = np.empty(0)
+        _require(v.shape == (4, MACHINE_DIM),
+                 f"vectors must be an array of shape (4, {MACHINE_DIM}), the rows D1..D4")
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
         g = v.conj() @ v.T
         g.setflags(write=False)
         object.__setattr__(self, "_gram_matrix", g)
-
-    def vectors(self) -> np.ndarray:
-        return np.stack([self.d1, self.d2, self.d3, self.d4])
 
 
 def gram_summary(t: DeviceTransform) -> np.ndarray:
@@ -117,7 +113,8 @@ def apply_transform(t: DeviceTransform,
     _require(t.n == big_psi.n, "transform and input qubit counts differ")
     _check_unitary(t)
     a0, a1 = big_psi.c0, big_psi.c1
-    joint = np.stack([a0 * t.d1 + a1 * t.d3, a0 * t.d2 + a1 * t.d4])
+    d1, d2, d3, d4 = t.vectors
+    joint = np.stack([a0 * d1 + a1 * d3, a0 * d2 + a1 * d4])
     return joint, DensityOperator(joint @ joint.conj().T)
 
 
@@ -151,7 +148,7 @@ def _device(n: int, eta1: float, eta4: float, w: float) -> DeviceTransform:
     v[1, 2] = np.sqrt(1.0 - eta1)
     v[2, 3] = np.sqrt(1.0 - eta4)
     v[3, :2] = np.sqrt(eta4) * w, np.sqrt(eta4) * np.sqrt(1.0 - w * w)
-    return DeviceTransform(n, *v)
+    return DeviceTransform(n, v)
 
 
 def _gram(eta1, eta4, w) -> tuple:
@@ -252,12 +249,12 @@ def device_avg_fidelity(t: DeviceTransform) -> float:
 
 def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
     """Random device satisfying the unitarity constraints exactly: the two
-    sector images are orthonormalized columns of a Gaussian complex matrix."""
+    sector images, (D1, D2) and (D3, D4) stacked, are orthonormalized
+    columns of a Gaussian complex matrix."""
     z = rng.standard_normal((2 * MACHINE_DIM, 2)) + 1j * rng.standard_normal(
         (2 * MACHINE_DIM, 2))
     q, _ = np.linalg.qr(z)
-    return DeviceTransform(n, q[:MACHINE_DIM, 0], q[MACHINE_DIM:, 0],
-                           q[:MACHINE_DIM, 1], q[MACHINE_DIM:, 1])
+    return DeviceTransform(n, q.T.reshape(4, MACHINE_DIM))
 
 
 def _restart_search(family, n, dim: int, seed: int):

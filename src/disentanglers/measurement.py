@@ -141,7 +141,7 @@ def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
         "cos_ph": cos_ph, "sin_ph": sin_ph,
         "bloch_th": np.stack([np.ones_like(c), 2.0 * c * s, 2.0 * c * s, c ** 2 - s ** 2]),
         "bloch_ph": np.stack([np.ones_like(cos_ph), cos_ph, sin_ph, np.ones_like(cos_ph)]),
-        "w": quad.grid()[2],
+        "w": quad.weights,
     }
 
 

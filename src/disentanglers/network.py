@@ -208,23 +208,15 @@ def post_selected_state(output: SupportStateVector, n: int) -> PureQubit:
     return decompose(output, n).recovered
 
 
-@dataclass(frozen=True)
-class ShotCounts:
-    """Post-selection tallies from seeded Bernoulli sampling (PCG64)."""
-
-    plus: int
-    minus: int
-
-
-def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> ShotCounts:
-    """Sample success/failure counts at the exact success probability.
+def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> int:
+    """The number of post-selection successes in `shots` Bernoulli draws at
+    the exact success probability; the other shots failed.
 
     Uses numpy's seeded PCG64 stream; identical (seed, shots) always gives
-    identical counts.  The seed must be an integer >= 0.
+    the same count.  The seed must be an integer >= 0.
     """
     shots = _require_count(shots, "shots")
     seed = _require_count(seed, "seed", least=0)
     p = success_probability(psi.theta, n)
     rng = np.random.default_rng(seed)
-    plus = int(np.count_nonzero(rng.random(shots) < p))
-    return ShotCounts(plus, shots - plus)
+    return int(np.count_nonzero(rng.random(shots) < p))

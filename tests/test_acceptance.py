@@ -8,9 +8,7 @@ broke.
 
 import time
 
-from disentanglers import BlochQuadrature, cli
-
-QUAD = BlochQuadrature()
+from disentanglers import cli
 
 
 def run_criterion(k, label, limit, *checks):
@@ -36,9 +34,9 @@ def test_criterion_2_strategy_ordering():
 
 def test_criterion_3_oracle_equivalence():
     run_criterion(3, "closed forms vs quadrature oracles", 30,
-                  lambda: cli._check_closed_form_oracles(QUAD),
+                  cli._check_closed_form_oracles,
                   lambda: cli._check_bound_numeric((2, 3, 5, 10, 25)),
-                  lambda: cli._check_device_average_oracle(QUAD, 123),
+                  lambda: cli._check_device_average_oracle(123),
                   lambda: cli._check_pointwise_dual_route(124))
 
 

@@ -583,7 +583,7 @@ class TestOptimizedInterpreter:
             "BlochQuadrature", "CapacityError", "DecompositionError",
             "DensityOperator", "DeviceTransform", "DickeVector", "DomainError",
             "OptimizationError", "OutcomeDecomposition",
-            "PureQubit", "ShotCounts", "SupportStateVector", "UnitarityError",
+            "PureQubit", "SupportStateVector", "UnitarityError",
             "apply_cnot",
             "apply_transform", "averaged_estimator", "bloch_average",
             "cnot_cascade", "core", "covariance_spread", "decompose",

@@ -3,7 +3,6 @@
 import itertools
 import math
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def random_qubit(rng):
 class TestPureQubit:
     def test_amplitudes_normalized(self):
         psi = PureQubit(1.234, 5.0)
-        assert abs(abs(psi.alpha) ** 2 + abs(psi.beta) ** 2 - 1.0) < 1e-12
+        assert abs(np.linalg.norm(psi.amplitudes()) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("theta,phi", [(-0.1, 0.0), (np.pi + 0.1, 0.0),
                                            (1.0, -0.5), (1.0, 2 * np.pi),
@@ -160,8 +159,7 @@ class TestSymmetricState:
     def test_identity_at_n1(self):
         psi = PureQubit(0.8, 2.5)
         v = symmetric_state(psi, 1)
-        assert v.c0 == pytest.approx(psi.alpha, abs=1e-14)
-        assert v.c1 == pytest.approx(psi.beta, abs=1e-14)
+        assert v.amplitudes() == pytest.approx(psi.amplitudes(), abs=1e-14)
 
     def test_dicke_normalization_enforced(self):
         with pytest.raises(DomainError):
@@ -412,9 +410,10 @@ class TestBlochQuadrature:
     def test_weights_normalized(self):
         for n_theta, n_phi in ((16, 8), (2, 2), (64, 64)):
             q = BlochQuadrature(n_theta, n_phi)
-            _, _, w = q.grid()
-            assert q.theta_weights.sum() == pytest.approx(1.0, abs=1e-13)
-            assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
+            assert q.weights.shape == (n_theta, n_phi)
+            # the polar weights sum to 1, each spread evenly over the azimuths
+            assert q.weights.sum(axis=1).sum() == pytest.approx(1.0, abs=1e-13)
+            assert np.array_equal(q.weights, np.repeat(q.weights[:, :1], n_phi, axis=1))
 
     def test_node_counts_validated(self):
         with pytest.raises(DomainError):
@@ -422,12 +421,19 @@ class TestBlochQuadrature:
 
     def test_arrays_are_read_only_and_built_once(self):
         q = BlochQuadrature()
-        for arr in (q.theta_nodes, q.theta_weights, q.phi_nodes, *q.grid()):
+        for arr in (q.theta_nodes, q.phi_nodes, q.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert q.grid() is q.grid()
+        assert q.grid()[2] is q.weights
         # the Gauss-Legendre rule is shared by every quadrature of its size
         assert BlochQuadrature(64, 8).theta_nodes is q.theta_nodes
+
+    def test_grid_meshes_the_nodes(self):
+        q = BlochQuadrature(16, 8)
+        th, ph, _ = q.grid()
+        want = np.meshgrid(q.theta_nodes, q.phi_nodes, indexing="ij")
+        assert th.shape == ph.shape == (16, 8)
+        assert np.array_equal(th, want[0]) and np.array_equal(ph, want[1])
 
     def test_constant(self):
         assert bloch_average(lambda th, ph: 1.0, QUAD) == pytest.approx(1.0,
@@ -502,7 +508,7 @@ def _count_entry_points():
         universal_coefficients,
     )
 
-    zero = np.zeros(4)
+    zero = np.zeros((4, 4))
     return {
         "SupportStateVector": lambda n: SupportStateVector(n, np.array([0]), np.ones(1)),
         "postselect_basis": postselect_basis,
@@ -510,7 +516,7 @@ def _count_entry_points():
         "dilute_angle": lambda n: dilute_angle(1.0, n),
         "diluted_avg_fidelity": diluted_avg_fidelity,
         "DickeVector": lambda n: DickeVector(n, 1.0, 0.0),
-        "DeviceTransform": lambda n: DeviceTransform(n, zero, zero, zero, zero),
+        "DeviceTransform": lambda n: DeviceTransform(n, zero),
         "universal_coefficients": universal_coefficients,
         "moment_integrals": moment_integrals,
         "dilution_overlap": dilution_overlap,
@@ -594,11 +600,11 @@ class TestIntegerCount:
             "moment_integrals": moment_integrals,
             "dilute_angle": lambda n: dilute_angle(1.0, n),
             "symmetric_state": lambda n: symmetric_state(PureQubit(1.0, 0.3), n).amplitudes(),
-            "universal_disentangler": lambda n: universal_disentangler(n).vectors(),
+            "universal_disentangler": lambda n: universal_disentangler(n).vectors,
             "symmetric_marginal": lambda n: symmetric_marginal(DickeVector(n, 0.6, 0.8)).entries,
             "postselect_basis": lambda n: [v.amplitudes() for v in postselect_basis(n)],
             "success_probability": lambda n: success_probability(1.0, n),
-            "sample_shots": lambda n: astuple(sample_shots(PureQubit(1.0, 0.0), n, 10, 0)),
+            "sample_shots": lambda n: sample_shots(PureQubit(1.0, 0.0), n, 10, 0),
         }
         for name, entry in {**fidelities, **finite}.items():
             try:

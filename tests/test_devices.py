@@ -48,12 +48,19 @@ def basis(k):
 
 class TestDeviceTransform:
     def test_read_only_copies(self):
-        d1, d4 = basis(0), basis(0)
-        t = DeviceTransform(2, d1, np.zeros(4), np.zeros(4), d4)
+        v = np.stack([basis(0), np.zeros(4), np.zeros(4), basis(0)])
+        t = DeviceTransform(2, v)
         with pytest.raises(ValueError):
-            t.d1[0] = 0
-        d1[0], d4[1] = 0, 1
-        assert np.array_equal(t.vectors(), swap_disentangler(2).vectors())
+            t.vectors[0, 0] = 0
+        v[0, 0], v[3, 1] = 0, 1
+        assert np.array_equal(t.vectors, swap_disentangler(2).vectors)
+
+    @pytest.mark.parametrize("vectors", [np.zeros((3, 4)), np.zeros((4, 3)), np.zeros(16),
+                                         [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 3]],
+                             ids=["3x4", "4x3", "flat", "ragged"])
+    def test_wrong_shape_raises_domain_error(self, vectors):
+        with pytest.raises(DomainError, match=r"shape \(4, 4\)"):
+            DeviceTransform(2, vectors)
 
 
 class TestUnitarityResiduals:
@@ -65,14 +72,14 @@ class TestUnitarityResiduals:
         assert unitarity_residuals(swap_disentangler(7)) == (0.0, 0.0, 0.0)
 
     def test_scaled_vector_breaks_first_constraint(self):
-        t = DeviceTransform(2, 2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0))
+        t = DeviceTransform(2, [2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)])
         r1, r2, r3 = unitarity_residuals(t)
         assert r1 == pytest.approx(3.0)
         assert r2 == 0.0 and r3 == 0.0
 
     def test_apply_rejects_non_unitary(self):
         # every entry point that reads a device checks it first
-        t = DeviceTransform(2, 2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0))
+        t = DeviceTransform(2, [2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)])
         for entry in (lambda: apply_transform(t, symmetric_state(PureQubit(1.0, 0.0), 2)),
                       lambda: pointwise_fidelity(t, 1.0, 0.0),
                       lambda: covariance_spread(t),
@@ -83,9 +90,9 @@ class TestUnitarityResiduals:
     @pytest.mark.parametrize("vector", range(4))
     def test_nan_entry_fails_the_guard(self, vector):
         # a NaN residual compares false against any tolerance; it must fail
-        v = swap_disentangler(3).vectors()
+        v = swap_disentangler(3).vectors.copy()
         v[vector, 1] = np.nan
-        t = DeviceTransform(3, *v)
+        t = DeviceTransform(3, v)
         for entry in (lambda: device_avg_fidelity(t),
                       lambda: pointwise_fidelity(t, 1.0, 0.0),
                       lambda: covariance_spread(t)):
@@ -477,7 +484,7 @@ class TestSectorImages:
         # the residuals are the moduli of im im^H - I for the sector images
         for n in range(1, 51):
             t = build(n)
-            im = np.stack([np.concatenate([t.d1, t.d2]), np.concatenate([t.d3, t.d4])])
+            im = t.vectors.reshape(2, 8)  # rows (D1, D2) and (D3, D4)
             dev = np.abs(im.conj() @ im.T - np.eye(2))
             res = unitarity_residuals(t)
             assert np.allclose(res, (dev[0, 0], dev[1, 1], dev[0, 1]), rtol=0, atol=1e-15)

@@ -48,12 +48,13 @@ class TestProjectorPair:
             xi0, xi1 = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
                                       int(rng.integers(1, 12)))
             # DickeVector already enforces each norm
-            assert abs(xi0.overlap(xi1)) < 1e-12
+            assert abs(np.vdot(xi0.amplitudes(), xi1.amplitudes())) < 1e-12
 
     def test_aligned_input_is_deterministic(self):
         xi0, _ = projector_pair(np.pi / 2, 0.0, 3)
         big = DickeVector(3, np.cos(np.pi / 4), np.sin(np.pi / 4))
-        assert abs(xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-14)
+        overlap = np.vdot(xi0.amplitudes(), big.amplitudes())
+        assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_reprepared_qubit_is_outcome_projector(self):
         # the re-preparation rule: along the apparatus axis after outcome 0,
@@ -83,7 +84,7 @@ class TestMeasurementOutcomes:
         for _ in range(50):
             pair = projector_pair(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), 5)
             big = random_dicke(rng, 5)
-            p = [abs(xi.overlap(big)) ** 2 for xi in pair]
+            p = [abs(np.vdot(xi.amplitudes(), big.amplitudes())) ** 2 for xi in pair]
             assert p[0] + p[1] == pytest.approx(1.0)
 
     def test_prepared_states_orthogonal(self):
@@ -112,7 +113,7 @@ class TestEstimatorOutput:
             rho = estimator_output(big, pair)
             for xi in pair:
                 v = xi.amplitudes()
-                p = abs(xi.overlap(big)) ** 2
+                p = abs(np.vdot(v, big.amplitudes())) ** 2
                 assert np.allclose(rho.entries @ v, p * v, atol=1e-12)
 
     def test_qubit_counts_must_agree(self):
@@ -404,4 +405,5 @@ class TestSymmetricStateConsistency:
         big = symmetric_state(psi, 6)
         tbar = dilute_angle(psi.theta, 6)
         xi0, _ = projector_pair(tbar, psi.phi, 6)
-        assert abs(xi0.overlap(big)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        overlap = np.vdot(xi0.amplitudes(), big.amplitudes())
+        assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-12)
