@@ -85,22 +85,32 @@ def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False):
     return th, ph
 
 
-def _float_count(n):
-    """A checked count as the float the closed forms compute with.
+def _require_qubits(n) -> int:
+    """n checked by `_require_count`; CapacityError past MAX_STATEVECTOR_QUBITS."""
+    n = _require_count(n)
+    if n > MAX_STATEVECTOR_QUBITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit "
+                            "statevector cap")
+    return n
 
-    They form powers of N up to N^3, so N must stay below
-    MAX_CLOSED_FORM_N = 2^340 (N^3 < 2^1020 is finite); DomainError
-    otherwise.  Up to 2^53 the float is exact and gives the integer's
-    arithmetic bit for bit.  An integer numpy array of counts gets the same
-    checks, naming its first failing entry, and gives a float array; its
-    fixed-width dtype keeps every entry below 2^64, inside that range.
-    """
-    if isinstance(n, np.ndarray):
-        _require(n.dtype.kind in "iu", f"need an integer n array, got dtype {n.dtype}")
-        low = n < 1
-        if low.any():
-            raise DomainError(f"need an integer n >= 1, got {n.flat[np.argmax(low)]}")
-        return n.astype(float)
+
+def _require_complex(x, shape: tuple, msg: str) -> np.ndarray:
+    """x as a fresh complex array, which the caller may freeze; DomainError(msg)
+    unless numpy converts x to a bool, integer, float or complex array (not a
+    string, object or ragged one, nor ints past the float range) of `shape`."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(msg) from None
+    if a.dtype.kind not in "biufc" or a.shape != shape:
+        raise DomainError(msg)
+    return a.astype(complex)
+
+
+def _float_count(n) -> float:
+    """A checked count as the float the closed forms compute with.  They form
+    powers up to N^3, so DomainError from MAX_CLOSED_FORM_N = 2^340 on (N^3 <
+    2^1020 is finite), and for an array.  Up to 2^53 the float is exact."""
     n = _require_count(n)
     if n >= MAX_CLOSED_FORM_N:
         raise DomainError("need n < 2**340 for the closed forms, "
@@ -238,11 +248,19 @@ def _grid_refine(fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def _closed_form(n, at_one: float, formula: Callable):
-    """`formula` at the float count of n, or at each count of an integer
-    array n, with the value `at_one` at N = 1, where the formula reads 0/0.
+    """`formula` at `_float_count(n)`, or at each count of an integer array n
+    (checked alike, naming the first failing entry; its fixed width keeps
+    each below 2^64), with `at_one` at N = 1, where the formula reads 0/0.
     N = 1 entries are evaluated at N = 2 and then replaced, so no
     RuntimeWarning arises; a scalar n gives a float."""
-    x = _float_count(n)
+    if isinstance(n, np.ndarray):
+        _require(n.dtype.kind in "iu", f"need an integer n array, got dtype {n.dtype}")
+        low = n < 1
+        if low.any():
+            raise DomainError(f"need an integer n >= 1, got {n.flat[np.argmax(low)]}")
+        x = n.astype(float)
+    else:
+        x = _float_count(n)
     one = x == 1.0
     out = np.where(one, at_one, formula(np.where(one, 2.0, x)))
     return out if out.ndim else float(out)
@@ -292,8 +310,7 @@ class PureQubit:
     @classmethod
     def from_amplitudes(cls, vec: np.ndarray) -> "PureQubit":
         """Extract Bloch angles from a 2-vector, discarding the global phase."""
-        v = np.asarray(vec, dtype=complex)
-        _require(v.shape == (2,), "expected a 2-component amplitude vector")
+        v = _require_complex(vec, (2,), "expected a 2-component amplitude vector")
         _require(bool(np.all(np.isfinite(v))), "amplitudes not finite")
         norm = np.linalg.norm(v)
         _require(norm > 0, "cannot extract angles from the zero vector")
@@ -323,6 +340,9 @@ class DickeVector:
         return np.array([self.c0, self.c1], dtype=complex)
 
 
+_SUPPORT_FORM = "expected equally long 1-D integer rows and amplitudes"
+
+
 @dataclass(frozen=True)
 class SupportStateVector:
     """A 2^n statevector held as its support: the rows that may be nonzero,
@@ -349,15 +369,11 @@ class SupportStateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        n = _require_count(self.n)
-        _require(n <= MAX_STATEVECTOR_QUBITS,
-                 f"n={n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector cap",
-                 CapacityError)
+        n = _require_qubits(self.n)
         # copies, so freezing them leaves the caller's arrays writable
         rows = np.array(self.rows)
-        a = np.array(self.amps, dtype=complex)
-        _require(rows.dtype.kind in "iu" and rows.ndim == 1 and a.shape == rows.shape,
-                 "expected equally long 1-D integer rows and amplitudes")
+        _require(rows.dtype.kind in "iu" and rows.ndim == 1, _SUPPORT_FORM)
+        a = _require_complex(self.amps, rows.shape, _SUPPORT_FORM)
         # int64 holds every row below 2^24, so a gate's bit shift cannot wrap
         # as it would in a narrow dtype such as uint8
         rows = rows.astype(np.int64, copy=False)
@@ -408,9 +424,7 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        # a copy, so freezing it leaves the caller's array writable
-        m = np.array(self.entries, dtype=complex)
-        _require(m.shape == (2, 2), f"expected a 2x2 matrix, got shape {m.shape}")
+        m = _require_complex(self.entries, (2, 2), "expected a 2x2 matrix")
         a, b, c, d = m.ravel().tolist()
         # not max(): it keeps its first operand when a later one is NaN
         _require(abs(a - a.conjugate()) < 1e-10 and abs(b - c.conjugate()) < 1e-10
@@ -445,8 +459,8 @@ def symmetric_state(psi: PureQubit, n: int) -> DickeVector:
 def _dicke_support(v: DickeVector) -> tuple[np.ndarray, np.ndarray]:
     """The n+1 nonzero entries of the dense expansion of `v`, rows ascending:
     c0 at row 0 (no excitation), then c1 / sqrt(n) at rows 1, 2, 4, ..., 2^(n-1)
-    (the single excitation on qubit n, n-1, ..., 1)."""
-    rows = np.concatenate(([0], 2 ** np.arange(v.n)))
+    (the single excitation on qubit n, n-1, ..., 1); n checked by `_require_qubits`."""
+    rows = np.concatenate(([0], 2 ** np.arange(_require_qubits(v.n))))
     amps = np.full(v.n + 1, v.c1 / np.sqrt(v.n), dtype=complex)
     amps[0] = v.c0
     return rows, amps

@@ -27,6 +27,7 @@ from .core import (
     _nelder_mead,
     _require,
     _require_angles,
+    _require_complex,
     _require_count,
     dilute_angle,
 )
@@ -46,13 +47,22 @@ class OptimizationError(RuntimeError):
     """A constrained device search failed to produce a feasible optimum."""
 
 
+def _gram_residuals(g: np.ndarray) -> tuple[float, float, float]:
+    d1, d2, d3, d4 = g.diagonal().real.tolist()
+    return abs(d1 + d2 - 1.0), abs(d3 + d4 - 1.0), abs(complex(g[0, 2] + g[1, 3]))
+
+
+_VECTORS_FORM = f"vectors must be a numeric array of shape (4, {MACHINE_DIM}), the rows D1..D4"
+
+
 @dataclass(frozen=True, eq=False)
 class DeviceTransform:
     """A sector-preserving device unitary, fixed by its four machine vectors:
     the rows D1..D4 of one read-only (4, MACHINE_DIM) complex array.
 
-    Their Gram matrix is formed once, here, and read by `gram_summary`;
-    unitarity is checked where the device is used, not here."""
+    Their Gram matrix is formed once, here, and read by `gram_summary`.  A
+    device is built only if each unitarity residual is below UNITARITY_TOL
+    (UnitarityError otherwise; a NaN residual fails)."""
 
     n: int
     vectors: np.ndarray
@@ -60,16 +70,14 @@ class DeviceTransform:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
-        try:  # a copy, so freezing it leaves the caller's array writable
-            v = np.array(self.vectors, dtype=complex)
-        except ValueError:  # ragged rows
-            v = np.empty(0)
-        _require(v.shape == (4, MACHINE_DIM),
-                 f"vectors must be an array of shape (4, {MACHINE_DIM}), the rows D1..D4")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        v = _require_complex(self.vectors, (4, MACHINE_DIM), _VECTORS_FORM)
         g = v.conj() @ v.T
+        res = _gram_residuals(g)
+        if not all(r < UNITARITY_TOL for r in res):
+            raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
+        v.setflags(write=False)
         g.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "_gram_matrix", g)
 
 
@@ -77,12 +85,6 @@ def gram_summary(t: DeviceTransform) -> np.ndarray:
     """Gram matrix <Di|Dj> of the four machine vectors, read-only; ||Di||^2
     on its diagonal."""
     return t._gram_matrix
-
-
-def _gram_residuals(g: np.ndarray) -> tuple[float, float, float]:
-    return (abs(g[0, 0].real + g[1, 1].real - 1.0),
-            abs(g[2, 2].real + g[3, 3].real - 1.0),
-            abs(g[0, 2] + g[1, 3]))
 
 
 def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
@@ -93,16 +95,6 @@ def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
     return _gram_residuals(gram_summary(t))
 
 
-def _check_unitary(t: DeviceTransform) -> np.ndarray:
-    """The Gram matrix of `t`, once its unitarity residuals pass; a NaN
-    residual fails."""
-    g = gram_summary(t)
-    res = _gram_residuals(g)
-    if not all(r < UNITARITY_TOL for r in res):
-        raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
-    return g
-
-
 def apply_transform(t: DeviceTransform,
                     big_psi: DickeVector) -> tuple[np.ndarray, DensityOperator]:
     """Run the device on a symmetric-sector input.
@@ -111,7 +103,6 @@ def apply_transform(t: DeviceTransform,
     qubit density operator left after tracing out the machine.
     """
     _require(t.n == big_psi.n, "transform and input qubit counts differ")
-    _check_unitary(t)
     a0, a1 = big_psi.c0, big_psi.c1
     d1, d2, d3, d4 = t.vectors
     joint = np.stack([a0 * d1 + a1 * d3, a0 * d2 + a1 * d4])
@@ -127,7 +118,7 @@ def pointwise_fidelity(t: DeviceTransform, theta, phi):
     output level a: x holds the coefficients, on D1..D4, of the machine
     state left by projecting the output qubit onto the original.
     """
-    g = _check_unitary(t)
+    g = gram_summary(t)
     th, ph = _require_angles(theta, phi)
     phase = np.exp(1j * ph)
     tbar = dilute_angle(th, t.n)
@@ -182,7 +173,7 @@ def universal_coefficients(n) -> tuple:
     family at omega = 0: gamma^2 = (N+1) / (2 (N+1-sqrt(N))),
     delta = sqrt(1 - gamma^2).  Floats for a count, arrays for an integer
     array of counts."""
-    g2 = _covariant(_float_count(n), (0.0,))[0]
+    g2 = _closed_form(n, 1.0, lambda x: _covariant(x, (0.0,))[0])
     gamma, delta = np.sqrt(g2), np.sqrt(np.maximum(1.0 - g2, 0.0))
     return (gamma, delta) if np.ndim(g2) else (float(gamma), float(delta))
 
@@ -240,9 +231,9 @@ def _avg_fidelity(n: float, moments: tuple[float, float, float], d1_sq: float,
 
 
 def device_avg_fidelity(t: DeviceTransform) -> float:
-    """Sphere-averaged disentangling fidelity of a unitarity-checked device,
-    from its Gram data (see `_avg_fidelity`)."""
-    g = _check_unitary(t)
+    """Sphere-averaged disentangling fidelity of a device, from its Gram
+    data (see `_avg_fidelity`)."""
+    g = gram_summary(t)
     return _avg_fidelity(_float_count(t.n), moment_integrals(t.n),
                          *g.diagonal().real, float(np.real(g[0, 3])))
 

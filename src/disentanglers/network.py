@@ -30,6 +30,7 @@ from .core import (
     _require,
     _require_angles,
     _require_count,
+    _require_qubits,
     symmetric_state,
 )
 
@@ -43,8 +44,8 @@ class DecompositionError(RuntimeError):
 
 
 def cnot_cascade(n: int) -> tuple[tuple[int, int], ...]:
-    """Gate list (control k, target n) for k = 1 .. n-1."""
-    n = _require_count(n)
+    """Gate list (control k, target n) for k = 1 .. n-1; n checked by `_require_qubits`."""
+    n = _require_qubits(n)
     return tuple((k, n) for k in range(1, n))
 
 
@@ -146,8 +147,7 @@ def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float
     the (n, 2) block that is projected, and otherwise its squared modulus
     goes straight into the residual, together with that of the projected
     remainder.  The residual is not sqrt(|m|^2 - |branches|^2), whose 1e-16
-    rounding reads as about 1e-8.  The squared norm of the output is that
-    residual's with the block restored.
+    rounding reads as about 1e-8.
     """
     basis, p, q = _postselect_support(output.n)
     pair = output.rows >> 1
@@ -160,9 +160,8 @@ def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float
     branch_minus = q.conj() @ block
     remainder = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
     residual_sq = np.vdot(off, off).real + np.vdot(remainder, remainder).real
-    residual = float(np.sqrt(residual_sq))
-    norm_sq = residual ** 2 + float(np.sum(np.abs(block) ** 2 - np.abs(remainder) ** 2))
-    return branch_plus, branch_minus, residual, norm_sq
+    norm_sq = float(np.vdot(output.amps, output.amps).real)
+    return branch_plus, branch_minus, float(np.sqrt(residual_sq)), norm_sq
 
 
 def decompose(output: SupportStateVector, n: int) -> OutcomeDecomposition:
@@ -176,7 +175,7 @@ def decompose(output: SupportStateVector, n: int) -> OutcomeDecomposition:
     _require(isinstance(output, SupportStateVector),
              "decompose takes a SupportStateVector; a dense state is the "
              "support over every row, np.arange(2**n)")
-    _require(output.n == n, "qubit count mismatch")
+    _require(output.n == _require_count(n), "qubit count mismatch")
     branch_plus, branch_minus, residual, norm_sq = _branches(output)
     if residual > 1e-10:
         raise DecompositionError(f"residual {residual} outside the branch subspace")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +93,13 @@ class TestPureQubit:
             PureQubit.from_amplitudes([bad, 1.0])
         with pytest.raises(DomainError, match="not finite"):
             PureQubit.from_amplitudes([1.0, bad])
+
+    @pytest.mark.parametrize("vec", [["a", 1.0], [10 ** 400, 1.0], [1.0, None],
+                                     [[1.0], [0.0, 1.0]], [1.0, 0.0, 0.0], {}],
+                             ids=["string", "1e400", "None", "ragged", "3-vector", "dict"])
+    def test_from_amplitudes_rejects_non_numbers(self, vec):
+        with pytest.raises(DomainError, match="2-component amplitude vector"):
+            PureQubit.from_amplitudes(vec)
 
     def test_from_amplitudes_folds_azimuth_just_below_zero(self):
         psi = PureQubit.from_amplitudes(np.array([1.0, 0.5 - 1e-17j]))
@@ -206,6 +214,23 @@ class TestDickeToStatevector:
         with pytest.raises(CapacityError):
             SupportStateVector(25, np.array([0]), np.ones(1))
 
+    @pytest.mark.parametrize("name", ["cnot_cascade", "dicke_to_statevector"])
+    def test_capacity_is_checked_before_allocating(self, name):
+        # the cap is checked before an n-sized array or gate list is built
+        from disentanglers import cnot_cascade
+
+        entry = {"cnot_cascade": lambda: cnot_cascade(10 ** 6),
+                 "dicke_to_statevector":
+                     lambda: dicke_to_statevector(DickeVector(10 ** 6, 1.0, 0.0))}[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="statevector cap"):
+                entry()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
 
 def every_row(n, amps):
     """The dense amplitudes `amps` as the support over every row."""
@@ -264,6 +289,14 @@ class TestSupportStateVector:
             SupportStateVector(3, np.array([], dtype=int), np.array([]))
         with pytest.raises(CapacityError):
             SupportStateVector(MAX_STATEVECTOR_QUBITS + 1, np.array([0]), np.ones(1))
+
+    @pytest.mark.parametrize("amps", [["a", 0.8], [10 ** 400, 0.8], [0.6, None],
+                                      [[0.6], [0.8, 0.0]], [0.6, 0.8, 0.0], {}],
+                             ids=["string", "1e400", "None", "ragged", "longer-than-rows",
+                                  "dict"])
+    def test_rejects_amplitudes_that_are_not_numbers(self, amps):
+        with pytest.raises(DomainError, match="equally long"):
+            SupportStateVector(3, np.array([0, 1]), amps)
 
     def test_read_only_copies(self):
         rows, amps = np.array([0, 3]), np.array([0.6, 0.8j])
@@ -331,6 +364,13 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("entries", [[["a", 0], [0, 0.5]], [[10 ** 400, 0], [0, 0.5]],
+                                         [[0.5, 0], [0.5]], np.eye(3) / 3, None],
+                             ids=["string", "1e400", "ragged", "3x3", "None"])
+    def test_rejects_entries_that_are_not_a_2x2_matrix(self, entries):
+        with pytest.raises(DomainError, match="2x2 matrix"):
+            DensityOperator(entries)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -494,21 +534,33 @@ OVERLAP_BELOW_HALF_339_BITS = int(
     "503912aa36cf7eb70ba6527d99a23e4f7625eafe6790abc18a40b55c7ed9d4d4985dc09aedbd06d316b4a", 16)
 
 
+# the closed forms take an integer array of counts as well as a count
+ARRAY_COUNT_ENTRY_POINTS = {"diluted_avg_fidelity", "dilution_overlap",
+                            "measurement_avg_fidelity", "moment_integrals",
+                            "optimal_measurement_bound", "universal_coefficients"}
+
+
 def _count_entry_points():
     from disentanglers import (
         DeviceTransform,
         cnot_cascade,
+        decompose,
         dilution_overlap,
         measurement_avg_fidelity,
         moment_integrals,
         optimal_measurement_bound,
+        optimal_measurement_bound_numeric,
         postselect_basis,
         run_cascade,
+        sample_shots,
         success_probability,
+        swap_disentangler,
         universal_coefficients,
+        universal_disentangler,
     )
 
-    zero = np.zeros((4, 4))
+    unitary = swap_disentangler(2).vectors
+    output = run_cascade(PureQubit(1.0, 0.0), 3)
     return {
         "SupportStateVector": lambda n: SupportStateVector(n, np.array([0]), np.ones(1)),
         "postselect_basis": postselect_basis,
@@ -516,7 +568,7 @@ def _count_entry_points():
         "dilute_angle": lambda n: dilute_angle(1.0, n),
         "diluted_avg_fidelity": diluted_avg_fidelity,
         "DickeVector": lambda n: DickeVector(n, 1.0, 0.0),
-        "DeviceTransform": lambda n: DeviceTransform(n, zero),
+        "DeviceTransform": lambda n: DeviceTransform(n, unitary),
         "universal_coefficients": universal_coefficients,
         "moment_integrals": moment_integrals,
         "dilution_overlap": dilution_overlap,
@@ -524,6 +576,10 @@ def _count_entry_points():
         "optimal_measurement_bound": optimal_measurement_bound,
         "cnot_cascade": cnot_cascade,
         "success_probability": lambda n: success_probability(1.0, n),
+        "sample_shots": lambda n: sample_shots(PureQubit(1.0, 0.0), n, 10, 0),
+        "universal_disentangler": universal_disentangler,
+        "optimal_measurement_bound_numeric": optimal_measurement_bound_numeric,
+        "decompose": lambda n: decompose(output, n),
     }
 
 
@@ -531,7 +587,10 @@ class TestIntegerCount:
     @pytest.mark.parametrize("name", sorted(_count_entry_points()))
     def test_rejects_non_counts(self, name):
         entry = _count_entry_points()[name]
-        for bad in (2.5, 2.0, np.float64(3.0), True, 0, -1, np.int64(0), "3", None):
+        bads = (2.5, 2.0, np.float64(3.0), True, 0, -1, np.int64(0), "3", None)
+        if name not in ARRAY_COUNT_ENTRY_POINTS:
+            bads += (np.array([2, 3]),)
+        for bad in bads:
             with pytest.raises(DomainError):
                 entry(bad)
 

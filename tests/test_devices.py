@@ -56,8 +56,10 @@ class TestDeviceTransform:
         assert np.array_equal(t.vectors, swap_disentangler(2).vectors)
 
     @pytest.mark.parametrize("vectors", [np.zeros((3, 4)), np.zeros((4, 3)), np.zeros(16),
-                                         [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 3]],
-                             ids=["3x4", "4x3", "flat", "ragged"])
+                                         [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 3],
+                                         {}, [[10 ** 400, 0, 0, 0], *[[0] * 4] * 3],
+                                         [["a", 0, 0, 0], *[[0] * 4] * 3]],
+                             ids=["3x4", "4x3", "flat", "ragged", "dict", "1e400", "string"])
     def test_wrong_shape_raises_domain_error(self, vectors):
         with pytest.raises(DomainError, match=r"shape \(4, 4\)"):
             DeviceTransform(2, vectors)
@@ -72,32 +74,25 @@ class TestUnitarityResiduals:
         assert unitarity_residuals(swap_disentangler(7)) == (0.0, 0.0, 0.0)
 
     def test_scaled_vector_breaks_first_constraint(self):
-        t = DeviceTransform(2, [2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)])
-        r1, r2, r3 = unitarity_residuals(t)
-        assert r1 == pytest.approx(3.0)
-        assert r2 == 0.0 and r3 == 0.0
+        # the constructor refuses it, naming the three residuals
+        with pytest.raises(UnitarityError, match=r"residuals \(3\.0, 0\.0, 0\.0\) exceed"):
+            DeviceTransform(2, [2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)])
 
     def test_apply_rejects_non_unitary(self):
-        # every entry point that reads a device checks it first
-        t = DeviceTransform(2, [2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)])
-        for entry in (lambda: apply_transform(t, symmetric_state(PureQubit(1.0, 0.0), 2)),
-                      lambda: pointwise_fidelity(t, 1.0, 0.0),
-                      lambda: covariance_spread(t),
-                      lambda: device_avg_fidelity(t)):
+        # no entry point that reads a device can be handed a non-unitary one:
+        # it is refused when built, whether a norm or an overlap is off
+        for vectors in ([2.0 * basis(0), np.zeros(4), np.zeros(4), basis(0)],
+                        [basis(0), np.zeros(4), basis(0), np.zeros(4)]):
             with pytest.raises(UnitarityError):
-                entry()
+                DeviceTransform(2, vectors)
 
     @pytest.mark.parametrize("vector", range(4))
     def test_nan_entry_fails_the_guard(self, vector):
         # a NaN residual compares false against any tolerance; it must fail
         v = swap_disentangler(3).vectors.copy()
         v[vector, 1] = np.nan
-        t = DeviceTransform(3, v)
-        for entry in (lambda: device_avg_fidelity(t),
-                      lambda: pointwise_fidelity(t, 1.0, 0.0),
-                      lambda: covariance_spread(t)):
-            with pytest.raises(UnitarityError):
-                entry()
+        with pytest.raises(UnitarityError, match="nan"):
+            DeviceTransform(3, v)
 
 
 class TestApplyTransform:
