@@ -356,8 +356,9 @@ def _check_cascade_action() -> list[CheckResult]:
 def _check_network(seed: int, angles_per_n: int,
                    shot_seed: int) -> list[CheckResult]:
     """Post-selection exactness for `angles_per_n` input angles per n = 2..12
-    drawn from default_rng(seed), and 10^5 shots at p = 1/4 sampled with
-    `shot_seed` against a 3 sigma bound."""
+    drawn from default_rng(seed), and the success count of 10^5 shots at
+    p = 1/4, one binomial draw at `shot_seed`, against a 3 sigma bound.  The
+    bound fails at about 0.3% of seeds by design (5 of seeds 0-999)."""
     rng = np.random.default_rng(seed)
     res_fid, res_prob = [], []
     for n in range(2, 13):

@@ -94,16 +94,24 @@ def _require_qubits(n) -> int:
     return n
 
 
-def _require_complex(x, shape: tuple, msg: str) -> np.ndarray:
-    """x as a fresh complex array, which the caller may freeze; DomainError(msg)
-    unless numpy converts x to a bool, integer, float or complex array (not a
-    string, object or ragged one, nor ints past the float range) of `shape`."""
+def _require_array(x, kinds: str, msg: str) -> np.ndarray:
+    """np.asarray(x); DomainError(msg) unless numpy converts x to an array
+    whose dtype kind is in `kinds` (so not a ragged one, and not a string or
+    object one unless asked for)."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(msg) from None
-    if a.dtype.kind not in "biufc" or a.shape != shape:
-        raise DomainError(msg)
+    _require(a.dtype.kind in kinds, msg)
+    return a
+
+
+def _require_complex(x, shape: tuple, msg: str) -> np.ndarray:
+    """x as a fresh complex array, which the caller may freeze; DomainError(msg)
+    unless `_require_array` takes x as a bool, integer, float or complex array
+    (ints past the float range come as an object one) of `shape`."""
+    a = _require_array(x, "biufc", msg)
+    _require(a.shape == shape, msg)
     return a.astype(complex)
 
 
@@ -312,9 +320,14 @@ class PureQubit:
         """Extract Bloch angles from a 2-vector, discarding the global phase."""
         v = _require_complex(vec, (2,), "expected a 2-component amplitude vector")
         _require(bool(np.all(np.isfinite(v))), "amplitudes not finite")
-        norm = np.linalg.norm(v)
-        _require(norm > 0, "cannot extract angles from the zero vector")
-        v = v / norm
+        parts = v.view(float)  # re0, im0, re1, im1; a modulus itself may overflow
+        largest = float(np.max(np.abs(parts)))
+        _require(largest > 0, "cannot extract angles from the zero vector")
+        # scaled by 2^-e to below 1 in every part, so the norm neither over-
+        # nor underflows; a power of two scales exactly, so where the unscaled
+        # norm did neither, v / norm keeps its bits
+        v = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
+        v = v / np.linalg.norm(v)
         theta = 2.0 * np.arctan2(abs(v[1]), abs(v[0]))
         phi = 0.0 if abs(v[1]) < 1e-15 else float(np.angle(v[1]) - np.angle(v[0]))
         return cls.from_angles(min(max(theta, 0.0), np.pi), phi)
@@ -370,13 +383,13 @@ class SupportStateVector:
 
     def __post_init__(self) -> None:
         n = _require_qubits(self.n)
-        # copies, so freezing them leaves the caller's arrays writable
-        rows = np.array(self.rows)
-        _require(rows.dtype.kind in "iu" and rows.ndim == 1, _SUPPORT_FORM)
+        rows = _require_array(self.rows, "iu", _SUPPORT_FORM)
+        _require(rows.ndim == 1, _SUPPORT_FORM)
+        # copies, so freezing them leaves the caller's arrays writable; int64
+        # holds every row below 2^24, so a gate's bit shift cannot wrap as it
+        # would in a narrow dtype such as uint8
+        rows = rows.astype(np.int64)
         a = _require_complex(self.amps, rows.shape, _SUPPORT_FORM)
-        # int64 holds every row below 2^24, so a gate's bit shift cannot wrap
-        # as it would in a narrow dtype such as uint8
-        rows = rows.astype(np.int64, copy=False)
         norm = np.linalg.norm(a)
         _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL, f"statevector norm {norm} != 1")
         _require(bool(rows[0] >= 0 and rows[-1] < 2 ** n and (rows[1:] > rows[:-1]).all()),

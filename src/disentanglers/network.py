@@ -38,6 +38,9 @@ from .core import (
 # code at n = 21 it fixes; the support form itself would go further.
 MAX_CASCADE_QUBITS = 20
 
+# numpy's binomial draw takes its trial count as a C long (int64).
+MAX_SHOTS = 2 ** 63
+
 
 class DecompositionError(RuntimeError):
     """Network output fell outside the expected post-selection subspace."""
@@ -208,14 +211,18 @@ def post_selected_state(output: SupportStateVector, n: int) -> PureQubit:
 
 
 def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> int:
-    """The number of post-selection successes in `shots` Bernoulli draws at
-    the exact success probability; the other shots failed.
+    """The number of post-selection successes in `shots` runs, a Python int;
+    the other shots failed.
 
-    Uses numpy's seeded PCG64 stream; identical (seed, shots) always gives
-    the same count.  The seed must be an integer >= 0.
+    The runs are independent Bernoulli trials at the exact success
+    probability p, so their success count is Binomial(shots, p) and is drawn
+    as one number, in time and memory that do not grow with `shots`.  It
+    uses numpy's seeded PCG64 stream: identical (seed, shots) always gives
+    the same count.  The seed must be an integer >= 0, and `shots` an
+    integer in 1 .. 2^63 - 1, the range of numpy's binomial draw.
     """
     shots = _require_count(shots, "shots")
+    _require(shots < MAX_SHOTS, f"need shots < 2**63, got {shots}")
     seed = _require_count(seed, "seed", least=0)
     p = success_probability(psi.theta, n)
-    rng = np.random.default_rng(seed)
-    return int(np.count_nonzero(rng.random(shots) < p))
+    return int(np.random.default_rng(seed).binomial(shots, p))

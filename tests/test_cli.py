@@ -351,8 +351,8 @@ class TestCmdVerify:
     # stdout of `verify --seed 42` at each level; a change that moves any
     # printed digit updates these on purpose and says so in CHANGES.md
     DIGESTS = {
-        "fast": "b818f06d10778a07197c6a87afba734586d99c1eab8c39bac84bb08677de592b",
-        "full": "3400355b9a1688c59c06eb4f12828ec2e40792b2511d403a6285a40cee6379b6",
+        "fast": "2f8c25a22dabfec4bdcbdbfd31d43b170612f15b6a5d9239d8f09a0f0ff81221",
+        "full": "3db0875b1ed501e65e073def4703f37e0d99e27fb4beac5b0f87cf9cef430ced",
     }
 
     def test_fast_passes(self, capsys):
@@ -452,10 +452,10 @@ class TestCmdNetwork:
     # sampling the shots, updates these
     DIGESTS = {
         1: "70bf40104e2a6fa8d89b05a63dbc5bd582381553278a985021c0f1fd88b1db8d",
-        2: "f2ec80062018ca3d35e02240e5c8acf22c2c8f37a20a53dc5297c6e8b1a76959",
-        12: "723ba46eedd6378cace304ff292ccbacb518a1ee58a10212747b9909c7405963",
-        17: "bc83fde8042c27cbbed92cc91394e61acb594587d158753fba61aa6e9df4e03c",
-        20: "179052ec4d63dc205477115235d10205770ea9837f36b04f2bdc772552d03587",
+        2: "4e5a2f7a448e40736da1661cbe7a06233bbf2fa70daaa86ec240dc5b76f584ff",
+        12: "c6406b7ca0a93605ac8466e670a111bb7460d6d99c44abfc96781330e7794fd2",
+        17: "37060e0bd1ee39437484a8cbfd59b6356130d2ca709844542bd4c8e8a6003ea8",
+        20: "05f68f7ba65e6bad7d3874cff0fa7cc5e48911b69f73590eaf9fe6e45395e7e4",
     }
 
     def test_digests(self, capsys):
@@ -467,8 +467,9 @@ class TestCmdNetwork:
 
     def test_n20_allocates_only_the_shot_draws(self, capsys):
         # at the cap the cascade and post-selection stay on the n+1 rows of
-        # the output; what remains is the 10^5 uniform draws and their
-        # comparison with p (0.90 MB measured).  A first call is made
+        # the output, and the 10^5 shots are one binomial draw, so nothing
+        # grows with n or the shots: about 8.5 kB measured, where the
+        # uniform draws of each shot took 0.90 MB.  A first call is made
         # untraced: numpy's first use of its generator allocates once.
         assert cmd_network(1.1, 2.3, 2, 10, 7) == 0
         tracemalloc.start()
@@ -478,7 +479,29 @@ class TestCmdNetwork:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak <= 2 ** 20
+        assert peak <= 2 ** 15
+
+    def test_shot_count_past_the_draw_range(self, capsys):
+        # 10^18 shots are one draw; from 2^63 on, numpy's binomial cannot
+        # take the count, which is refused before any draw.  Neither
+        # allocates anything shot-sized.
+        assert cmd_network(1.1, 2.3, 2, 10, 7) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["network", "--theta", "1.1", "--n", "20",
+                         "--shots", str(10 ** 18)]) == 0
+            big = capsys.readouterr().out
+            assert main(["network", "--theta", "1.1", "--n", "20",
+                         "--shots", str(10 ** 30)]) == 2
+            refused = capsys.readouterr()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"shots = {10 ** 18}  plus = " in big
+        assert refused.out == ""
+        assert refused.err == f"network: need shots < 2**63, got {10 ** 30}\n"
+        assert peak <= 2 ** 17  # argparse takes most of it, 39 kB measured
 
     def test_n20_builds_no_dense_statevector(self, capsys, monkeypatch):
         def refuse(self):

@@ -101,6 +101,19 @@ class TestPureQubit:
         with pytest.raises(DomainError, match="2-component amplitude vector"):
             PureQubit.from_amplitudes(vec)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+    def test_from_amplitudes_far_from_unit_modulus(self, scale):
+        # |v|^2 over- or underflows at each scale; the angles are those of (1, 1)
+        psi = PureQubit.from_amplitudes([scale, scale])
+        assert (psi.theta, psi.phi) == (np.pi / 2, 0.0)
+
+    def test_from_amplitudes_past_the_largest_modulus(self):
+        # the modulus of 1.5e308 (1 + 1j) is past the float range itself
+        psi = PureQubit.from_amplitudes([1.5e308 + 1.5e308j, 0.0])
+        assert (psi.theta, psi.phi) == (0.0, 0.0)
+        psi = PureQubit.from_amplitudes([1e308, -1e308j])
+        assert (psi.theta, psi.phi) == (np.pi / 2, 1.5 * np.pi)
+
     def test_from_amplitudes_folds_azimuth_just_below_zero(self):
         psi = PureQubit.from_amplitudes(np.array([1.0, 0.5 - 1e-17j]))
         assert psi.phi == 0.0
@@ -281,6 +294,14 @@ class TestSupportStateVector:
     def test_rejects_rows_that_are_not_a_support(self, rows):
         with pytest.raises(DomainError):
             SupportStateVector(3, np.array(rows), np.array([0.6, 0.8]))
+
+    @pytest.mark.parametrize("rows", [[[0], [1, 2]], ["0", "1"], [0.0, 1.0],
+                                      [object(), object()], [10 ** 400, 1]],
+                             ids=["ragged", "string", "float", "object", "1e400"])
+    def test_rejects_rows_that_are_not_integers(self, rows):
+        # as given, not through np.array, which refuses a ragged list itself
+        with pytest.raises(DomainError, match="equally long 1-D integer rows"):
+            SupportStateVector(2, rows, [0.6, 0.8])
 
     def test_norm_and_capacity(self):
         with pytest.raises(DomainError, match="norm"):
@@ -746,6 +767,9 @@ POLAR = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi))
 AZIMUTH = st.one_of(
     st.sampled_from([0.0, float(np.nextafter(2 * np.pi, 0.0)), -1e-17]),
     st.floats(-4 * np.pi, 4 * np.pi))
+# a real or imaginary part that stays a normal float under any 2^k, |k| <= 900
+NORMAL_PART = (st.sampled_from([0.0, -0.0]) | st.floats(2.0 ** -100, 2.0 ** 100)
+               | st.floats(-2.0 ** 100, -2.0 ** -100))
 
 
 # the edges of both angle ranges, as floats
@@ -789,6 +813,17 @@ class TestProperties:
         back = PureQubit.from_amplitudes(psi.amplitudes())
         overlap = abs(np.vdot(psi.amplitudes(), back.amplitudes())) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    @given(parts=st.lists(NORMAL_PART, min_size=4, max_size=4),
+           k=st.integers(-900, 900))
+    def test_amplitudes_scale_free(self, parts, k):
+        # 2^k (a, b) has the angles of (a, b), bit for bit: every part stays
+        # a normal float, so the scaling is exact
+        assume(any(parts))
+        vec = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
+        scaled = np.ldexp(vec.view(float), k).view(complex)
+        one, other = PureQubit.from_amplitudes(vec), PureQubit.from_amplitudes(scaled)
+        assert (one.theta, one.phi) == (other.theta, other.phi)
 
     @given(n=st.integers(1, 10 ** 6), a=POLAR, b=POLAR)
     def test_dilute_angle_monotone_with_fixed_poles(self, n, a, b):

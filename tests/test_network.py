@@ -416,7 +416,11 @@ class TestProperties:
 
 class TestSampleShots:
     def test_certain_success(self):
-        assert sample_shots(PureQubit(np.pi, 0.0), 6, 500, seed=1) == 500
+        # at theta = pi the success probability is exactly 1, so every shot
+        # succeeds, however many there are
+        for n, shots in ((6, 500), (20, 10 ** 5), (3, 2 ** 63 - 1)):
+            assert success_probability(np.pi, n) == 1.0
+            assert sample_shots(PureQubit(np.pi, 0.0), n, shots, seed=1) == shots
 
     def test_binomial_agreement(self):
         plus = sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, seed=7)
@@ -424,14 +428,22 @@ class TestSampleShots:
         sigma = np.sqrt(p * (1 - p) / 10 ** 5)
         assert abs(plus / 10 ** 5 - p) <= 3 * sigma
 
+    def test_mean_over_seeds(self):
+        # the mean of 200 seeded counts lies within 4 standard errors of
+        # its expectation, 1000 p
+        p = success_probability(1.0, 3)
+        counts = [sample_shots(PureQubit(1.0, 0.0), 3, 1000, seed=s) for s in range(200)]
+        standard_error = np.sqrt(1000 * p * (1 - p) / 200)
+        assert abs(np.mean(counts) - 1000 * p) <= 4 * standard_error
+
     def test_deterministic_under_seed(self):
         a = sample_shots(PureQubit(1.0, 0.3), 3, 1000, seed=99)
         assert a == sample_shots(PureQubit(1.0, 0.3), 3, 1000, seed=99)
-        # the success count, a Python int, of numpy's PCG64 stream at that seed
+        # the success count, a Python int: one binomial draw of numpy's
+        # PCG64 stream at that seed
         assert type(a) is int
         p = success_probability(1.0, 3)
-        draws = np.random.Generator(np.random.PCG64(99)).random(1000)
-        assert a == np.count_nonzero(draws < p)
+        assert a == np.random.Generator(np.random.PCG64(99)).binomial(1000, p)
 
     def test_seed_validated(self):
         for bad in (-1, -2 ** 70, 2.0, True, "3", None):
@@ -443,6 +455,22 @@ class TestSampleShots:
         sample_shots(psi, 3, 10, seed=0)  # the least seed is accepted
 
     def test_shot_count_validated(self):
-        for bad in (0, 2.5, True, "3"):
+        for bad in (0, 2.5, True, "3", 2 ** 63, 10 ** 30, np.uint64(2 ** 63)):
             with pytest.raises(DomainError, match="shots"):
                 sample_shots(PureQubit(1.0, 0.0), 3, bad, seed=0)
+
+    def test_shot_count_costs_nothing_shot_sized(self):
+        # the largest count numpy can draw and the least one past it: the
+        # draw takes constant memory, and the refusal comes before it
+        psi = PureQubit(1.0, 0.0)
+        sample_shots(psi, 3, 10, seed=0)  # numpy's first draw allocates once
+        tracemalloc.start()
+        try:
+            plus = sample_shots(psi, 3, 2 ** 63 - 1, seed=0)
+            with pytest.raises(DomainError, match="need shots < 2\\*\\*63"):
+                sample_shots(psi, 3, 2 ** 63, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < plus < 2 ** 63 - 1
+        assert peak <= 2 ** 14

@@ -35,3 +35,18 @@ def test_gate_line_names_the_first_differing_run():
     assert same_outputs.gate_line("verify-fast", base, base) == "SAME verify-fast: 3 runs"
     assert same_outputs.gate_line("verify-fast", base, head).startswith(
         "DIFF verify-fast: seed 1, line 1: ")
+
+
+def test_gate_line_counts_the_runs_and_lines_that_differ():
+    base = {f"seed {s}": BASE for s in range(4)}
+    head = {**base,
+            "seed 1": BASE.replace("2.0e-16", "2.5e-16"),
+            "seed 3": BASE.replace("1.0e-16", "1.5e-16").replace("exit 0", "exit 1")}
+    assert same_outputs.gate_line("verify-fast", base, head) == (
+        "DIFF verify-fast: seed 1, line 2: 'PASS  b  residual=2.0e-16 tol=1e-9\\n' != "
+        "'PASS  b  residual=2.5e-16 tol=1e-9\\n'; 2 of 4 runs differ, at lines 1, 2, 3")
+
+
+def test_line_differences_past_the_shorter_text():
+    assert same_outputs.line_differences(BASE, BASE + "extra\n") == [(4, None, "extra\n")]
+    assert same_outputs.line_differences(BASE, BASE) == []

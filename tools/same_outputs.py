@@ -14,8 +14,9 @@ included.  Four gates compare stdout and exit code:
   * table: the sha256 of `table --n-min 1 --n-max 1000000`.
 
 One line per gate: SAME, or DIFF with the first run that differs and its
-first differing line.  Exits 0 iff every gate is SAME.  The whole check
-runs 70 subprocesses per tree, two at a time.
+first differing line, then the number of runs that differ and the line
+numbers that differ in any of them.  Exits 0 iff every gate is SAME.  The whole
+check runs 70 subprocesses per tree, two at a time.
 """
 
 from __future__ import annotations
@@ -62,25 +63,37 @@ def run(src: Path, argv: list[str], digest: bool = False) -> str:
     return f"{out}[exit {proc.returncode}]\n"
 
 
-def first_difference(base: str, head: str) -> str | None:
-    """None if the texts are equal, else the number (from 1) of the first
-    line where they differ and both versions of it."""
+def line_differences(base: str, head: str) -> list[tuple[int, str | None, str | None]]:
+    """Every line where the texts differ: its number (from 1) and both
+    versions of it, None past the end of the shorter text."""
     lines = itertools.zip_longest(base.splitlines(keepends=True),
                                   head.splitlines(keepends=True))
-    for k, (a, b) in enumerate(lines, 1):
-        if a != b:
-            return f"line {k}: {a!r} != {b!r}"
-    return None
+    return [(k, a, b) for k, (a, b) in enumerate(lines, 1) if a != b]
+
+
+def first_difference(base: str, head: str) -> str | None:
+    """None if the texts are equal, else the number of the first line where
+    they differ and both versions of it."""
+    diffs = line_differences(base, head)
+    if not diffs:
+        return None
+    k, a, b = diffs[0]
+    return f"line {k}: {a!r} != {b!r}"
 
 
 def gate_line(gate: str, base: dict[str, str], head: dict[str, str]) -> str:
     """SAME if every run of the gate printed the same in both trees, else
-    DIFF with the first run that differs and where."""
-    for label in base:
-        where = first_difference(base[label], head[label])
-        if where is not None:
-            return f"DIFF {gate}: {label}, {where}"
-    return f"SAME {gate}: {len(base)} runs"
+    DIFF with the first run that differs and where, how many runs differ,
+    and every line number that differs in any of them."""
+    moved = {label: diffs for label in base
+             if (diffs := line_differences(base[label], head[label]))}
+    if not moved:
+        return f"SAME {gate}: {len(base)} runs"
+    numbers = sorted({k for diffs in moved.values() for k, _, _ in diffs})
+    label = next(iter(moved))
+    return (f"DIFF {gate}: {label}, {first_difference(base[label], head[label])}; "
+            f"{len(moved)} of {len(base)} runs differ, at lines "
+            f"{', '.join(map(str, numbers))}")
 
 
 def main(argv: list[str] | None = None) -> int:
