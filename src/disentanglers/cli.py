@@ -272,36 +272,44 @@ def _check_closed_form_oracles() -> list[CheckResult]:
 
 def _check_device_average_oracle(seed: int) -> list[CheckResult]:
     """Closed-form device average against quadrature, for 5 transforms per
-    N drawn from default_rng(seed)."""
+    N drawn from default_rng(seed) (the draws of `devices.random_transform`),
+    each N's five as one stack of devices."""
     quad = BlochQuadrature()
     rng = np.random.default_rng(seed)
     residuals = []
     for n in (2, 3, 5, 10, 25):
-        for _ in range(5):
-            t = devices.random_transform(n, rng)
-            closed = devices.device_avg_fidelity(t)
-            via_quad = bloch_average(
-                lambda th, ph: devices.pointwise_fidelity(t, th, ph), quad)
-            residuals.append(abs(closed - via_quad))
+        t = devices._orthonormalized(n, np.array([devices._gaussian_draw(rng)
+                                                  for _ in range(5)]))
+        closed = devices.device_avg_fidelity(t)
+        # the grid behind the stack axis, which leads the angles
+        via_quad = bloch_average(
+            lambda th, ph: devices.pointwise_fidelity(t, th[None], ph[None]), quad)
+        residuals.append(np.abs(closed - via_quad))
     return [CheckResult("oracle-device-average", residuals, 1e-9)]
 
 
 def _check_pointwise_dual_route(seed: int) -> list[CheckResult]:
     """Closed-form pointwise fidelity against the density-matrix route, for
-    200 (N, transform, angle) samples drawn from default_rng(seed)."""
+    200 (N, transform, angle) samples drawn from default_rng(seed), in the
+    order N, transform (`devices.random_transform`'s draw), theta, phi.
+    The samples at each N are evaluated as one stack by both routes."""
     rng = np.random.default_rng(seed)
-    residuals = []
+    samples: dict[int, list] = {}
     for _ in range(200):
         n = int(rng.integers(1, 11))
-        t = devices.random_transform(n, rng)
+        z = devices._gaussian_draw(rng)
         th = float(rng.uniform(0.0, np.pi))
         ph = float(rng.uniform(0.0, 2.0 * np.pi))
+        samples.setdefault(n, []).append((z, th, ph))
+    residuals = []
+    for n, drawn in samples.items():
+        z, th, ph = (np.array(column) for column in zip(*drawn))
+        t = devices._orthonormalized(n, z)
         closed = devices.pointwise_fidelity(t, th, ph)
         psi = PureQubit.from_angles(th, ph)
         _, rho = devices.apply_transform(t, symmetric_state(psi, n))
-        direct = fidelity_pure(psi, rho)
-        residuals.append(abs(closed - direct))
-    return [CheckResult("pointwise-closed-vs-direct", residuals, 1e-11)]
+        residuals.append(np.abs(closed - fidelity_pure(psi, rho)))
+    return [CheckResult("pointwise-closed-vs-direct", np.concatenate(residuals), 1e-11)]
 
 
 def _check_covariance() -> list[CheckResult]:
@@ -353,30 +361,34 @@ def _check_cascade_action() -> list[CheckResult]:
                         fmt="residual={value:.3e} tol={tol:.0e}, " + gates)]
 
 
+def _recovery_fidelity(psi: PureQubit, recovered: PureQubit):
+    """|<psi|recovered>|^2, per member of a stack."""
+    return np.abs(np.vecdot(psi.amplitudes(), recovered.amplitudes())) ** 2
+
+
 def _check_network(seed: int, angles_per_n: int,
                    shot_seed: int) -> list[CheckResult]:
-    """Post-selection exactness for `angles_per_n` input angles per n = 2..12
-    drawn from default_rng(seed), and the success count of 10^5 shots at
+    """Post-selection exactness for `angles_per_n` input angles (theta, then
+    phi) per n = 2..12 drawn from default_rng(seed), each n's inputs run and
+    decomposed as one stack, and the success count of 10^5 shots at
     p = 1/4, one binomial draw at `shot_seed`, against a 3 sigma bound.  The
     bound fails at about 0.3% of seeds by design (5 of seeds 0-999)."""
     rng = np.random.default_rng(seed)
     res_fid, res_prob = [], []
     for n in range(2, 13):
-        for _ in range(angles_per_n):
-            psi = PureQubit(float(rng.uniform(0.0, np.pi)),
-                            float(rng.uniform(0.0, 2.0 * np.pi)))
-            out = network.run_cascade(psi, n)
-            dec = network.decompose(out, n)
-            fid = abs(np.vdot(psi.amplitudes(), dec.recovered.amplitudes())) ** 2
-            res_fid.append(abs(fid - 1.0))
-            res_prob.append(abs(abs(dec.amp_plus_psi) ** 2
-                                - network.success_probability(psi.theta, n)))
+        angles = [(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+                  for _ in range(angles_per_n)]
+        psi = PureQubit(*np.array(angles).reshape(-1, 2).T)
+        dec = network.decompose(network.run_cascade(psi, n), n)
+        res_fid.append(np.abs(_recovery_fidelity(psi, dec.recovered) - 1.0))
+        res_prob.append(np.abs(np.abs(dec.amp_plus_psi) ** 2 - [
+            network.success_probability(theta, n) for theta in psi.theta.tolist()]))
     plus = network.sample_shots(PureQubit(0.0, 0.0), 4, 10 ** 5, shot_seed)
     p = 0.25
     sigma = np.sqrt(p * (1 - p) / 10 ** 5)
     dev = abs(plus / 10 ** 5 - p)
-    return [CheckResult("network-postselect-fidelity", res_fid, 1e-12),
-            CheckResult("network-success-probability", res_prob, 1e-12),
+    return [CheckResult("network-postselect-fidelity", np.concatenate(res_fid), 1e-12),
+            CheckResult("network-success-probability", np.concatenate(res_prob), 1e-12),
             CheckResult("network-shot-sampling", dev, 3 * sigma,
                         fmt="|freq-p|={value:.3e} (needs {relation} 3 sigma = {tol:.3e})")]
 
@@ -474,7 +486,7 @@ def cmd_network(theta: float, phi: float, n: int, shots: int, seed: int) -> int:
     except (DomainError, CapacityError) as exc:
         print(f"network: {exc}", file=sys.stderr)
         return 2
-    fid = abs(np.vdot(psi.amplitudes(), recovered.amplitudes())) ** 2
+    fid = _recovery_fidelity(psi, recovered)
     freq = plus / shots
     stderr_bin = float(np.sqrt(p * (1.0 - p) / shots))
     print(f"exact_success_probability = {p:.12g}")

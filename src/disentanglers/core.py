@@ -11,6 +11,16 @@ their amplitudes, n+1 of them for a symmetric state or the network's
 output.  Its `dense()` amplitudes are only materialized where an honest
 brute-force cross-check (partial trace, gate network) is wanted.
 
+Stacks: `PureQubit`, `DickeVector`, `SupportStateVector` (whose members
+share their rows) and `DensityOperator` also hold k members at one count n,
+given as their usual arguments with one leading axis of length k (two
+equally long 1-D arrays of angles or amplitudes, a (k, m) amplitude block,
+a (k, 2, 2) matrix stack).  Each guard is written once and runs over the
+whole stack; a single object is the stack without that axis, checked with
+the same message, and a failing stack names its first failing member.  The
+functions that take these objects act on every member at once, and each
+member of a result has the bits of the same call on that member alone.
+
 Conventions fixed throughout the package:
   * qubit 1 is the most significant bit of a statevector index,
   * pure states are compared through |<a|b>|^2, never amplitude-wise,
@@ -34,13 +44,19 @@ STATEVECTOR_NORM_TOL = 1e-10
 
 MAX_CLOSED_FORM_N = 2 ** 340
 
+# The most nodes `BlochQuadrature` takes along either axis: numpy's
+# `leggauss` forms an n_theta x n_theta companion matrix (8 MiB at the cap),
+# and the weights are n_theta x n_phi floats.
+MAX_QUADRATURE_NODES = 1024
+
 
 class DomainError(ValueError):
     """An argument is outside the range an operation is defined on."""
 
 
 class CapacityError(ValueError):
-    """A request would exceed the dense-statevector size cap."""
+    """A request would exceed a size cap: the statevector's, the cascade's
+    or the quadrature's."""
 
 
 def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
@@ -48,21 +64,70 @@ def _require(cond: bool, msg: str, exc: type[Exception] = DomainError) -> None:
         raise exc(msg)
 
 
+def _require_each(ok, message: Callable[[tuple], str],
+                  exc: type[Exception] = DomainError) -> None:
+    """Raise exc(message(i)) unless every entry of the boolean array ok holds,
+    i the index of the first that does not: () for the 0-d check of a
+    single object, which so reads as the same check of a stack's member.
+    A scalar True (Python's or numpy's) is taken at once."""
+    if ok is True or ok is np.True_:
+        return
+    if not np.logical_and.reduce(ok, axis=None):
+        raise exc(message(np.unravel_index(np.argmin(ok), np.shape(ok))))
+
+
+def _require_instance(x, kind: type):
+    """x; DomainError unless it is a `kind`: the one guard for a state,
+    device or generator argument."""
+    if not isinstance(x, kind):
+        raise DomainError(f"need a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _stored(a):
+    """A checked value in its one stored form: a Python scalar for a single
+    object, a read-only copy for a stack."""
+    if isinstance(a, np.ndarray) and a.ndim:
+        a = a.copy()
+        a.setflags(write=False)
+        return a
+    return a.item() if isinstance(a, (np.ndarray, np.generic)) else a
+
+
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """The sum of the squared moduli of the complex array x along its last
+    axis, for each member of a stack: a vector dot product of m terms,
+    within about m u relative (u = 2^-53)."""
+    return np.vecdot(x, x).real
+
+
+def _folded_azimuth(phi):
+    """phi reduced mod 2 pi, a float or each entry of an array.  A phi a
+    rounding error below a multiple of 2 pi reduces to exactly 2 pi in
+    floating point; that value is folded back to 0."""
+    phi = phi % TWO_PI
+    return phi - TWO_PI * (phi == TWO_PI)
+
+
 def _require_count(n, name: str = "n", least: int = 1) -> int:
     """Return n as a Python int; raise DomainError, naming the count, unless
     n is an integer (not a bool) with n >= least.  Callers compute with the
     returned value, so a narrow numpy integer such as np.uint8(16) cannot
     wrap in n * n."""
+    if type(n) is int and n >= least:
+        return n
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
         raise DomainError(f"need an integer {name} >= {least}, got {n!r}")
     return int(n)
 
 
-def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False):
+def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False,
+                    stack: bool = False):
     """The polar angles (theta, phi), converted; DomainError unless each is a
     real number (not complex, a string or an object), each theta is in
     [0, pi], each azimuth is finite (any is taken, being 2 pi-periodic; NaN
-    is neither) and, if `scalar`, both are scalars.  Two float scalars
+    is neither), if `scalar` both are scalars, and if `stack` both are
+    scalars or both 1-D arrays of one length (a stack's).  Two float scalars
     (Python or numpy) come back as Python floats by a branch of their own,
     with the same checks and messages; anything else comes back as two float
     arrays.  Values are formatted only into a message that is raised."""
@@ -78,6 +143,8 @@ def _require_angles(theta, phi=0.0, what: str = "", scalar: bool = False):
         raise DomainError(f"{what}angles must be real numbers, got {theta!r}, {phi!r}")
     th, ph = th.astype(float, copy=False), ph.astype(float, copy=False)
     _require(not scalar or th.ndim == ph.ndim == 0, f"{what}angles must be scalars")
+    _require(not stack or (th.shape == ph.shape and th.ndim <= 1),
+             f"{what}angles must be two scalars or two equally long 1-D arrays")
     if not ((th >= 0.0) & (th <= np.pi)).all():
         raise DomainError(f"{what}theta={theta} outside [0, pi]")
     if not np.isfinite(ph).all():
@@ -109,9 +176,10 @@ def _require_array(x, kinds: str, msg: str) -> np.ndarray:
 def _require_complex(x, shape: tuple, msg: str) -> np.ndarray:
     """x as a fresh complex array, which the caller may freeze; DomainError(msg)
     unless `_require_array` takes x as a bool, integer, float or complex array
-    (ints past the float range come as an object one) of `shape`."""
+    (ints past the float range come as an object one) of `shape`, or of a
+    stack of them: (k,) + shape."""
     a = _require_array(x, "biufc", msg)
-    _require(a.shape == shape, msg)
+    _require(a.shape[a.ndim - len(shape):] == shape and a.ndim - len(shape) in (0, 1), msg)
     return a.astype(complex)
 
 
@@ -289,53 +357,64 @@ def _libm_pow(x, p: float):
 
 @dataclass(frozen=True)
 class PureQubit:
-    """Bloch-parameterized pure qubit with theta in [0, pi], phi in [0, 2 pi)."""
+    """Bloch-parameterized pure qubit with theta in [0, pi], phi in [0, 2 pi):
+    two floats, or for a stack two equally long read-only float arrays."""
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_angles(self.theta, self.phi, scalar=True)
-        if not 0.0 <= self.phi < TWO_PI:
-            raise DomainError(f"phi={self.phi} outside [0, 2 pi)")
+        th, ph = _require_angles(self.theta, self.phi, stack=True)
+        _require_each((ph >= 0.0) & (ph < TWO_PI),
+                      lambda i: f"phi={np.asarray(ph)[i]} outside [0, 2 pi)")
+        object.__setattr__(self, "theta", _stored(th))
+        object.__setattr__(self, "phi", _stored(ph))
 
     def amplitudes(self) -> np.ndarray:
-        return np.array([np.cos(self.theta / 2.0),
-                         np.exp(1j * self.phi) * np.sin(self.theta / 2.0)], dtype=complex)
+        """The amplitudes (cos(theta/2), e^{i phi} sin(theta/2)), on the last
+        axis of a (2,) array, or of a (k, 2) one for a stack."""
+        return np.ascontiguousarray(np.array(
+            [np.cos(self.theta / 2.0), np.exp(1j * self.phi) * np.sin(self.theta / 2.0)],
+            dtype=complex).T)
 
     @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "PureQubit":
-        """Build with phi reduced mod 2 pi (theta must already be in range);
-        the angles pass `_require_angles` first, as scalars.
-
-        A phi a rounding error below a multiple of 2 pi reduces to exactly
-        2 pi in floating point; that value is folded back to 0.
-        """
-        theta, phi = _require_angles(theta, phi, scalar=True)
-        phi = float(phi) % TWO_PI
-        return cls(float(theta), 0.0 if phi == TWO_PI else phi)
+    def from_angles(cls, theta, phi) -> "PureQubit":
+        """Build with phi reduced mod 2 pi by `_folded_azimuth` (theta must
+        already be in range); the angles pass `_require_angles` first, as
+        for the constructor."""
+        theta, phi = _require_angles(theta, phi, stack=True)
+        return cls(theta, _folded_azimuth(phi))
 
     @classmethod
     def from_amplitudes(cls, vec: np.ndarray) -> "PureQubit":
-        """Extract Bloch angles from a 2-vector, discarding the global phase."""
+        """Extract Bloch angles from a 2-vector, or from each row of a (k, 2)
+        stack of them, discarding the global phase."""
         v = _require_complex(vec, (2,), "expected a 2-component amplitude vector")
-        _require(bool(np.all(np.isfinite(v))), "amplitudes not finite")
-        parts = v.view(float)  # re0, im0, re1, im1; a modulus itself may overflow
-        largest = float(np.max(np.abs(parts)))
-        _require(largest > 0, "cannot extract angles from the zero vector")
-        # scaled by 2^-e to below 1 in every part, so the norm neither over-
-        # nor underflows; a power of two scales exactly, so where the unscaled
-        # norm did neither, v / norm keeps its bits
-        v = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
-        v = v / np.linalg.norm(v)
-        theta = 2.0 * np.arctan2(abs(v[1]), abs(v[0]))
-        phi = 0.0 if abs(v[1]) < 1e-15 else float(np.angle(v[1]) - np.angle(v[0]))
-        return cls.from_angles(min(max(theta, 0.0), np.pi), phi)
+        # re0, im0, re1, im1 of each member; a modulus itself may overflow
+        parts = v.view(float).reshape(v.shape[:-1] + (4,))
+        # the largest part is inf or NaN exactly where some part is
+        largest = np.abs(parts).max(axis=-1, keepdims=True)
+        if not (np.isfinite(largest) & (largest > 0)).all():
+            _require(bool(np.isfinite(largest).all()), "amplitudes not finite")
+            raise DomainError("cannot extract angles from the zero vector")
+        # scaled by 2^-e to below 1 in every part, so no modulus over- or
+        # underflows; a power of two scales exactly, and the angles read only
+        # ratios, so they are those of the unscaled vector, bit for bit
+        v = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
+        modulus, angle = np.abs(v), np.arctan2(v.imag, v.real)
+        up, down = modulus[..., 0], modulus[..., 1]
+        # both moduli are >= 0, so theta lies in [0, pi]: doubling pi/2 is exact
+        theta = 2.0 * np.arctan2(down, up)
+        # no azimuth where the |1> amplitude is below 1e-15 of the vector's norm
+        phi = np.where(down < 1e-15 * np.hypot(up, down), 0.0, angle[..., 1] - angle[..., 0])
+        return cls(_stored(theta), _folded_azimuth(_stored(phi)))
 
 
 @dataclass(frozen=True)
 class DickeVector:
-    """N-qubit state c0 |N;0> + c1 |N;1> in the symmetric zero/one-excitation span."""
+    """N-qubit state c0 |N;0> + c1 |N;1> in the symmetric zero/one-excitation
+    span: two complex numbers, or for a stack two equally long read-only
+    complex arrays, at one n."""
 
     n: int
     c0: complex
@@ -343,14 +422,22 @@ class DickeVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
-        c0, c1 = np.asarray(self.c0), np.asarray(self.c1)
-        if c0.ndim or c1.ndim or c0.dtype.kind not in "biufc" or c1.dtype.kind not in "biufc":
-            raise DomainError(f"amplitudes must be two numbers, got {self.c0!r}, {self.c1!r}")
-        norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        _require(abs(norm2 - 1.0) < 1e-12, f"amplitudes not normalized: |c|^2 = {norm2}")
+        # (c0, c1) on the first axis; ragged or mixed forms do not convert
+        try:
+            c = _require_array((self.c0, self.c1), "biufc", "").astype(complex)
+            _require(c.ndim <= 2, "")
+        except DomainError:
+            raise DomainError("amplitudes must be two numbers or two equally long 1-D "
+                              f"arrays, got {self.c0!r}, {self.c1!r}") from None
+        norm2 = _squared_norm(c.T)
+        _require_each(np.abs(norm2 - 1.0) < 1e-12,
+                      lambda i: f"amplitudes not normalized: |c|^2 = {norm2[i]}")
+        object.__setattr__(self, "c0", _stored(c[0]))
+        object.__setattr__(self, "c1", _stored(c[1]))
 
     def amplitudes(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
+        """(c0, c1) on the last axis: shape (2,), or (k, 2) for a stack."""
+        return np.ascontiguousarray(np.array([self.c0, self.c1], dtype=complex).T)
 
 
 _SUPPORT_FORM = "expected equally long 1-D integer rows and amplitudes"
@@ -362,13 +449,15 @@ class SupportStateVector:
     strictly ascending, and their amplitudes; every other row is zero.  Bit
     k-1 of a row (from the top) is the state of qubit k.  A dense state is
     the support over every row, np.arange(2^n); n is capped at
-    MAX_STATEVECTOR_QUBITS = 24, so `dense()` always exists.
+    MAX_STATEVECTOR_QUBITS = 24, so `dense()` always exists.  A stack of k
+    states on the same rows holds a (k, m) amplitude block.
 
     The norm must be within STATEVECTOR_NORM_TOL = 1e-10 of 1 for any
-    m <= 2^n amplitudes.  `np.linalg.norm` evaluates sqrt(re.re + im.im)
-    from two dot products of m terms.  Its worst-case relative error, about
-    m u with u = 2^-53, exceeds 1e-10 from m = 2^20 on, but rounding errors
-    of a sum behave like a random walk: with probability at least
+    m <= 2^n amplitudes.  `_squared_norm` along the amplitude axis sums m
+    squared moduli, and the norm is its square root.  Its worst-case
+    relative error, about m u with u = 2^-53, exceeds 1e-10 from m = 2^20
+    on, but rounding errors of a sum behave like a random walk: with
+    probability at least
     1 - 2 exp(-lambda^2 / 2) the error of the squared norm stays below
     lambda sqrt(2m) u (Higham & Mary, SIAM J. Sci. Comput. 41, A2815
     (2019)).  At m = 2^24 and lambda = 10 that is 6.4e-12, half of it for
@@ -390,8 +479,9 @@ class SupportStateVector:
         # would in a narrow dtype such as uint8
         rows = rows.astype(np.int64)
         a = _require_complex(self.amps, rows.shape, _SUPPORT_FORM)
-        norm = np.linalg.norm(a)
-        _require(abs(norm - 1.0) < STATEVECTOR_NORM_TOL, f"statevector norm {norm} != 1")
+        norm = np.sqrt(_squared_norm(a))
+        _require_each(np.abs(norm - 1.0) < STATEVECTOR_NORM_TOL,
+                      lambda i: f"statevector norm {norm[i]} != 1")
         _require(bool(rows[0] >= 0 and rows[-1] < 2 ** n and (rows[1:] > rows[:-1]).all()),
                  f"rows not strictly ascending in [0, 2^{n})")
         rows.setflags(write=False)
@@ -401,50 +491,55 @@ class SupportStateVector:
         object.__setattr__(self, "amps", a)
 
     def dense(self) -> np.ndarray:
-        """The 2^n complex amplitudes, zero off the support."""
-        amps = np.zeros(2 ** self.n, dtype=complex)
-        amps[self.rows] = self.amps
+        """The 2^n complex amplitudes, zero off the support, on the last axis."""
+        amps = np.zeros(self.amps.shape[:-1] + (2 ** self.n,), dtype=complex)
+        amps[..., self.rows] = self.amps
         return amps
 
 
-def _min_eigenvalue(a: float, d: float, b: complex) -> float:
+def _min_eigenvalue(a, d, b):
     """The smaller eigenvalue (a + d)/2 - hypot((a - d)/2, |b|) of the
-    Hermitian 2x2 matrix [[a, conj(b)], [b, d]].
+    Hermitian 2x2 matrix [[a, conj(b)], [b, d]], elementwise for arrays.
 
     Error model, with u = 2^-53 and r the hypot: the half sum and the half
-    difference round once each (halving is exact), `math.hypot` is within
-    one ulp and carries the half difference's rounding at most once more,
-    and the final subtraction rounds once, so the result is within
-    u (|a + d|/2 + 3 r + |result|) of the exact eigenvalue.  For a unit-trace
-    matrix near the PSD cut r is about 1/2, which bounds the error by about
-    2u = 2.2e-16; `eigvalsh` is backward stable to a few u as well.
+    difference round once each (halving is exact), |b| and the outer
+    `np.hypot` are within one ulp each and the half difference's rounding
+    passes through once more, and the final subtraction rounds once, so the
+    result is within u (|a + d|/2 + 4 r + |result|) of the exact eigenvalue.
+    For a unit-trace matrix near the PSD cut r is about 1/2, which bounds
+    the error by about 2.5u = 2.8e-16; `eigvalsh` is backward stable to a
+    few u as well.
     """
-    return (a + d) / 2.0 - math.hypot((a - d) / 2.0, b.real, b.imag)
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix.
+    """Hermitian, unit-trace, positive-semidefinite qubit (2x2) matrix, or a
+    (k, 2, 2) stack of them.
 
-    The checks read the four entries as Python scalars: each Hermiticity
-    residual |m_ij - conj(m_ji)| below 1e-10, compared one by one so that a
-    NaN or an infinite entry fails as in the array form; the real trace
-    within 1e-10 of 1; and the smaller eigenvalue of the lower triangle (as
-    `eigvalsh` reads it), in the closed form of `_min_eigenvalue`, above
-    -1e-10.
+    The checks, per member: each Hermiticity residual |m_ij - conj(m_ji)|
+    below 1e-10, compared one by one so that a NaN or an infinite entry
+    fails; the real trace within 1e-10 of 1; and the smaller eigenvalue of
+    the lower triangle (as `eigvalsh` reads it), in the closed form of
+    `_min_eigenvalue`, above -1e-10.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         m = _require_complex(self.entries, (2, 2), "expected a 2x2 matrix")
-        a, b, c, d = m.ravel().tolist()
-        # not max(): it keeps its first operand when a later one is NaN
-        _require(abs(a - a.conjugate()) < 1e-10 and abs(b - c.conjugate()) < 1e-10
-                 and abs(d - d.conjugate()) < 1e-10, "matrix is not Hermitian")
-        if not abs(a.real + d.real - 1.0) < 1e-10:
-            raise DomainError(f"trace {np.trace(m)} != 1")
-        _require(_min_eigenvalue(a.real, d.real, c) > -1e-10, "matrix is not PSD")
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        # an infinite part gives a NaN residual (inf - inf), which fails; not
+        # a max(): it keeps its first operand when a later one is NaN
+        with np.errstate(invalid="ignore"):
+            hermitian = ((np.abs(a - a.conj()) < 1e-10) & (np.abs(b - c.conj()) < 1e-10)
+                         & (np.abs(d - d.conj()) < 1e-10))
+        _require_each(hermitian, lambda i: "matrix is not Hermitian")
+        _require_each(np.abs(a.real + d.real - 1.0) < 1e-10,
+                      lambda i: f"trace {np.trace(m[i])} != 1")
+        _require_each(_min_eigenvalue(a.real, d.real, c) > -1e-10,
+                      lambda i: "matrix is not PSD")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -464,32 +559,52 @@ def dilute_angle(theta, n: int):
 
 
 def symmetric_state(psi: PureQubit, n: int) -> DickeVector:
-    """Symmetric N-qubit dilution of a single qubit (identity for n=1)."""
-    tbar = dilute_angle(psi.theta, n)
+    """Symmetric N-qubit dilution of a single qubit (identity for n=1), or
+    of each member of a stack."""
+    tbar = dilute_angle(_require_instance(psi, PureQubit).theta, n)
     return DickeVector(n, np.cos(tbar / 2.0), np.exp(1j * psi.phi) * np.sin(tbar / 2.0))
+
+
+@functools.lru_cache(maxsize=MAX_STATEVECTOR_QUBITS)
+def _dicke_rows(n: int) -> np.ndarray:
+    """The rows 0, 1, 2, 4, ..., 2^(n-1) of the n+1 amplitudes of a symmetric
+    state, ascending and read-only; built once per n."""
+    rows = np.concatenate(([0], 2 ** np.arange(n)))
+    rows.setflags(write=False)
+    return rows
 
 
 def _dicke_support(v: DickeVector) -> tuple[np.ndarray, np.ndarray]:
     """The n+1 nonzero entries of the dense expansion of `v`, rows ascending:
     c0 at row 0 (no excitation), then c1 / sqrt(n) at rows 1, 2, 4, ..., 2^(n-1)
-    (the single excitation on qubit n, n-1, ..., 1); n checked by `_require_qubits`."""
-    rows = np.concatenate(([0], 2 ** np.arange(_require_qubits(v.n))))
-    amps = np.full(v.n + 1, v.c1 / np.sqrt(v.n), dtype=complex)
-    amps[0] = v.c0
+    (the single excitation on qubit n, n-1, ..., 1), on the last axis of the
+    amplitudes; n checked by `_require_qubits`.
+
+    Each part of c1 is divided by sqrt(n) as a float, rounded once, whatever
+    the numeric type c1 was given in: a complex division would multiply
+    by the reciprocal and round twice."""
+    n = _require_qubits(_require_instance(v, DickeVector).n)
+    rows = _dicke_rows(n)
+    c1 = np.asarray(v.c1, dtype=complex)[..., None]
+    amps = np.empty(c1.shape[:-1] + (n + 1,), dtype=complex)
+    amps[..., 0] = v.c0
+    amps[..., 1:] = (c1.view(float) / np.sqrt(n)).view(complex)
     return rows, amps
 
 
 def dicke_to_statevector(v: DickeVector) -> SupportStateVector:
     """The two-amplitude symmetric state as a 2^n statevector: the support
-    of its n+1 nonzero rows."""
-    return SupportStateVector(v.n, *_dicke_support(v))
+    of its n+1 nonzero rows (for a stack, rows shared)."""
+    rows, amps = _dicke_support(v)
+    return SupportStateVector(v.n, rows, amps)
 
 
 def reduced_qubit(state: SupportStateVector, which: int) -> DensityOperator:
     """Partial trace of the dense amplitudes down to qubit `which`
     (1-indexed, qubit 1 = top bit)."""
     which = _require_count(which, "qubit index")
-    _require(which <= state.n, f"qubit index {which} outside 1..{state.n}")
+    _require(which <= _require_instance(state, SupportStateVector).n,
+             f"qubit index {which} outside 1..{state.n}")
     tensor = state.dense().reshape((2,) * state.n)
     m = np.moveaxis(tensor, which - 1, 0).reshape(2, -1)
     return DensityOperator(m @ m.conj().T)
@@ -503,7 +618,7 @@ def symmetric_marginal(v: DickeVector) -> DensityOperator:
     three-term decomposition below is not a convex mixture (the middle
     weight is negative for N > 1); only the sum is a state.
     """
-    n = _float_count(v.n)
+    n = _float_count(_require_instance(v, DickeVector).n)
     cb2 = abs(v.c0) ** 2
     sb2 = abs(v.c1) ** 2
     psi = np.array([v.c0, v.c1], dtype=complex)
@@ -513,16 +628,19 @@ def symmetric_marginal(v: DickeVector) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def fidelity_pure(psi: PureQubit, rho: DensityOperator) -> float:
-    """<psi| rho |psi> for a qubit density operator, as its real part.
+def fidelity_pure(psi: PureQubit, rho: DensityOperator):
+    """<psi| rho |psi> for a qubit density operator, as its real part; per
+    member (an array) when either is a stack.
 
     The imaginary part dropped is <psi|A|psi> / i for the anti-Hermitian part
     A = (rho - rho^H) / 2, whose entries `DensityOperator` bounds by half its
     1e-10 Hermiticity tolerance: below 5e-11 when the diagonal of rho is
     real, and below 1e-10 (the 2x2 row-sum bound) in any case.
     """
-    v = psi.amplitudes()
-    return complex(v.conj() @ rho.entries @ v).real
+    v = _require_instance(psi, PureQubit).amplitudes()
+    m = _require_instance(rho, DensityOperator).entries
+    val = (v.conj()[..., None, :] @ m @ v[..., :, None])[..., 0, 0].real
+    return val if val.ndim else float(val)
 
 
 @functools.lru_cache(maxsize=16)
@@ -545,6 +663,8 @@ class BlochQuadrature:
     they sum to one.  Exact for integrands polynomial of degree <= 2 n_theta - 1
     in cos(theta) and bandlimited below n_phi in phi.  The nodes and the
     (n_theta, n_phi) weights are built once per rule and are read-only.
+    Either size past MAX_QUADRATURE_NODES raises CapacityError before
+    anything is allocated.
     """
 
     n_theta: int = 64
@@ -555,7 +675,11 @@ class BlochQuadrature:
 
     def __post_init__(self) -> None:
         for name in ("n_theta", "n_phi"):
-            object.__setattr__(self, name, _require_count(getattr(self, name), name, least=2))
+            size = _require_count(getattr(self, name), name, least=2)
+            _require(size <= MAX_QUADRATURE_NODES,
+                     f"{name}={size} exceeds the {MAX_QUADRATURE_NODES}-node quadrature cap",
+                     CapacityError)
+            object.__setattr__(self, name, size)
         nodes, weights = _gauss_legendre(self.n_theta)
         phi_nodes = TWO_PI * np.arange(self.n_phi) / self.n_phi
         w = np.outer(weights, np.full(self.n_phi, 1.0 / self.n_phi))
@@ -573,7 +697,7 @@ class BlochQuadrature:
 
 
 def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  quad: BlochQuadrature) -> float:
+                  quad: BlochQuadrature):
     """Average f(theta, phi) over the sphere; f must act elementwise and
     broadcast over arrays.
 
@@ -581,10 +705,13 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     azimuth nodes as a row: a factor of theta alone is evaluated once per
     polar node, not once per grid point.  Each grid point's value, and so
     the weighted sum over the meshed grid, is the same as from the meshed
-    arrays of `grid()`."""
-    w = quad.weights
+    arrays of `grid()`.  A float; if f returns a stack of grids (leading
+    axes before the last two), the array of their averages, each with the
+    bits of its grid's average alone."""
+    quad = _require_instance(quad, BlochQuadrature)
     vals = f(quad.theta_nodes[:, None], quad.phi_nodes[None, :])
-    return float(np.sum(w * np.broadcast_to(np.asarray(vals, dtype=float), w.shape)))
+    avg = np.sum(quad.weights * np.asarray(vals, dtype=float), axis=(-2, -1))
+    return avg if avg.ndim else float(avg)
 
 
 def diluted_avg_fidelity(n):

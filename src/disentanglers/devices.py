@@ -10,6 +10,15 @@ the Gram data alone.  The average fidelity reads only three Gram
 coordinates, ||D1||^2, ||D4||^2 and Re <D1|D4>, so the optimizers search
 those; one builder, `_device`, realizes every constructed device from them,
 and only the optimum a search returns is built.
+
+A `DeviceTransform` may also hold a stack of k devices at one count: a
+(k, 4, MACHINE_DIM) vectors array, whose (k, 4, 4) Gram stack is checked by
+the one unitarity guard.  `gram_summary`, `unitarity_residuals`,
+`device_avg_fidelity`, `apply_transform` and `pointwise_fidelity` act on
+every member at once, each member with the bits of the same call on that
+device alone.  `pointwise_fidelity` aligns the stack with the leading axis
+of the angles, so member j reads theta[j], phi[j] (or all of a scalar
+angle, or of an angle array whose leading axis has length 1).
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from .core import (
     _require_angles,
     _require_complex,
     _require_count,
+    _require_each,
+    _require_instance,
     dilute_angle,
 )
 
@@ -47,9 +58,12 @@ class OptimizationError(RuntimeError):
     """A constrained device search failed to produce a feasible optimum."""
 
 
-def _gram_residuals(g: np.ndarray) -> tuple[float, float, float]:
-    d1, d2, d3, d4 = g.diagonal().real.tolist()
-    return abs(d1 + d2 - 1.0), abs(d3 + d4 - 1.0), abs(complex(g[0, 2] + g[1, 3]))
+def _gram_residuals(g: np.ndarray) -> tuple:
+    """The three unitarity residuals of a Gram matrix, or of each of a stack."""
+    d = g.real
+    return (np.abs(d[..., 0, 0] + d[..., 1, 1] - 1.0),
+            np.abs(d[..., 2, 2] + d[..., 3, 3] - 1.0),
+            np.abs(g[..., 0, 2] + g[..., 1, 3]))
 
 
 _VECTORS_FORM = f"vectors must be a numeric array of shape (4, {MACHINE_DIM}), the rows D1..D4"
@@ -58,11 +72,13 @@ _VECTORS_FORM = f"vectors must be a numeric array of shape (4, {MACHINE_DIM}), t
 @dataclass(frozen=True, eq=False)
 class DeviceTransform:
     """A sector-preserving device unitary, fixed by its four machine vectors:
-    the rows D1..D4 of one read-only (4, MACHINE_DIM) complex array.
+    the rows D1..D4 of one read-only (4, MACHINE_DIM) complex array, or a
+    stack of k devices at one count, (k, 4, MACHINE_DIM).
 
     Their Gram matrix is formed once, here, and read by `gram_summary`.  A
-    device is built only if each unitarity residual is below UNITARITY_TOL
-    (UnitarityError otherwise; a NaN residual fails)."""
+    device is built only if each unitarity residual of every member is below
+    UNITARITY_TOL (UnitarityError otherwise, naming the first failing
+    member's residuals; a NaN residual fails)."""
 
     n: int
     vectors: np.ndarray
@@ -71,10 +87,11 @@ class DeviceTransform:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
         v = _require_complex(self.vectors, (4, MACHINE_DIM), _VECTORS_FORM)
-        g = v.conj() @ v.T
+        g = v.conj() @ np.swapaxes(v, -1, -2)
         res = _gram_residuals(g)
-        if not all(r < UNITARITY_TOL for r in res):
-            raise UnitarityError(f"unitarity residuals {res} exceed {UNITARITY_TOL}")
+        below = (res[0] < UNITARITY_TOL) & (res[1] < UNITARITY_TOL) & (res[2] < UNITARITY_TOL)
+        _require_each(below, lambda i: (f"unitarity residuals {tuple(float(r[i]) for r in res)} "
+                                        f"exceed {UNITARITY_TOL}"), UnitarityError)
         v.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -83,15 +100,15 @@ class DeviceTransform:
 
 def gram_summary(t: DeviceTransform) -> np.ndarray:
     """Gram matrix <Di|Dj> of the four machine vectors, read-only; ||Di||^2
-    on its diagonal."""
-    return t._gram_matrix
+    on its diagonal.  (k, 4, 4) for a stack."""
+    return _require_instance(t, DeviceTransform)._gram_matrix
 
 
-def unitarity_residuals(t: DeviceTransform) -> tuple[float, float, float]:
+def unitarity_residuals(t: DeviceTransform) -> tuple:
     """Deviations from the three unitarity constraints:
     | ||D1||^2 + ||D2||^2 - 1 |, | ||D3||^2 + ||D4||^2 - 1 |, |<D1|D3> + <D2|D4>|,
     the moduli of the entries of im im^H - I for the sector images
-    im = [D1 D2; D3 D4]."""
+    im = [D1 D2; D3 D4]; three arrays over the members of a stack."""
     return _gram_residuals(gram_summary(t))
 
 
@@ -100,32 +117,54 @@ def apply_transform(t: DeviceTransform,
     """Run the device on a symmetric-sector input.
 
     Returns the joint (qubit, machine) pure state as a (2, 4) array and the
-    qubit density operator left after tracing out the machine.
+    qubit density operator left after tracing out the machine; with a stack
+    of devices or of inputs (or one of each, alike long), a (k, 2, 4) array
+    and a stack of k operators.
     """
-    _require(t.n == big_psi.n, "transform and input qubit counts differ")
-    a0, a1 = big_psi.c0, big_psi.c1
-    d1, d2, d3, d4 = t.vectors
-    joint = np.stack([a0 * d1 + a1 * d3, a0 * d2 + a1 * d4])
-    return joint, DensityOperator(joint @ joint.conj().T)
+    v = _require_instance(t, DeviceTransform).vectors
+    _require(t.n == _require_instance(big_psi, DickeVector).n,
+             "transform and input qubit counts differ")
+    a0, a1 = (np.asarray(c)[..., None, None] for c in (big_psi.c0, big_psi.c1))
+    # rows a0 D1 + a1 D3 and a0 D2 + a1 D4
+    joint = a0 * v[..., :2, :] + a1 * v[..., 2:, :]
+    return joint, DensityOperator(joint @ np.swapaxes(joint.conj(), -1, -2))
 
 
 def pointwise_fidelity(t: DeviceTransform, theta, phi):
     """Fidelity of the disentangled qubit against the original at one input
     orientation; broadcasts over angle arrays, checked by `_require_angles`.
+    For a stack of devices, member j reads the angles at index j of their
+    leading axis (see the module docstring), and leads the result.
 
-    The Gram quadratic form Re(x^H G x), with x = (diluted input) (x)
+    The Gram quadratic form F = Re(x^H G x), with x = (diluted input) (x)
     conj(original qubit) and Gram index 2i + a for sector input i and
     output level a: x holds the coefficients, on D1..D4, of the machine
-    state left by projecting the output qubit onto the original.
+    state left by projecting the output qubit onto the original.  Each
+    x_a = r_a e^{i s_a phi} with a real r_a of theta alone and
+    s = (0, -1, 1, 0), and G is Hermitian, so F is a trigonometric
+    polynomial of degree 2 in phi whose coefficients depend on theta alone:
+    F = C0 + 2 sum_{m=1,2} Re(A_m e^{i m phi}), A_m = sum over s_b - s_a = m
+    of r_a r_b G_ab.  They are formed once per polar angle and device.
     """
     g = gram_summary(t)
     th, ph = _require_angles(theta, phi)
-    phase = np.exp(1j * ph)
     tbar = dilute_angle(th, t.n)
-    qubit = np.broadcast_arrays(np.cos(th / 2.0), phase * np.sin(th / 2.0))
-    diluted = np.broadcast_arrays(np.cos(tbar / 2.0), phase * np.sin(tbar / 2.0))
-    x = np.stack([d * np.conj(q) for d in diluted for q in qubit], axis=-1)
-    val = np.real(np.sum(x.conj() * (x @ g.T), axis=-1))
+    c, s = np.cos(th / 2.0), np.sin(th / 2.0)
+    cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
+    r = (cb * c, cb * s, sb * c, sb * s)
+    # each member's Gram entries on the leading axis of the angles
+    lead = g.shape[:-2]
+    axes = len(np.broadcast_shapes(np.shape(th), np.shape(ph)))
+    g = g.reshape(lead + (1,) * max(axes - len(lead), 0) + (4, 4))
+
+    def term(a, b):
+        return g[..., a, b] * (r[a] * r[b])
+
+    c0 = (term(0, 0) + term(3, 3) + term(1, 1) + term(2, 2)).real + 2.0 * term(0, 3).real
+    a1 = term(1, 0) + term(1, 3) + term(0, 2) + term(3, 2)
+    a2 = term(1, 2)
+    val = (c0 + 2.0 * (a1.real * np.cos(ph) - a1.imag * np.sin(ph))
+           + 2.0 * (a2.real * np.cos(2.0 * ph) - a2.imag * np.sin(2.0 * ph)))
     return val if val.ndim else float(val)
 
 
@@ -190,8 +229,9 @@ def swap_disentangler(n: int) -> DeviceTransform:
 
 
 def covariance_spread(t: DeviceTransform) -> float:
-    """max - min of the pointwise fidelity over a deterministic 1000-point
-    golden-spiral covering of the sphere; zero means input-state independence."""
+    """max - min of the pointwise fidelity of one device over a deterministic
+    1000-point golden-spiral covering of the sphere; zero means input-state
+    independence."""
     k = np.arange(1000)
     theta = np.arccos(1.0 - 2.0 * (k + 0.5) / k.size)
     phi = (k * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi)
@@ -230,22 +270,35 @@ def _avg_fidelity(n: float, moments: tuple[float, float, float], d1_sq: float,
                   + m3 * (d3_sq + n * d2_sq + 2.0 * np.sqrt(n) * re14))
 
 
-def device_avg_fidelity(t: DeviceTransform) -> float:
+def device_avg_fidelity(t: DeviceTransform):
     """Sphere-averaged disentangling fidelity of a device, from its Gram
-    data (see `_avg_fidelity`)."""
-    g = gram_summary(t)
-    return _avg_fidelity(_float_count(t.n), moment_integrals(t.n),
-                         *g.diagonal().real, float(np.real(g[0, 3])))
+    data (see `_avg_fidelity`); an array over the members of a stack."""
+    d = gram_summary(t).real
+    return _avg_fidelity(_float_count(t.n), moment_integrals(t.n), d[..., 0, 0],
+                         d[..., 1, 1], d[..., 2, 2], d[..., 3, 3], d[..., 0, 3])
+
+
+def _gaussian_draw(rng: np.random.Generator) -> np.ndarray:
+    """The (2 MACHINE_DIM, 2) complex Gaussian matrix that `random_transform`
+    orthonormalizes: its real parts drawn first, then its imaginary parts."""
+    shape = (2 * MACHINE_DIM, 2)
+    z = _require_instance(rng, np.random.Generator).standard_normal(shape)
+    return z + 1j * rng.standard_normal(shape)
+
+
+def _orthonormalized(n: int, z: np.ndarray) -> DeviceTransform:
+    """The device whose two sector images, (D1, D2) and (D3, D4) stacked,
+    are the orthonormalized columns of z, or the stack of devices of a
+    (k, 2 MACHINE_DIM, 2) stack of draws: one QR for all of them."""
+    q, _ = np.linalg.qr(z)
+    return DeviceTransform(n, np.swapaxes(q, -1, -2).reshape(q.shape[:-2] + (4, MACHINE_DIM)))
 
 
 def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
     """Random device satisfying the unitarity constraints exactly: the two
     sector images, (D1, D2) and (D3, D4) stacked, are orthonormalized
     columns of a Gaussian complex matrix."""
-    z = rng.standard_normal((2 * MACHINE_DIM, 2)) + 1j * rng.standard_normal(
-        (2 * MACHINE_DIM, 2))
-    q, _ = np.linalg.qr(z)
-    return DeviceTransform(n, q.T.reshape(4, MACHINE_DIM))
+    return _orthonormalized(n, _gaussian_draw(rng))
 
 
 def _restart_search(family, n, dim: int, seed: int):

@@ -10,6 +10,12 @@ The cascade's input and output have n+1 nonzero amplitudes, so both are
 carried as a `SupportStateVector` from the dilution through the projection;
 no 2^n array is formed.  `apply_cnot` is the gate-level definition, acting
 on any support, that `verify` and the tests compare the cascade with.
+
+`run_cascade`, `_cascade` and `decompose` also take a stack of k inputs at
+one n (a stacked `PureQubit`, `DickeVector` or `SupportStateVector`, whose
+members share their rows): the cascade and the projection run once on the
+(k, n+1) amplitude block, every member passes each check of `decompose`,
+and each member of the result has the bits of the same call on it alone.
 """
 
 from __future__ import annotations
@@ -30,7 +36,11 @@ from .core import (
     _require,
     _require_angles,
     _require_count,
+    _require_each,
+    _require_instance,
     _require_qubits,
+    _squared_norm,
+    _stored,
     symmetric_state,
 )
 
@@ -57,7 +67,9 @@ class OutcomeDecomposition:
     """Amplitudes of the two post-selection branches of a network output.
 
     `amp_plus_psi` multiplies (success branch) x (`recovered` qubit);
-    `amp_minus` multiplies (failure branch) x (reference state).
+    `amp_minus` multiplies (failure branch) x (reference state).  For a
+    stack of outputs, read-only arrays over its members and a stacked
+    `recovered`.
     """
 
     amp_plus_psi: complex
@@ -69,15 +81,16 @@ def apply_cnot(state: SupportStateVector, control: int, target: int) -> SupportS
     """C-NOT as an exact move of amplitudes between rows (norm preserved bit
     for bit): each row's target bit flips where its control bit is set, and
     the rows are sorted back into ascending order.  On the support over
-    every row this is the dense amplitude permutation."""
-    n = state.n
+    every row this is the dense amplitude permutation, and on a stack it
+    moves every member's amplitudes alike."""
+    n = _require_instance(state, SupportStateVector).n
     control, target = _require_count(control, "control"), _require_count(target, "target")
     _require(control <= n and target <= n, f"gate ({control},{target}) outside 1..{n}")
     _require(control != target, "control equals target")
     cbit = (state.rows >> (n - control)) & 1
     rows = state.rows ^ (cbit << (n - target))
     order = np.argsort(rows)
-    return SupportStateVector(n, rows[order], state.amps[order])
+    return SupportStateVector(n, rows[order], state.amps[..., order])
 
 
 def _cascade(v: DickeVector) -> SupportStateVector:
@@ -88,14 +101,15 @@ def _cascade(v: DickeVector) -> SupportStateVector:
     control bits.  On the support of `v` that parity is 1 exactly at rows
     2, 4, ..., 2^(n-1), the single excitations on a control qubit, so each
     of those amplitudes moves from row r to row r + 1 and the rest stay;
-    the rows stay ascending.
+    the rows stay ascending.  A stack of inputs gives the stack of outputs.
     """
     rows, amps = _dicke_support(v)
     return SupportStateVector(v.n, rows ^ (rows > 1), amps)
 
 
 def run_cascade(psi: PureQubit, n: int) -> SupportStateVector:
-    """Dilute `psi` into the symmetric n-qubit state and run the cascade.
+    """Dilute `psi` (or each member of a stack) into the symmetric n-qubit
+    state and run the cascade.
 
     The output is the support of the n+1 amplitudes of the symmetric sector:
     it has the same amplitudes at the same rows as applying `apply_cnot`
@@ -128,20 +142,23 @@ def postselect_basis(n: int) -> tuple[DickeVector, DickeVector]:
 
 @functools.lru_cache(maxsize=MAX_STATEVECTOR_QUBITS)
 def _postselect_support(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows and the success and failure amplitudes of
-    `postselect_basis(n)` on them, read-only; built once per n."""
+    """The rows of `postselect_basis(n)`, the (2, n) projection whose rows
+    are the conjugated success and failure amplitudes on them, and its
+    (n, 2) adjoint, read-only; built once per n."""
     plus, minus = postselect_basis(n)
     rows, p = _dicke_support(plus)
     _, q = _dicke_support(minus)
-    for a in (rows, p, q):
+    project = np.stack([p.conj(), q.conj()])
+    adjoint = np.ascontiguousarray(project.conj().T)
+    for a in (rows, project, adjoint):
         a.setflags(write=False)
-    return rows, p, q
+    return rows, project, adjoint
 
 
-def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _branches(output: SupportStateVector) -> tuple:
     """Project the output onto the two branches; returns the last-qubit
     vectors riding on each branch, the norm of what is left over, and the
-    squared norm of the output.
+    squared norm of the output (per member for a stack).
 
     Both basis vectors live on the n rows of the (2^(n-1), 2) amplitude
     matrix that hold the zero- and one-excitation states of the leading
@@ -152,19 +169,19 @@ def _branches(output: SupportStateVector) -> tuple[np.ndarray, np.ndarray, float
     remainder.  The residual is not sqrt(|m|^2 - |branches|^2), whose 1e-16
     rounding reads as about 1e-8.
     """
-    basis, p, q = _postselect_support(output.n)
+    basis, project, adjoint = _postselect_support(output.n)
+    amps = output.amps
     pair = output.rows >> 1
     k = np.searchsorted(basis, pair)
     on = basis[np.minimum(k, len(basis) - 1)] == pair
-    block = np.zeros((len(basis), 2), dtype=complex)
-    block[k[on], output.rows[on] & 1] = output.amps[on]
-    off = output.amps[~on]
-    branch_plus = p.conj() @ block
-    branch_minus = q.conj() @ block
-    remainder = block - (np.outer(p, branch_plus) + np.outer(q, branch_minus))
-    residual_sq = np.vdot(off, off).real + np.vdot(remainder, remainder).real
-    norm_sq = float(np.vdot(output.amps, output.amps).real)
-    return branch_plus, branch_minus, float(np.sqrt(residual_sq)), norm_sq
+    block = np.zeros(amps.shape[:-1] + (len(basis), 2), dtype=complex)
+    block[..., k[on], output.rows[on] & 1] = amps[..., on]
+    branches = project @ block  # rows: the success and the failure branch
+    remainder = block - adjoint @ branches
+    residual_sq = (_squared_norm(amps[..., ~on])
+                   + _squared_norm(remainder.reshape(remainder.shape[:-2] + (-1,))))
+    return (branches[..., 0, :], branches[..., 1, :], np.sqrt(residual_sq),
+            _squared_norm(amps))
 
 
 def decompose(output: SupportStateVector, n: int) -> OutcomeDecomposition:
@@ -173,26 +190,27 @@ def decompose(output: SupportStateVector, n: int) -> OutcomeDecomposition:
     The one checked projection: the failure branch must carry the reference
     state on the last qubit, nothing may fall outside the two branches, and
     their weights must add up to the output's own squared norm (not to 1).
-    A dense state is decomposed as its support over every row.
+    A dense state is decomposed as its support over every row, np.arange(2**n).
+    Every member of a stack must pass each check; the first that fails one
+    is named by its values.
     """
-    _require(isinstance(output, SupportStateVector),
-             "decompose takes a SupportStateVector; a dense state is the "
-             "support over every row, np.arange(2**n)")
-    _require(output.n == _require_count(n), "qubit count mismatch")
+    _require(_require_instance(output, SupportStateVector).n == _require_count(n),
+             "qubit count mismatch")
     branch_plus, branch_minus, residual, norm_sq = _branches(output)
-    if residual > 1e-10:
-        raise DecompositionError(f"residual {residual} outside the branch subspace")
-    if abs(branch_minus[1]) > 1e-10:
-        raise DecompositionError("failure branch is not proportional to |0>")
-    if np.linalg.norm(branch_plus) < 1e-15:
-        raise DecompositionError("success branch has zero weight")
+    # each check reads `not (x > bound)`, which a NaN passes
+    _require_each(~(residual > 1e-10), lambda i: (
+        f"residual {residual[i]} outside the branch subspace"), DecompositionError)
+    _require_each(~(np.abs(branch_minus[..., 1]) > 1e-10),
+                  lambda i: "failure branch is not proportional to |0>", DecompositionError)
+    _require_each(~(np.sqrt(_squared_norm(branch_plus)) < 1e-15),
+                  lambda i: "success branch has zero weight", DecompositionError)
     recovered = PureQubit.from_amplitudes(branch_plus)
-    amp_plus = complex(recovered.amplitudes().conj() @ branch_plus)
-    amp_minus = complex(branch_minus[0])
-    total = abs(amp_plus) ** 2 + abs(amp_minus) ** 2
-    if abs(total - norm_sq) >= 1e-12:
-        raise DecompositionError(f"branch weights sum to {total}, not {norm_sq}")
-    return OutcomeDecomposition(amp_plus, amp_minus, recovered)
+    amp_plus = np.vecdot(recovered.amplitudes(), branch_plus)
+    amp_minus = branch_minus[..., 0]
+    total = np.abs(amp_plus) ** 2 + np.abs(amp_minus) ** 2
+    _require_each(~(np.abs(total - norm_sq) >= 1e-12), lambda i: (
+        f"branch weights sum to {total[i]}, not {norm_sq[i]}"), DecompositionError)
+    return OutcomeDecomposition(_stored(amp_plus), _stored(amp_minus), recovered)
 
 
 def success_probability(theta: float, n: int) -> float:
@@ -224,5 +242,5 @@ def sample_shots(psi: PureQubit, n: int, shots: int, seed: int) -> int:
     shots = _require_count(shots, "shots")
     _require(shots < MAX_SHOTS, f"need shots < 2**63, got {shots}")
     seed = _require_count(seed, "seed", least=0)
-    p = success_probability(psi.theta, n)
+    p = success_probability(_require_instance(psi, PureQubit).theta, n)
     return int(np.random.default_rng(seed).binomial(shots, p))

@@ -351,8 +351,8 @@ class TestCmdVerify:
     # stdout of `verify --seed 42` at each level; a change that moves any
     # printed digit updates these on purpose and says so in CHANGES.md
     DIGESTS = {
-        "fast": "2f8c25a22dabfec4bdcbdbfd31d43b170612f15b6a5d9239d8f09a0f0ff81221",
-        "full": "3db0875b1ed501e65e073def4703f37e0d99e27fb4beac5b0f87cf9cef430ced",
+        "fast": "d87b102f05e919f1d776b349895ad3db67622470f6b7061e6418d6415859f35f",
+        "full": "228d7c7f9170fc175688998e8f6a5d5f973851a0c6a02cb781c6a8a794dec3cb",
     }
 
     def test_fast_passes(self, capsys):
