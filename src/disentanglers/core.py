@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -82,6 +82,17 @@ def _require_instance(x, kind: type):
     if not isinstance(x, kind):
         raise DomainError(f"need a {kind.__name__}, got {type(x).__name__}")
     return x
+
+
+def _fields_equal(self, other):
+    """`==` of the stack-capable value types, a bool for single objects and
+    stacks alike: whether other has the same type and each field is
+    `np.array_equal` to its own, so of the same shape.  A single object
+    compares its scalars as the dataclass `==` does, and hashes as before."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 def _stored(a):
@@ -204,102 +215,99 @@ class NelderMead(NamedTuple):
     converged: np.ndarray
 
 
-def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's vertices in ascending order of value, by argsort per row."""
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(fsim.shape[0])[:, None]
-    return sim[rows, order], fsim[rows, order]
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray,
+                    selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each selected row's vertices in ascending order of value, by argsort."""
+    order = np.where(selected[:, None], np.argsort(fsim, axis=1), np.arange(fsim.shape[1]))
+    every = np.arange(fsim.shape[0])[:, None]
+    return sim[every, order], fsim[every, order]
 
 
-def _nelder_mead(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray,
+def _nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
                  xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMead:
     """Minimize from every row of x0 (shape (rows, dim)) by Nelder-Mead, all
     rows in lockstep, each with its own simplex, counts and stop rule.
 
-    `fun(rows, x)` returns the objective of the rows with indices `rows` at
-    the points x (one per row), so rows may differ in more than their start.
-    Every rule is scipy's `minimize(method="Nelder-Mead")` without bounds or
-    adaptation (Nelder & Mead, Comput. J. 7, 308 (1965); Lagarias et al.,
-    SIAM J. Optim. 9, 112 (1998)): reflection 1, expansion 2, contraction
-    and shrink 1/2; a start simplex moving each coordinate by +5% (0.00025
-    if it is 0); vertices ordered by argsort; a row stops once its vertices
-    lie within `xatol` and their values within `fatol` of the best, or at
-    `maxiter` iterations or `maxfev` evaluations, where an evaluation past
-    the budget ends the step it falls in.  Given the same scalar objective
-    each row follows scipy's iterates bit for bit.  A step evaluates the
-    reflection of every row, then one more point per row: the expansion, or
-    the outside or inside contraction, whichever scipy would try next.
+    `fun(x)` returns the objective at every row of a (rows, dim) array x,
+    row i by start i's objective, so rows may differ in more than their
+    start.  Every rule is scipy's `minimize(method="Nelder-Mead")` without
+    bounds or adaptation (Nelder & Mead, Comput. J. 7, 308 (1965); Lagarias
+    et al., SIAM J. Optim. 9, 112 (1998)): reflection 1, expansion 2,
+    contraction and shrink 1/2; a start simplex moving each coordinate by
+    +5% (0.00025 if it is 0); vertices ordered by argsort; a row stops once
+    its vertices lie within `xatol` and their values within `fatol` of the
+    best, or at `maxiter` iterations or `maxfev` evaluations, where an
+    evaluation past the budget ends the step it falls in.  Given the same
+    scalar objective each row follows scipy's iterates bit for bit.  Each
+    phase of a step (the reflection; the expansion or the contraction scipy
+    would try next; each shrink vertex) calls `fun` on every row, stopped
+    ones included, and a row reads and counts only the values it asks for.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     rows, dim = x0.shape
     sim = np.repeat(x0[:, None, :].astype(float), dim + 1, axis=1)
     k = np.arange(dim)
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = np.full((rows, dim + 1), np.inf)
-    nfev = np.zeros(rows, dtype=int)
+    start = min(dim + 1, maxfev)
+    for v in range(start):
+        fsim[:, v] = fun(sim[:, v])
+    nfev = np.full(rows, start)
     iterations = np.ones(rows, dtype=int)
-    met = np.zeros(rows, dtype=bool)
-
-    def evaluate(idx, want, points, live):
-        """Values of `fun` at points[i] for the i with want[i] and live[i],
-        rows idx[i]; a row whose budget is spent leaves `live` instead."""
-        i = np.flatnonzero(want & live)
-        spent = nfev[idx[i]] >= maxfev
-        live[i[spent]] = False
-        i = i[~spent]
-        nfev[idx[i]] += 1
-        out = np.zeros(idx.size)
-        if i.size:
-            out[i] = fun(idx[i], points[i])
-        return out
-
-    every = np.arange(rows)
-    live = np.ones(rows, dtype=bool)
-    for v in range(dim + 1):
-        fsim[:, v] = np.where(live, evaluate(every, live, sim[:, v], live), np.inf)
+    go = np.ones(rows, dtype=bool)
     # scipy sorts the start simplex twice; argsort is not stable, so the
     # second sort can swap tied vertices
     for _ in range(2):
-        sim, fsim = _sorted_simplex(sim, fsim)
+        sim, fsim = _sorted_simplex(sim, fsim, go)
+    # (reflection, expansion, outside, inside contraction) = a xbar - b worst,
+    # with the bits of scipy's (1 + rho) xbar - rho worst and its kin
+    a = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+    b = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
+    every = np.arange(rows)
+    gap = np.zeros((rows, dim))
 
     while True:
-        idx = np.flatnonzero(~met & (nfev < maxfev) & (iterations < maxiter))
-        s, f = sim[idx], fsim[idx]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=2).max(axis=1) <= xatol)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
-        met[idx[done]] = True
-        idx, s, f = idx[~done], s[~done], f[~done]
-        if not idx.size:
+        # a row that stops, by its rule or a budget, stays stopped
+        go &= (nfev < maxfev) & (iterations < maxiter)
+        near = go & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+        # values are compared only where scipy compares them, so an inf
+        # vertex of a spent row gives no inf - inf
+        np.subtract(fsim[:, :1], fsim[:, 1:], out=gap, where=near[:, None])
+        go &= ~(near & (np.abs(gap).max(axis=1) <= fatol))
+        if not go.any():
             break
-        live = np.ones(idx.size, dtype=bool)
-        xbar = np.add.reduce(s[:, :-1], 1) / dim
-        worst = s[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = evaluate(idx, live, xr, live)
-        expand = live & (fxr < f[:, 0])
-        contract = live & ~expand & ~(fxr < f[:, -2])
-        outside = contract & (fxr < f[:, -1])
-        inside = contract & ~outside
-        xe = (1 + rho * chi) * xbar - rho * chi * worst
-        xc = (1 + psi * rho) * xbar - psi * rho * worst
-        xcc = (1 - psi) * xbar + psi * worst
-        x2 = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
-        fx2 = evaluate(idx, expand | contract, x2, live)
-        better = live & np.where(expand, fx2 < fxr,
-                                 np.where(outside, fx2 <= fxr, fx2 < f[:, -1]))
-        take2 = (expand | contract) & better
-        take_r = live & ~contract & ~take2
-        s[take2, -1], f[take2, -1] = x2[take2], fx2[take2]
-        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
-        shrink = contract & live & ~better
+        trial = a * (np.add.reduce(sim[:, :-1], 1) / dim) - b * sim[:, -1]
+        fxr = fun(trial[0])
+        nfev += go
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        x2 = trial[3 - 2 * expand - outside, every]
+        want = go & (expand | contract)
+        live = go & ~(want & (nfev >= maxfev))
+        fx2 = fun(x2)
+        asked = want & live
+        nfev += asked
+        better = np.where(expand, fx2 < fxr,
+                          np.where(outside, fx2 <= fxr, fx2 < fsim[:, -1]))
+        take2 = asked & better
+        # the worst vertex gives way to x2 where it is better, else to xr
+        # where no contraction was tried
+        replaced = take2 | (live & ~contract)
+        shrink = asked & contract & ~better
+        np.copyto(sim[:, -1], np.where(take2[:, None], x2, trial[0]), where=replaced[:, None])
+        np.copyto(fsim[:, -1], np.where(take2, fx2, fxr), where=replaced)
         if shrink.any():
             for v in range(1, dim + 1):
                 moved = shrink & live
-                s[moved, v] = s[moved, 0] + sigma * (s[moved, v] - s[moved, 0])
-                fv = evaluate(idx, moved, s[:, v], live)
-                f[moved & live, v] = fv[moved & live]
-        iterations[idx[live]] += 1
-        sim[idx], fsim[idx] = _sorted_simplex(s, f)
+                np.copyto(sim[:, v], sim[:, 0] + 0.5 * (sim[:, v] - sim[:, 0]),
+                          where=moved[:, None])
+                live &= ~(moved & (nfev >= maxfev))
+                fv = fun(sim[:, v])
+                moved &= live
+                nfev += moved
+                np.copyto(fsim[:, v], fv, where=moved)
+        iterations += live
+        sim, fsim = _sorted_simplex(sim, fsim, go)
 
     converged = (nfev < maxfev) & (iterations < maxiter)
     return NelderMead(sim[:, 0], np.min(fsim, axis=1), nfev, converged)
@@ -362,6 +370,7 @@ class PureQubit:
 
     theta: float
     phi: float = 0.0
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         th, ph = _require_angles(self.theta, self.phi, stack=True)
@@ -419,6 +428,7 @@ class DickeVector:
     n: int
     c0: complex
     c1: complex
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_count(self.n))
@@ -469,6 +479,7 @@ class SupportStateVector:
     n: int
     rows: np.ndarray
     amps: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         n = _require_qubits(self.n)
@@ -526,6 +537,7 @@ class DensityOperator:
     """
 
     entries: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         m = _require_complex(self.entries, (2, 2), "expected a 2x2 matrix")
@@ -708,6 +720,7 @@ def bloch_average(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     arrays of `grid()`.  A float; if f returns a stack of grids (leading
     axes before the last two), the array of their averages, each with the
     bits of its grid's average alone."""
+    _require(callable(f), f"need a callable, got {type(f).__name__}")
     quad = _require_instance(quad, BlochQuadrature)
     vals = f(quad.theta_nodes[:, None], quad.phi_nodes[None, :])
     avg = np.sum(quad.weights * np.asarray(vals, dtype=float), axis=(-2, -1))

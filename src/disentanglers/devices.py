@@ -259,23 +259,29 @@ def moment_integrals(n):
             _closed_form(n, 1.0 / 3.0, _m3))
 
 
-def _avg_fidelity(n: float, moments: tuple[float, float, float], d1_sq: float,
-                  d2_sq: float, d3_sq: float, d4_sq: float, re14: float) -> float:
-    """Sphere-averaged disentangling fidelity from the Gram data, for the
-    count N as the float `_float_count` returns:
+def _avg_coefficients(n) -> tuple:
+    """(m1 N, m2, m3, N, 2 sqrt(N)) at the float count N: the first products
+    of `_avg_fidelity`'s formula, so forming them once keeps its bits."""
+    count = _float_count(n)
+    m1, m2, m3 = moment_integrals(n)
+    return m1 * count, m2, m3, count, 2.0 * np.sqrt(count)
+
+
+def _avg_fidelity(coefficients, d1_sq, d2_sq, d3_sq, d4_sq, re14):
+    """Sphere-averaged disentangling fidelity from the Gram data, at the
+    count of `_avg_coefficients` (or at each of arrays of them):
     (1/2) [ m1 N ||D1||^2 + m2 ||D4||^2
             + m3 ( ||D3||^2 + N ||D2||^2 + 2 sqrt(N) Re <D1|D4> ) ]."""
-    m1, m2, m3 = moments
-    return 0.5 * (m1 * n * d1_sq + m2 * d4_sq
-                  + m3 * (d3_sq + n * d2_sq + 2.0 * np.sqrt(n) * re14))
+    m1n, m2, m3, n, two_root_n = coefficients
+    return 0.5 * (m1n * d1_sq + m2 * d4_sq + m3 * (d3_sq + n * d2_sq + two_root_n * re14))
 
 
 def device_avg_fidelity(t: DeviceTransform):
     """Sphere-averaged disentangling fidelity of a device, from its Gram
     data (see `_avg_fidelity`); an array over the members of a stack."""
     d = gram_summary(t).real
-    return _avg_fidelity(_float_count(t.n), moment_integrals(t.n), d[..., 0, 0],
-                         d[..., 1, 1], d[..., 2, 2], d[..., 3, 3], d[..., 0, 3])
+    return _avg_fidelity(_avg_coefficients(t.n), d[..., 0, 0], d[..., 1, 1],
+                         d[..., 2, 2], d[..., 3, 3], d[..., 0, 3])
 
 
 def _gaussian_draw(rng: np.random.Generator) -> np.ndarray:
@@ -316,17 +322,12 @@ def _restart_search(family, n, dim: int, seed: int):
     ns = [n] if np.ndim(n) == 0 else list(n)
     _require(np.ndim(n) <= 1 and len(ns) > 0,
              f"need a count or a nonempty sequence of counts, got {n!r}")
-    counts = np.repeat([_float_count(k) for k in ns], RESTARTS)
-    moments = np.repeat([moment_integrals(k) for k in ns], RESTARTS, axis=0).T
+    coefficients = np.repeat(np.transpose([_avg_coefficients(k) for k in ns]), RESTARTS, axis=1)
+    counts = coefficients[3]
     draws = np.random.default_rng(seed).uniform(0.0, np.pi, (RESTARTS, dim))
     starts = np.tile(draws, (len(ns), 1))
-
-    def objective(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-        count = counts[rows]
-        return -_avg_fidelity(count, moments[:, rows], *_gram(*family(count, p)))
-
-    res = _nelder_mead(objective, starts, xatol=1e-8, fatol=1e-13,
-                       maxiter=4000, maxfev=4000)
+    res = _nelder_mead(lambda p: -_avg_fidelity(coefficients, *_gram(*family(counts, p))),
+                       starts, xatol=1e-8, fatol=1e-13, maxiter=4000, maxfev=4000)
     found = []
     for i, k in enumerate(ns):
         rows = range(i * RESTARTS, (i + 1) * RESTARTS)

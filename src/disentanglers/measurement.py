@@ -26,6 +26,7 @@ from .core import (
     _require,
     _require_angles,
     _require_count,
+    _require_instance,
     dilute_angle,
 )
 from .devices import _m3
@@ -68,6 +69,10 @@ def _channel(big_psi: DickeVector, pair, w) -> DensityOperator:
 def estimator_output(big_psi: DickeVector,
                      pair: tuple[DickeVector, DickeVector]) -> DensityOperator:
     """Density operator of the re-prepared qubit for one apparatus orientation."""
+    _require_instance(big_psi, DickeVector)
+    _require(isinstance(pair, (tuple, list)) and len(pair) == 2
+             and all(isinstance(xi, DickeVector) for xi in pair),
+             f"need a pair of DickeVectors, got {type(pair).__name__}")
     _require(big_psi.n == pair[0].n, "qubit counts differ")
     return _channel(big_psi, [xi.amplitudes() for xi in pair], 1.0)
 
@@ -81,7 +86,8 @@ def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOp
     (1/3) |psi><psi| + (1/3) I with psi carrying the input's two amplitudes.
     Raises DomainError for n_phi < 3, where the frequency-2 terms alias.
     """
-    _require(quad.n_phi >= 3,
+    _require_instance(big_psi, DickeVector)
+    _require(_require_instance(quad, BlochQuadrature).n_phi >= 3,
              f"n_phi={quad.n_phi} < 3 cannot integrate the frequency-2 azimuth")
     th, ph, w = quad.grid()
     return _channel(big_psi, _projector_amplitudes(th, ph), w)

@@ -32,6 +32,7 @@ from .core import (
     PureQubit,
     SupportStateVector,
     _dicke_support,
+    _fields_equal,
     _float_count,
     _require,
     _require_angles,
@@ -75,6 +76,7 @@ class OutcomeDecomposition:
     amp_plus_psi: complex
     amp_minus: complex
     recovered: PureQubit
+    __eq__ = _fields_equal
 
 
 def apply_cnot(state: SupportStateVector, control: int, target: int) -> SupportStateVector:

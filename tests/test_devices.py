@@ -318,7 +318,7 @@ class TestFamilyObjectives:
         for _ in range(500):
             n = int(rng.integers(1, 30))
             coords = family(float(n), rng.uniform(-4 * np.pi, 4 * np.pi, size=dim))
-            via_gram = devices._avg_fidelity(n, moment_integrals(n),
+            via_gram = devices._avg_fidelity(devices._avg_coefficients(n),
                                              *devices._gram(*coords))
             assert via_gram == pytest.approx(
                 device_avg_fidelity(devices._device(n, *coords)), abs=1e-14)

@@ -54,7 +54,7 @@ def scalar_objective(coords, n):
 def row_objective(objectives):
     """`_nelder_mead`'s objective over rows, evaluating each row's scalar
     objective at its own point."""
-    return lambda rows, x: np.array([objectives[r](p) for r, p in zip(rows, x)])
+    return lambda x: np.array([f(p) for f, p in zip(objectives, x)])
 
 
 @pytest.fixture(scope="module", params=FAMILIES)
@@ -113,6 +113,60 @@ def test_spent_budget_follows_scipy(family):
             want = minimize(shifted, x0, method="Nelder-Mead", options=options)
             assert (want.x.tolist(), want.fun, want.nfev, want.success) == (
                 got.x[i].tolist(), got.fun[i], got.nfev[i], got.converged[i])
+
+
+def _bowl(p):
+    return (p[0] - 1.0) ** 2 + 2.0 * (p[1] - 0.5) ** 2 + 0.5 * (p[2] - 2.0) ** 2
+
+
+# (objective, start) rows that meet their stop rule 25 to 330 steps apart:
+# a bowl, Rosenbrock's valley, the bowl behind a wall of inf, the bowl with
+# a strip of NaN, a flat objective that only shrinks, and the general family
+MIXED = [
+    (_bowl, (0.3, 2.0, 1.0)),
+    (lambda p: sum(100.0 * (p[i + 1] - p[i] ** 2) ** 2 + (1.0 - p[i]) ** 2
+                   for i in range(2)), (-1.0, 2.0, 0.5)),
+    (lambda p: math.inf if p[0] > 1.05 else _bowl(p), (0.3, 0.4, 2.6)),
+    (lambda p: math.nan if abs(p[1] - 1.2) < 0.1 else _bowl(p), (0.5, 1.6, 2.9)),
+    (lambda p: 1.0, (1.0, 2.0, 3.0)),
+    (scalar_objective(_general, 5), (0.4, 2.2, 1.3)),
+]
+# inf everywhere: scipy's own stop test forms inf - inf once this simplex
+# collapses, so the row joins only budgets that end it before that
+ALL_INF = (lambda p: math.inf, (0.5, 0.5, 0.5))
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("maxiter, maxfev", [
+    (4000, 1), (4000, 3), (4000, 60), (40, 4000), (4000, 4000)])
+def test_mixed_rows_follow_scipy_bit_for_bit(maxiter, maxfev):
+    # every row of one batch follows scipy, whether it stops long before the
+    # others, meets inf or NaN values, or gets fewer evaluations than its
+    # dim + 1 start vertices; under the suite's `error` warning filter no
+    # row warns, the inf vertices of a stopped one included
+    rows = MIXED + ([ALL_INF] if maxfev <= 60 else [])
+    options = {**OPTIONS, "maxiter": maxiter, "maxfev": maxfev}
+    seen = set()
+
+    def recorded(f):
+        def g(p):
+            value = f(p)
+            seen.add("finite" if math.isfinite(value) else repr(value))
+            return value
+        return g
+
+    want = [minimize(recorded(f), x0, method="Nelder-Mead", options=options) for f, x0 in rows]
+    got = core._nelder_mead(row_objective([f for f, _ in rows]),
+                            np.array([x0 for _, x0 in rows]), **options)
+    for i, w in enumerate(want):
+        assert (bits(w.x), bits(w.fun), w.nfev, w.success) == (
+            bits(got.x[i]), bits(got.fun[i]), got.nfev[i], got.converged[i])
+    if maxfev == 4000 == maxiter:
+        assert seen == {"finite", "inf", "nan"} and all(w.success for w in want)
+        assert max(w.nit for w in want) > 10 * min(w.nit for w in want)
 
 
 def scipy_bound(n):

@@ -24,14 +24,17 @@ from disentanglers import (
     UnitarityError,
     apply_cnot,
     apply_transform,
+    averaged_estimator,
     bloch_average,
     covariance_spread,
     decompose,
     device_avg_fidelity,
     dicke_to_statevector,
+    estimator_output,
     fidelity_pure,
     gram_summary,
     pointwise_fidelity,
+    projector_pair,
     random_transform,
     reduced_qubit,
     run_cascade,
@@ -268,7 +271,71 @@ class TestNonObjects:
         (lambda s: bloch_average(lambda a, b: a, None), "BlochQuadrature"),
         (lambda s: random_transform(3, None), "Generator"),
         (lambda s: random_transform(3, 7), "Generator"),
+        # measurement's entry points, named so the ids above keep their numbers
+        pytest.param(lambda s: averaged_estimator(None, BlochQuadrature(4, 4)),
+                     "DickeVector", id="averaged_estimator-state"),
+        pytest.param(lambda s: averaged_estimator(s.v, None), "BlochQuadrature",
+                     id="averaged_estimator-quadrature"),
+        pytest.param(lambda s: estimator_output(None, projector_pair(0.3, 0.2, 3)),
+                     "DickeVector", id="estimator_output-state"),
+        pytest.param(lambda s: estimator_output(s.v, None), "pair of DickeVectors",
+                     id="estimator_output-no-pair"),
+        pytest.param(lambda s: estimator_output(s.v, (s.v,)), "pair of DickeVectors",
+                     id="estimator_output-one-projector"),
+        pytest.param(lambda s: estimator_output(s.v, (s.v, None)), "pair of DickeVectors",
+                     id="estimator_output-non-projector"),
+        pytest.param(lambda s: bloch_average(None, BlochQuadrature(4, 4)), "callable",
+                     id="bloch_average-integrand"),
     ])
     def test_raise_domain_error_naming_the_kind(self, call, kind):
         with pytest.raises(DomainError, match=f"need a {kind}, got "):
             call(self)
+
+
+class TestStackEquality:
+    """`==` on the stack-capable value types is a bool: equal fields, equal
+    shapes.  Single objects compare and hash as the dataclass makes them."""
+
+    angles = (np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    other = (np.array([0.1, 0.2]), np.array([0.3, 0.5]))
+
+    def test_equal_stacks_are_equal(self):
+        assert PureQubit(*self.angles) == PureQubit(*(a.copy() for a in self.angles))
+        assert not PureQubit(*self.angles) != PureQubit(*self.angles)
+        v = DickeVector(3, np.array([0.6, 0.8]), np.array([0.8, 0.6]))
+        assert v == DickeVector(3, np.array([0.6, 0.8]), np.array([0.8, 0.6]))
+        assert dicke_to_statevector(v) == dicke_to_statevector(v)
+        rho = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert DensityOperator(rho) == DensityOperator(rho.copy())
+        assert DensityOperator(rho) != DensityOperator(rho[::-1])
+
+    def test_unequal_stacks_are_unequal(self):
+        assert PureQubit(*self.angles) != PureQubit(*self.other)
+        assert (DickeVector(3, np.array([0.6, 0.8]), np.array([0.8, 0.6]))
+                != DickeVector(3, np.array([0.6, 0.6]), np.array([0.8, 0.8])))
+        # the same members at another count, and a longer stack
+        assert (DickeVector(3, np.array([0.6]), np.array([0.8]))
+                != DickeVector(4, np.array([0.6]), np.array([0.8])))
+        assert PureQubit(*self.angles) != PureQubit(*(np.tile(a, 2) for a in self.angles))
+
+    def test_a_stack_is_not_a_single_object(self):
+        single = PureQubit(0.1, 0.3)
+        stack = PureQubit(np.array([0.1]), np.array([0.3]))
+        assert stack != single and single != stack
+        assert PureQubit(*self.angles) != DickeVector(3, 0.6, 0.8)
+
+    def test_decompositions_of_stacks_compare(self):
+        def decomposed(angles):
+            return decompose(run_cascade(PureQubit(*angles), 4), 4)
+        assert decomposed(self.angles) == decomposed(self.angles)
+        assert decomposed(self.angles) != decomposed(self.other)
+
+    def test_single_objects_compare_and_hash_as_before(self):
+        assert PureQubit(0.1, 0.2) == PureQubit(0.1, 0.2) != PureQubit(0.1, 0.25)
+        assert hash(PureQubit(0.1, 0.2)) == hash((0.1, 0.2))
+        assert hash(DickeVector(3, 0.6, 0.8)) == hash((3, 0.6 + 0j, 0.8 + 0j))
+        assert len({DickeVector(3, 0.6, 0.8), DickeVector(3, 0.6, 0.8)}) == 1
+        dec = decompose(run_cascade(PureQubit(0.7, 1.1), 4), 4)
+        assert hash(dec) == hash((dec.amp_plus_psi, dec.amp_minus, dec.recovered))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(PureQubit(*self.angles))
