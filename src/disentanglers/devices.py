@@ -4,12 +4,12 @@ A device is a unitary acting on (symmetric sector) x (machine), fixed by four
 unnormalized machine vectors: the zero-excitation input maps to
 |0>|D1> + |1>|D2> and the one-excitation input to |0>|D3> + |1>|D4>, up to the
 spectator zero-excitation factor on the remaining qubits.  Unitarity on the
-two-dimensional input sector pins down three Gram constraints; everything
-measurable about a device (pointwise and average fidelity) is a function of
-the Gram data alone.  The average fidelity reads only three Gram
-coordinates, ||D1||^2, ||D4||^2 and Re <D1|D4>, so the optimizers search
-those; one builder, `_device`, realizes every constructed device from them,
-and only the optimum a search returns is built.
+two-dimensional input sector pins down three Gram constraints.  A device's
+data is its Gram matrix G = <Di|Dj>, and each of its fidelities is one
+contraction F = Re sum G o Omega with a 4x4 Choi form (Choi, Linear Algebra
+Appl. 10, 285 (1975)): Omega_psi at one input (`pointwise_fidelity`),
+Omega_N over the sphere (`_omega`).  The optimizers search the three Gram
+coordinates that Omega_N reads, and `_device` builds a device from them.
 
 A `DeviceTransform` may also hold a stack of k devices at one count: a
 (k, 4, MACHINE_DIM) vectors array, whose (k, 4, 4) Gram stack is checked by
@@ -136,11 +136,11 @@ def pointwise_fidelity(t: DeviceTransform, theta, phi):
     For a stack of devices, member j reads the angles at index j of their
     leading axis (see the module docstring), and leads the result.
 
-    The Gram quadratic form F = Re(x^H G x), with x = (diluted input) (x)
-    conj(original qubit) and Gram index 2i + a for sector input i and
-    output level a: x holds the coefficients, on D1..D4, of the machine
-    state left by projecting the output qubit onto the original.  Each
-    x_a = r_a e^{i s_a phi} with a real r_a of theta alone and
+    F = Re sum G o Omega_psi = Re(x^H G x), Omega_psi = conj(x) x^T, with
+    x = (diluted input) (x) conj(original qubit) and Gram index 2i + a for
+    sector input i and output level a: x holds the coefficients, on D1..D4,
+    of the machine state left by projecting the output qubit onto the
+    original.  Each x_a = r_a e^{i s_a phi} with a real r_a of theta alone and
     s = (0, -1, 1, 0), and G is Hermitian, so F is a trigonometric
     polynomial of degree 2 in phi whose coefficients depend on theta alone:
     F = C0 + 2 sum_{m=1,2} Re(A_m e^{i m phi}), A_m = sum over s_b - s_a = m
@@ -181,11 +181,13 @@ def _device(n: int, eta1: float, eta4: float, w: float) -> DeviceTransform:
     return DeviceTransform(n, v)
 
 
-def _gram(eta1, eta4, w) -> tuple:
-    """The Gram scalars that `_avg_fidelity` reads, of `_device(n, eta1, eta4, w)`
-    without building it: ||D1||^2, ||D2||^2, ||D3||^2, ||D4||^2, Re <D1|D4>;
-    elementwise for arrays."""
-    return eta1, 1.0 - eta1, 1.0 - eta4, eta4, np.sqrt(eta1 * eta4) * w
+def _gram(eta1, eta4, w) -> np.ndarray:
+    """`gram_summary(_device(n, eta1, eta4, w)).real`, unbuilt; stacked for arrays."""
+    re14 = np.sqrt(eta1 * eta4) * w
+    g = np.zeros(np.shape(re14) + (4, 4))
+    g[..., 0, 0], g[..., 1, 1], g[..., 2, 2], g[..., 3, 3] = eta1, 1.0 - eta1, 1.0 - eta4, eta4
+    g[..., 0, 3] = g[..., 3, 0] = re14
+    return g
 
 
 def _general(count, p) -> tuple:
@@ -259,29 +261,26 @@ def moment_integrals(n):
             _closed_form(n, 1.0 / 3.0, _m3))
 
 
-def _avg_coefficients(n) -> tuple:
-    """(m1 N, m2, m3, N, 2 sqrt(N)) at the float count N: the first products
-    of `_avg_fidelity`'s formula, so forming them once keeps its bits."""
-    count = _float_count(n)
-    m1, m2, m3 = moment_integrals(n)
-    return m1 * count, m2, m3, count, 2.0 * np.sqrt(count)
-
-
-def _avg_fidelity(coefficients, d1_sq, d2_sq, d3_sq, d4_sq, re14):
-    """Sphere-averaged disentangling fidelity from the Gram data, at the
-    count of `_avg_coefficients` (or at each of arrays of them):
-    (1/2) [ m1 N ||D1||^2 + m2 ||D4||^2
-            + m3 ( ||D3||^2 + N ||D2||^2 + 2 sqrt(N) Re <D1|D4> ) ]."""
-    m1n, m2, m3, n, two_root_n = coefficients
-    return 0.5 * (m1n * d1_sq + m2 * d4_sq + m3 * (d3_sq + n * d2_sq + two_root_n * re14))
+def _omega(n) -> np.ndarray:
+    """Omega_N = (1/2) [diag(N m1, N m3, m3, m2) + sqrt(N) m3 (E03 + E30)], the
+    Choi form of the sphere average at a count: a state, trace 1 by the sum rule."""
+    _, m2, m3 = moment_integrals(n)
+    # N times a rounded m1 or m3 can fall below 1 at large N, and averages below
+    # 1/2 with it; factored, the leading term N (N -+ .) / (N-1)^2 keeps its bits
+    nm1 = _closed_form(n, 2.0 / 3.0, lambda x: x * (x - 3.0) / ((x - 1.0) * (x - 1.0))
+                       + 2.0 * x * np.log(x) / _libm_pow(x - 1.0, 3.0))
+    nm3 = _closed_form(n, 1.0 / 3.0, lambda x: x * (x + 1.0) / ((x - 1.0) * (x - 1.0))
+                       - 2.0 * x * x * np.log(x) / _libm_pow(x - 1.0, 3.0))
+    r = np.sqrt(_float_count(n)) * m3
+    return 0.5 * np.array([[nm1, 0.0, 0.0, r], [0.0, nm3, 0.0, 0.0],
+                           [0.0, 0.0, m3, 0.0], [r, 0.0, 0.0, m2]])
 
 
 def device_avg_fidelity(t: DeviceTransform):
-    """Sphere-averaged disentangling fidelity of a device, from its Gram
-    data (see `_avg_fidelity`); an array over the members of a stack."""
-    d = gram_summary(t).real
-    return _avg_fidelity(_avg_coefficients(t.n), d[..., 0, 0], d[..., 1, 1],
-                         d[..., 2, 2], d[..., 3, 3], d[..., 0, 3])
+    """Sphere-averaged disentangling fidelity of a device, Re sum G o Omega_N
+    over its Gram matrix (`_omega`); an array over the members of a stack."""
+    val = np.sum(gram_summary(t).real * _omega(t.n), axis=(-2, -1))
+    return val if val.ndim else float(val)
 
 
 def _gaussian_draw(rng: np.random.Generator) -> np.ndarray:
@@ -322,11 +321,11 @@ def _restart_search(family, n, dim: int, seed: int):
     ns = [n] if np.ndim(n) == 0 else list(n)
     _require(np.ndim(n) <= 1 and len(ns) > 0,
              f"need a count or a nonempty sequence of counts, got {n!r}")
-    coefficients = np.repeat(np.transpose([_avg_coefficients(k) for k in ns]), RESTARTS, axis=1)
-    counts = coefficients[3]
+    counts = np.repeat([_float_count(k) for k in ns], RESTARTS)
+    omega = np.repeat([_omega(k) for k in ns], RESTARTS, axis=0)
     draws = np.random.default_rng(seed).uniform(0.0, np.pi, (RESTARTS, dim))
     starts = np.tile(draws, (len(ns), 1))
-    res = _nelder_mead(lambda p: -_avg_fidelity(coefficients, *_gram(*family(counts, p))),
+    res = _nelder_mead(lambda p: -np.sum(_gram(*family(counts, p)) * omega, axis=(-2, -1)),
                        starts, xatol=1e-8, fatol=1e-13, maxiter=4000, maxfev=4000)
     found = []
     for i, k in enumerate(ns):
@@ -348,10 +347,9 @@ def optimize_average(n, seed: int = 0):
     search).  The optimum is the state-swapping device.  Raises
     OptimizationError when no restart at a count converges.
 
-    The average fidelity of a unitary device reads only ||D1||^2, ||D4||^2
-    (||D2||^2 and ||D3||^2 are their complements) and Re <D1|D4>, which obeys
-    |Re <D1|D4>| <= ||D1|| ||D4||.  `_general` reaches every such triple, so
-    searching it searches the whole domain of the objective."""
+    Omega_N reads only ||D1||^2, ||D4||^2, their complements and Re <D1|D4>,
+    which obeys |Re <D1|D4>| <= ||D1|| ||D4||; `_general` reaches every such
+    triple, so searching it searches the whole domain of the objective."""
     return _restart_search(_general, n, 3, seed)
 
 

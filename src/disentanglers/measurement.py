@@ -68,13 +68,20 @@ def _channel(big_psi: DickeVector, pair, w) -> DensityOperator:
 
 def estimator_output(big_psi: DickeVector,
                      pair: tuple[DickeVector, DickeVector]) -> DensityOperator:
-    """Density operator of the re-prepared qubit for one apparatus orientation."""
+    """Density operator of the re-prepared qubit for one apparatus orientation.
+    The pair must be two single states at the input's count, orthogonal
+    within 1e-12, as `projector_pair` makes them (DomainError otherwise)."""
     _require_instance(big_psi, DickeVector)
     _require(isinstance(pair, (tuple, list)) and len(pair) == 2
              and all(isinstance(xi, DickeVector) for xi in pair),
              f"need a pair of DickeVectors, got {type(pair).__name__}")
-    _require(big_psi.n == pair[0].n, "qubit counts differ")
-    return _channel(big_psi, [xi.amplitudes() for xi in pair], 1.0)
+    xi = [v.amplitudes() for v in pair]
+    single = xi[0].shape == xi[1].shape == (2,)
+    overlap = abs(np.vdot(*xi)) if single else np.nan
+    _require(single and pair[0].n == pair[1].n == big_psi.n and overlap <= 1e-12,
+             f"need an orthonormal projector pair at n={big_psi.n}, got n=({pair[0].n}, "
+             f"{pair[1].n}), shapes ({xi[0].shape}, {xi[1].shape}), |<xi0|xi1>| = {overlap}")
+    return _channel(big_psi, xi, 1.0)
 
 
 def averaged_estimator(big_psi: DickeVector, quad: BlochQuadrature) -> DensityOperator:

@@ -659,6 +659,7 @@ class TestIntegerCount:
             postselect_basis,
             sample_shots,
             success_probability,
+            swap_disentangler,
             universal_coefficients,
             universal_disentangler,
         )
@@ -672,6 +673,7 @@ class TestIntegerCount:
             # the strict ordering no longer resolves in doubles past ~2e15
             "fidelity_columns": lambda n: min(cli.fidelity_columns(n)),
             "device_avg_fidelity": lambda n: device_avg_fidelity(universal_disentangler(n)),
+            "swap_avg_fidelity": lambda n: device_avg_fidelity(swap_disentangler(n)),
             "optimize_average": lambda n: optimize_average(n)[1],
             "optimize_universal": lambda n: optimize_universal(n)[1],
         }

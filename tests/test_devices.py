@@ -281,6 +281,51 @@ class TestDeviceAvgFidelity:
                                  QUAD) == meshed
 
 
+# N = 1..50, then log-spaced up to the closed forms' cap
+OMEGA_NS = [*range(1, 51), *sorted({int(x) for x in np.logspace(2, 339 * np.log10(2), 60)}),
+            core.MAX_CLOSED_FORM_N - 1]
+
+
+class TestOmega:
+    @pytest.mark.parametrize("n", OMEGA_NS)
+    def test_is_a_state(self, n):
+        # symmetric, trace 1 by the sum rule N m1 + m2 + (N+1) m3 = 2, PSD
+        omega = devices._omega(n)
+        assert omega.shape == (4, 4) and np.array_equal(omega, omega.T)
+        assert abs(np.trace(omega) - 1.0) <= 4 * np.spacing(1.0)
+        assert np.linalg.eigvalsh(omega).min() >= -1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25])
+    def test_is_the_sphere_average_of_the_pointwise_form(self, n):
+        # Omega_psi = conj(x) x^T with x = (diluted input) (x) conj(input),
+        # averaged entry by entry over the default quadrature
+        th, ph, w = QUAD.grid()
+        tbar = dilute_angle(th, n)
+        diluted = (np.cos(tbar / 2), np.exp(1j * ph) * np.sin(tbar / 2))
+        original = (np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2))
+        x = [d * np.conj(o) for d in diluted for o in original]
+        quad = np.array([[np.sum(w * np.conj(a) * b) for b in x] for a in x])
+        assert np.abs(quad - devices._omega(n)).max() <= 1e-14
+
+    def test_equals_the_moments_where_they_are_exact(self):
+        # the factored N m1 and N m3 against N times the moments, at small N
+        for n in range(1, 51):
+            m1, m2, m3 = moment_integrals(n)
+            omega = 2.0 * devices._omega(n)
+            assert omega.diagonal() == pytest.approx([n * m1, n * m3, m3, m2], rel=4e-16)
+            assert omega[0, 3] == omega[3, 0] == np.sqrt(n) * m3
+
+    def test_averages_read_at_least_half_at_large_n(self):
+        # N times a rounded m1 or m3 took the swap device, and the searches'
+        # optima, below 1/2 from about N = 10^34 on
+        ns = [int(x) for x in np.logspace(30, 339 * np.log10(2), 40)]
+        swap = [device_avg_fidelity(swap_disentangler(n)) for n in ns]
+        assert all(0.5 <= v <= 1.0 for v in swap)
+        for seed in range(4):
+            for search in (optimize_average, optimize_universal):
+                assert all(0.5 <= v <= 1.0 for _, v in search(ns, seed=seed)), (search, seed)
+
+
 def overlap_14(g):
     """Re <D4|D1> normalized by ||D1|| ||D4||; 1 for matched parallel vectors."""
     return g[3, 0].real / np.sqrt(g[0, 0].real * g[3, 3].real)
@@ -313,15 +358,14 @@ class TestFamilyObjectives:
     @pytest.mark.parametrize("family,dim", [(devices._general, 3), (devices._covariant, 1)],
                              ids=["general", "covariant"])
     def test_gram_objective_matches_built_device(self, family, dim):
+        # the objective's Gram matrix is the built device's, entry by entry;
         # angles are drawn well outside one period, negative ones included
         rng = np.random.default_rng(16)
         for _ in range(500):
             n = int(rng.integers(1, 30))
             coords = family(float(n), rng.uniform(-4 * np.pi, 4 * np.pi, size=dim))
-            via_gram = devices._avg_fidelity(devices._avg_coefficients(n),
-                                             *devices._gram(*coords))
-            assert via_gram == pytest.approx(
-                device_avg_fidelity(devices._device(n, *coords)), abs=1e-14)
+            built = gram_summary(devices._device(n, *coords))
+            assert np.abs(devices._gram(*coords) - built).max() <= 1e-15
 
     @given(eta1=st.floats(0.0, 1.0), eta4=st.floats(0.0, 1.0), w=st.floats(-1.0, 1.0))
     def test_builder_realizes_its_gram_coordinates(self, eta1, eta4, w):

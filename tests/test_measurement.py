@@ -120,6 +120,22 @@ class TestEstimatorOutput:
         with pytest.raises(DomainError):
             estimator_output(DickeVector(3, 1.0, 0.0), projector_pair(0.5, 0.0, 4))
 
+    def test_pair_from_two_counts_raises(self):
+        mixed = (projector_pair(0.3, 0.2, 3)[0], projector_pair(0.3, 0.2, 5)[1])
+        with pytest.raises(DomainError, match=r"projector pair at n=3, got n=\(3, 5\)"):
+            estimator_output(DickeVector(3, 0.6, 0.8), mixed)
+
+    def test_repeated_projector_raises(self):
+        xi0 = projector_pair(0.3, 0.2, 3)[0]
+        with pytest.raises(DomainError, match=r"projector pair at n=3, got n=\(3, 3\), "
+                                              r".*\|<xi0\|xi1>\| = 0\.99"):
+            estimator_output(DickeVector(3, 0.6, 0.8), (xi0, xi0))
+
+    def test_stacked_projector_raises(self):
+        stack = DickeVector(3, np.array([0.6, 0.8]), np.array([0.8, 0.6]))
+        with pytest.raises(DomainError, match=r"projector pair at n=3, .*shapes"):
+            estimator_output(DickeVector(3, 0.6, 0.8), (projector_pair(0.3, 0.2, 3)[0], stack))
+
 
 class TestAveragedEstimator:
     def test_polar_input(self):

@@ -38,16 +38,19 @@ FAMILIES = {"general": (_general, 3, devices.optimize_average),
 
 
 def scalar_objective(coords, n):
-    """The negated average fidelity `devices._avg_fidelity` of the Gram
-    coordinates coords(N, p), one point at a time in Python floats."""
+    """The negated average fidelity Re sum G o Omega_N of the Gram
+    coordinates coords(N, p), one point at a time in Python floats, from the
+    five nonzero entries of `devices._omega` (Omega_30 = Omega_03)."""
     count = float(n)
-    m1, m2, m3 = devices.moment_integrals(n)
+    omega = devices._omega(n)
+    o11, o22, o33, o44, o14 = (float(omega[i, j])
+                               for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3)))
 
     def f(p):
         eta1, eta4, w = coords(count, p)
         re14 = math.sqrt(eta1 * eta4) * w
-        return -0.5 * (m1 * count * eta1 + m2 * eta4 + m3 * (
-            (1.0 - eta4) + count * (1.0 - eta1) + 2.0 * math.sqrt(count) * re14))
+        return -(o11 * eta1 + o22 * (1.0 - eta1) + o33 * (1.0 - eta4) + o44 * eta4
+                 + 2.0 * o14 * re14)
     return f
 
 

@@ -112,6 +112,14 @@ class TestMembersKeepTheirBits:
             assert same_bits(r, alone)
         assert same_bits(device_avg_fidelity(stack), [device_avg_fidelity(t) for t in singles])
 
+    def test_device_average_is_a_float_for_one_device(self):
+        stack, singles = draw_devices(np.random.default_rng(4), 3, 2)
+        assert type(device_avg_fidelity(singles[0])) is float
+        values = device_avg_fidelity(stack)
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        one, _ = draw_devices(np.random.default_rng(4), 3, 1)
+        assert device_avg_fidelity(one).shape == (1,)
+
     @given(seed=SEEDS, k=SIZES, n=st.integers(1, 10))
     def test_pointwise_fidelity_at_member_angles_and_on_a_grid(self, seed, k, n):
         rng = np.random.default_rng(seed)
