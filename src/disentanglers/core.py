@@ -215,14 +215,6 @@ class NelderMead(NamedTuple):
     converged: np.ndarray
 
 
-def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray,
-                    selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each selected row's vertices in ascending order of value, by argsort."""
-    order = np.where(selected[:, None], np.argsort(fsim, axis=1), np.arange(fsim.shape[1]))
-    every = np.arange(fsim.shape[0])[:, None]
-    return sim[every, order], fsim[every, order]
-
-
 def _nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
                  xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMead:
     """Minimize from every row of x0 (shape (rows, dim)) by Nelder-Mead, all
@@ -242,40 +234,50 @@ def _nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     phase of a step (the reflection; the expansion or the contraction scipy
     would try next; each shrink vertex) calls `fun` on every row, stopped
     ones included, and a row reads and counts only the values it asks for.
+
+    A row's simplex is one (dim + 1, dim + 1) block: a vertex per line, its
+    value in the last column, so one gather orders vertices and values and
+    one comparison with (xatol, ..., fatol) is the stop test.
     """
     rows, dim = x0.shape
-    sim = np.repeat(x0[:, None, :].astype(float), dim + 1, axis=1)
+    s = np.full((rows, dim + 1, dim + 1), np.inf)
+    s[:, :, :-1] = x0[:, None, :]
     k = np.arange(dim)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full((rows, dim + 1), np.inf)
+    s[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     start = min(dim + 1, maxfev)
     for v in range(start):
-        fsim[:, v] = fun(sim[:, v])
+        s[:, v, -1] = fun(s[:, v, :-1])
     nfev = np.full(rows, start)
     iterations = np.ones(rows, dtype=int)
     go = np.ones(rows, dtype=bool)
+    every = np.arange(rows)
+    unsorted = np.arange(dim + 1)
+
+    def ordered(s):
+        # each running row's vertices in ascending order of value, by argsort
+        order = np.where(go[:, None], np.argsort(s[:, :, -1], axis=1), unsorted)
+        return s[every[:, None], order]
+
     # scipy sorts the start simplex twice; argsort is not stable, so the
     # second sort can swap tied vertices
-    for _ in range(2):
-        sim, fsim = _sorted_simplex(sim, fsim, go)
+    s = ordered(ordered(s))
     # (reflection, expansion, outside, inside contraction) = a xbar - b worst,
     # with the bits of scipy's (1 + rho) xbar - rho worst and its kin
     a = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
     b = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
-    every = np.arange(rows)
-    gap = np.zeros((rows, dim))
+    tol = np.array([xatol] * dim + [fatol])
 
     while True:
-        # a row that stops, by its rule or a budget, stays stopped
+        # a row that stops, by its rule or a budget, stays stopped; inf - inf
+        # (an unset vertex of a spent row, or an all-inf objective) is NaN and
+        # meets no tolerance, as in scipy, without the warning
         go &= (nfev < maxfev) & (iterations < maxiter)
-        near = go & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-        # values are compared only where scipy compares them, so an inf
-        # vertex of a spent row gives no inf - inf
-        np.subtract(fsim[:, :1], fsim[:, 1:], out=gap, where=near[:, None])
-        go &= ~(near & (np.abs(gap).max(axis=1) <= fatol))
+        with np.errstate(invalid="ignore"):
+            go &= ~(np.abs(s[:, 1:] - s[:, :1]) <= tol).all(axis=(1, 2))
         if not go.any():
             break
-        trial = a * (np.add.reduce(sim[:, :-1], 1) / dim) - b * sim[:, -1]
+        fsim = s[:, :, -1]
+        trial = a * (np.add.reduce(s[:, :-1, :-1], 1) / dim) - b * s[:, -1, :-1]
         fxr = fun(trial[0])
         nfev += go
         expand = fxr < fsim[:, 0]
@@ -294,40 +296,45 @@ def _nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
         # where no contraction was tried
         replaced = take2 | (live & ~contract)
         shrink = asked & contract & ~better
-        np.copyto(sim[:, -1], np.where(take2[:, None], x2, trial[0]), where=replaced[:, None])
+        np.copyto(s[:, -1, :-1], np.where(take2[:, None], x2, trial[0]), where=replaced[:, None])
         np.copyto(fsim[:, -1], np.where(take2, fx2, fxr), where=replaced)
         if shrink.any():
             for v in range(1, dim + 1):
                 moved = shrink & live
-                np.copyto(sim[:, v], sim[:, 0] + 0.5 * (sim[:, v] - sim[:, 0]),
+                np.copyto(s[:, v, :-1], s[:, 0, :-1] + 0.5 * (s[:, v, :-1] - s[:, 0, :-1]),
                           where=moved[:, None])
                 live &= ~(moved & (nfev >= maxfev))
-                fv = fun(sim[:, v])
+                fv = fun(s[:, v, :-1])
                 moved &= live
                 nfev += moved
                 np.copyto(fsim[:, v], fv, where=moved)
         iterations += live
-        sim, fsim = _sorted_simplex(sim, fsim, go)
+        s = ordered(s)
 
     converged = (nfev < maxfev) & (iterations < maxiter)
-    return NelderMead(sim[:, 0], np.min(fsim, axis=1), nfev, converged)
+    return NelderMead(s[:, 0, :-1], np.min(s[:, :, -1], axis=1), nfev, converged)
 
 
 def _grid_refine(fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                  nodes: int, xatol: float) -> float:
     """Maximize the array function `fun` on [lo, hi]: evaluate it on `nodes`
     equally spaced points, narrow [lo, hi] to the best node's neighbours,
-    and repeat until that bracket is at most `xatol` wide.  A pass keeps
-    2 / (nodes - 1) of the bracket, so nodes >= 4.  Returns the largest
-    value evaluated, NaN if a pass's best is NaN."""
+    and repeat until that bracket is at most `xatol` wide, or stops
+    narrowing at the resolution of floats (or is NaN wide).  A pass keeps 2 / (nodes - 1) of
+    the bracket, so DomainError unless nodes >= 4 and xatol is finite and
+    > 0: fewer nodes, or a zero or NaN width, would never end.  Returns the
+    largest value evaluated, NaN if a pass's best is NaN."""
+    nodes = _require_count(nodes, "nodes", least=4)
+    _require(0.0 < xatol < np.inf, f"need a finite xatol > 0, got {xatol!r}")
     best = -np.inf
     while True:
         x = np.linspace(lo, hi, nodes)
         f = fun(x)
         k = int(np.argmax(f))
         best = np.maximum(best, f[k])
+        width = hi - lo
         lo, hi = x[max(k - 1, 0)], x[min(k + 1, nodes - 1)]
-        if hi - lo <= xatol:
+        if not xatol < hi - lo < width:
             return float(best)
 
 

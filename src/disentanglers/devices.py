@@ -308,7 +308,8 @@ def random_transform(n: int, rng: np.random.Generator) -> DeviceTransform:
 
 def _restart_search(family, n, dim: int, seed: int):
     """Nelder-Mead from `RESTARTS` seeded starts per count on the average
-    fidelity of the Gram coordinates `family(count, p)`, p of length `dim`.
+    fidelity of the Gram coordinates `family(count, p)`, p of length `dim`:
+    affine in them, with its four coefficients per row formed once here.
 
     n is a count or a sequence of counts; every (count, restart) row moves
     in one lockstep search, and each count gets the starts it would get
@@ -325,8 +326,18 @@ def _restart_search(family, n, dim: int, seed: int):
     omega = np.repeat([_omega(k) for k in ns], RESTARTS, axis=0)
     draws = np.random.default_rng(seed).uniform(0.0, np.pi, (RESTARTS, dim))
     starts = np.tile(draws, (len(ns), 1))
-    res = _nelder_mead(lambda p: -np.sum(_gram(*family(counts, p)) * omega, axis=(-2, -1)),
-                       starts, xatol=1e-8, fatol=1e-13, maxiter=4000, maxfev=4000)
+    # -Re sum G o Omega is affine in (eta1, eta4, Re <D1|D4>): `_gram`'s basis meets
+    # each row's Omega once, negated (exactly), and a call is four multiply-adds
+    zero = _gram(0.0, 0.0, 0.0)
+    basis = np.array([zero, _gram(1.0, 0.0, 0.0) - zero, _gram(0.0, 1.0, 0.0) - zero,
+                      _gram(1.0, 1.0, 1.0) - _gram(1.0, 1.0, 0.0)])
+    c0, c1, c4, c14 = -np.sum(basis * omega[:, None], axis=(-2, -1)).T
+
+    def objective(p):
+        eta1, eta4, w = family(counts, p)
+        return c0 + c1 * eta1 + c4 * eta4 + c14 * (np.sqrt(eta1 * eta4) * w)
+
+    res = _nelder_mead(objective, starts, xatol=1e-8, fatol=1e-13, maxiter=4000, maxfev=4000)
     found = []
     for i, k in enumerate(ns):
         rows = range(i * RESTARTS, (i + 1) * RESTARTS)

@@ -143,18 +143,22 @@ def optimal_measurement_bound(n):
 def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
     """Input-ensemble factors shared by the strategy-integral evaluations, from
     the diluted (cb, sb) and input (c, s) half angles of the polar nodes.
-    The rows of "bloch_th" and "bloch_ph" are the theta and phi factors of
-    the components 1, x, y, z of the inputs' Bloch vectors."""
+    Row k of "branch" holds the weighted Bloch moments (1, x, y, z) of the
+    factor of |<xi_j|Psi>|^2 that multiplies apparatus feature k of
+    `_branch_suprema`; no array spans both input axes."""
     tbar = dilute_angle(quad.theta_nodes, n)
     cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
     c, s = np.cos(quad.theta_nodes / 2.0), np.sin(quad.theta_nodes / 2.0)
     cos_ph, sin_ph = np.cos(quad.phi_nodes), np.sin(quad.phi_nodes)
+    # theta and phi factors of the Bloch components 1, x, y, z
+    f_th = np.stack([np.ones_like(c), 2.0 * c * s, 2.0 * c * s, c ** 2 - s ** 2])
+    f_ph = np.stack([np.ones_like(cos_ph), cos_ph, sin_ph, np.ones_like(cos_ph)])
+    w, cb2, sb2, cbsb2 = quad.weights, cb ** 2, sb ** 2, 2.0 * (cb * sb)
+    ma, mr = (f_th * (f_ph @ w.T)).T, (f_ph * ((f_th * cbsb2) @ w)).T
     return {
-        "cb2": cb ** 2, "sb2": sb ** 2, "cbsb2": 2.0 * (cb * sb), "c": c, "s": s,
-        "cos_ph": cos_ph, "sin_ph": sin_ph,
-        "bloch_th": np.stack([np.ones_like(c), 2.0 * c * s, 2.0 * c * s, c ** 2 - s ** 2]),
-        "bloch_ph": np.stack([np.ones_like(cos_ph), cos_ph, sin_ph, np.ones_like(cos_ph)]),
-        "w": quad.weights,
+        "cb2": cb2, "sb2": sb2, "cbsb2": cbsb2, "c": c, "s": s,
+        "cos_ph": cos_ph, "sin_ph": sin_ph, "w": w,
+        "branch": np.array([cb2 @ ma, sb2 @ ma, cos_ph @ mr, -sin_ph @ mr]),
     }
 
 
@@ -212,12 +216,13 @@ def _branch_suprema(theta_meas, t: dict[str, np.ndarray]) -> np.ndarray:
     (Massar & Popescu, PRL 74, 1259 (1995)).  The apparatus azimuth is fixed
     at zero.
 
-    Each factor of p_j (`_branch_weights`) and of the Bloch components meets
-    w on its own axis: no array spans apparatus angles and both input axes.
+    p_j (`_branch_weights`) is linear in |x0|^2, |x1|^2, Re and Im x0 conj(x1)
+    of outcome j's amplitudes, so (P, R) is these features times "branch".
     """
-    amp, re = _branch_weights(theta_meas, 0.0, t)
-    f_th, f_ph, w = t["bloch_th"], t["bloch_ph"], t["w"]
-    moments = amp @ (f_th * (f_ph @ w.T)).T + re @ (f_ph * ((f_th * t["cbsb2"]) @ w)).T
+    x0, x1 = np.array(_projector_amplitudes(theta_meas, 0.0)).swapaxes(0, 1)
+    z = x0 * np.conj(x1)
+    features = np.stack([np.abs(x0) ** 2, np.abs(x1) ** 2, z.real, z.imag], axis=-1)
+    moments = features @ t["branch"]
     return 0.5 * (moments[..., 0] + np.linalg.norm(moments[..., 1:], axis=-1))
 
 
@@ -225,13 +230,14 @@ def optimal_measurement_bound_numeric(n: int) -> float:
     """Re-derive the measurement bound by an apparatus-angle search.
 
     Both branch suprema over the re-prepared qubit are exact
-    (`_branch_suprema`); their sum is maximized over the apparatus polar
-    angle by `core._grid_refine`, from a 64-node grid on [0, pi] down to a
-    bracket at most 1e-6 wide.  The refine is needed: for N >= 2 the
-    maximum lies at pi/2, between nodes of the first grid, which alone falls
-    short by 1e-6 (N = 2) to 1e-5.  The inputs are averaged with the default
-    64x64 `BlochQuadrature`, and the apparatus azimuth is fixed at zero: the
-    ensemble is azimuthally covariant.
+    (`_branch_suprema`, one 4x4 product per apparatus angle on the ensemble's
+    moments, which `_ensemble_tables` contracts once); their sum is maximized
+    over the apparatus polar angle by `core._grid_refine`, from a 64-node
+    grid on [0, pi] down to a bracket at most 1e-6 wide.  The refine is
+    needed: for N >= 2 the maximum lies at pi/2, between nodes of the first
+    grid, which alone falls short by 1e-6 (N = 2) to 1e-5.  The inputs are
+    averaged with the default 64x64 `BlochQuadrature`, and the apparatus
+    azimuth is fixed at zero: the ensemble is azimuthally covariant.
     """
     t = _ensemble_tables(n, BlochQuadrature())
     return _grid_refine(lambda tm: _branch_suprema(tm, t).sum(axis=0),

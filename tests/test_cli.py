@@ -352,7 +352,7 @@ class TestCmdVerify:
     # printed digit updates these on purpose and says so in CHANGES.md
     DIGESTS = {
         "fast": "d87b102f05e919f1d776b349895ad3db67622470f6b7061e6418d6415859f35f",
-        "full": "228d7c7f9170fc175688998e8f6a5d5f973851a0c6a02cb781c6a8a794dec3cb",
+        "full": "f75c280b8fe8da6f6ed6fca0736ad08046ea894f16b2403cbd086ea28d60b89d",
     }
 
     def test_fast_passes(self, capsys):

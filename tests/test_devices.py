@@ -377,6 +377,34 @@ class TestFamilyObjectives:
         assert g[0, 3].real == pytest.approx(np.sqrt(eta1 * eta4) * w, abs=1e-15)
         assert max(unitarity_residuals(t)) <= 1e-15
 
+    @pytest.mark.parametrize("search,family,dim", [
+        (optimize_average, devices._general, 3), (optimize_universal, devices._covariant, 1)],
+        ids=["general", "covariant"])
+    def test_search_objective_is_the_omega_contraction(self, monkeypatch, search, family, dim):
+        # the objective each search hands to Nelder-Mead, its basis contracted
+        # with Omega_N once, is -Re sum G o Omega_N of the unbuilt Gram
+        # matrix within a few ulp, at 20 random points per restart row of
+        # every count of `TestOmega`
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def captured(fun, x0, **kwargs):
+            seen.append(fun)
+            raise Captured
+
+        monkeypatch.setattr(devices, "_nelder_mead", captured)
+        with pytest.raises(Captured):
+            search(OMEGA_NS)
+        counts = np.repeat([float(n) for n in OMEGA_NS], devices.RESTARTS)
+        omega = np.repeat([devices._omega(n) for n in OMEGA_NS], devices.RESTARTS, axis=0)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            p = rng.uniform(-4 * np.pi, 4 * np.pi, (counts.size, dim))
+            want = -np.sum(devices._gram(*family(counts, p)) * omega, axis=(-2, -1))
+            assert np.all(np.abs(seen[0](p) - want) <= 4 * np.spacing(np.abs(want)))
+
     def test_array_objective_matches_scalar_rows(self):
         # the searches evaluate each family on many rows at once, with a count
         # per row; every row agrees with its scalar evaluation

@@ -357,6 +357,37 @@ class TestOptimalBound:
         assert np.isnan(core._grid_refine(first_pass_nan, 0.0, 1.0, 5, 1e-6))
         assert len(calls) > 1
 
+    @staticmethod
+    def capped_peak(top, calls):
+        """-(x - top)^2, recording each call in `calls`; a refine that looped
+        stops at the 1000th call with RuntimeError instead of hanging."""
+        def peak(x):
+            calls.append(x)
+            if len(calls) >= 1000:
+                raise RuntimeError("the refine did not end")
+            return -(x - top) ** 2
+        return peak
+
+    @pytest.mark.parametrize("nodes, xatol", [(3, 1e-6), (4, 0.0), (4, np.nan)])
+    def test_grid_refine_that_would_never_end_raises(self, nodes, xatol):
+        # three nodes keep the whole bracket when the middle one is best, and
+        # no bracket gets within a zero or NaN width; each raises up front
+        calls = []
+        with pytest.raises(DomainError):
+            core._grid_refine(self.capped_peak(0.5, calls), 0.0, 1.0, nodes, xatol)
+        assert calls == []
+
+    def test_grid_refine_ends_at_float_resolution(self):
+        # a width below the spacing of floats near the peak ends once the
+        # bracket stops narrowing, with the best value evaluated
+        calls = []
+        best = core._grid_refine(self.capped_peak(0.3, calls), 0.0, 1.0, 64, 1e-300)
+        assert -1e-30 <= best <= 0.0 and len(calls) < 20
+        # a NaN end gives a NaN bracket, which ends after one pass
+        calls.clear()
+        assert np.isnan(core._grid_refine(self.capped_peak(0.3, calls), 0.0, np.nan, 64, 1e-6))
+        assert len(calls) == 1
+
     def test_numeric_dominates_projective(self):
         for n in (2, 5, 10):
             assert (optimal_measurement_bound_numeric(n)
@@ -400,6 +431,26 @@ class TestBranchSuprema:
             one = measurement._branch_suprema(float(tm), tables)
             assert one.shape == (2,)
             assert np.max(np.abs(both[:, k] - one)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 25])
+    def test_factored_moments_match_the_unfactored_product(self, n):
+        # the tables' (4, 4) "branch" matrix against the outcome factors
+        # (amp, re) contracted with the weighted Bloch factors of the inputs
+        # on the 64-node grid the bound's search starts from
+        tables = measurement._ensemble_tables(n, QUAD)
+        angles = np.linspace(0.0, np.pi, 64)
+        c, s, w = tables["c"], tables["s"], tables["w"]
+        cos_ph, sin_ph = tables["cos_ph"], tables["sin_ph"]
+        f_th = np.stack([np.ones_like(c), 2.0 * c * s, 2.0 * c * s, c ** 2 - s ** 2])
+        f_ph = np.stack([np.ones_like(cos_ph), cos_ph, sin_ph, np.ones_like(cos_ph)])
+        ma = (f_th * (f_ph @ w.T)).T
+        mr = (f_ph * ((f_th * tables["cbsb2"]) @ w)).T
+        amp, re = measurement._branch_weights(angles, 0.0, tables)
+        moments = amp @ ma + re @ mr
+        want = 0.5 * (moments[..., 0] + np.linalg.norm(moments[..., 1:], axis=-1))
+        got = measurement._branch_suprema(angles, tables)
+        assert got.shape == want.shape == (2, 64)
+        assert np.abs(got - want).max() <= 1e-15
 
     def test_search_memory_stays_small(self):
         # the suprema contract the rank-2 weights factor by factor; a search
