@@ -145,7 +145,8 @@ def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
     the diluted (cb, sb) and input (c, s) half angles of the polar nodes.
     Row k of "branch" holds the weighted Bloch moments (1, x, y, z) of the
     factor of |<xi_j|Psi>|^2 that multiplies apparatus feature k of
-    `_branch_suprema`; no array spans both input axes."""
+    `_branch_suprema`, whose zero apparatus azimuth leaves the Im x0 conj(x1)
+    feature out; no array spans both input axes."""
     tbar = dilute_angle(quad.theta_nodes, n)
     cb, sb = np.cos(tbar / 2.0), np.sin(tbar / 2.0)
     c, s = np.cos(quad.theta_nodes / 2.0), np.sin(quad.theta_nodes / 2.0)
@@ -158,7 +159,7 @@ def _ensemble_tables(n: int, quad: BlochQuadrature) -> dict[str, np.ndarray]:
     return {
         "cb2": cb2, "sb2": sb2, "cbsb2": cbsb2, "c": c, "s": s,
         "cos_ph": cos_ph, "sin_ph": sin_ph, "w": w,
-        "branch": np.array([cb2 @ ma, sb2 @ ma, cos_ph @ mr, -sin_ph @ mr]),
+        "branch": np.array([cb2 @ ma, sb2 @ ma, cos_ph @ mr]),
     }
 
 
@@ -216,12 +217,13 @@ def _branch_suprema(theta_meas, t: dict[str, np.ndarray]) -> np.ndarray:
     (Massar & Popescu, PRL 74, 1259 (1995)).  The apparatus azimuth is fixed
     at zero.
 
-    p_j (`_branch_weights`) is linear in |x0|^2, |x1|^2, Re and Im x0 conj(x1)
-    of outcome j's amplitudes, so (P, R) is these features times "branch".
+    p_j (`_branch_weights`) is linear in |x0|^2, |x1|^2 and Re x0 conj(x1) of
+    outcome j's amplitudes (Im x0 conj(x1) is 0 at zero azimuth), so (P, R)
+    is these features times "branch".
     """
     x0, x1 = np.array(_projector_amplitudes(theta_meas, 0.0)).swapaxes(0, 1)
-    z = x0 * np.conj(x1)
-    features = np.stack([np.abs(x0) ** 2, np.abs(x1) ** 2, z.real, z.imag], axis=-1)
+    features = np.stack([np.abs(x0) ** 2, np.abs(x1) ** 2, (x0 * np.conj(x1)).real],
+                        axis=-1)
     moments = features @ t["branch"]
     return 0.5 * (moments[..., 0] + np.linalg.norm(moments[..., 1:], axis=-1))
 
@@ -230,7 +232,7 @@ def optimal_measurement_bound_numeric(n: int) -> float:
     """Re-derive the measurement bound by an apparatus-angle search.
 
     Both branch suprema over the re-prepared qubit are exact
-    (`_branch_suprema`, one 4x4 product per apparatus angle on the ensemble's
+    (`_branch_suprema`, one 3x4 product per apparatus angle on the ensemble's
     moments, which `_ensemble_tables` contracts once); their sum is maximized
     over the apparatus polar angle by `core._grid_refine`, from a 64-node
     grid on [0, pi] down to a bracket at most 1e-6 wide.  The refine is

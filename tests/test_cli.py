@@ -287,6 +287,36 @@ class TestCmdTable:
         assert capsys.readouterr().out.encode() == data
         assert len(data.splitlines()) == 8200 - 4090 + 2
 
+    def test_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        # columns and text are formed one block at a time: 2.0 MiB measured
+        # at 5*10^4 rows as at 10^6, where columns for every row at once
+        # peaked at 99 MiB
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            assert cmd_table(1, 10 ** 6, str(path)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
+    def test_failing_block_leaves_earlier_blocks_written(self, tmp_path, monkeypatch):
+        real = cli.fidelity_columns
+
+        def failing(ns):
+            if 9000 in ns:
+                raise DomainError("injected at n=9000")
+            return real(ns)
+
+        monkeypatch.setattr(cli, "fidelity_columns", failing)
+        path = tmp_path / "t.csv"
+        with pytest.raises(DomainError, match="injected at n=9000"):
+            cmd_table(1, 12000, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "N,F0_diluted,F1_measure,Fmax_measure,F2_universal,F3_swap"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            list(range(1, 2 * cli.TABLE_BLOCK_ROWS + 1))
+
     def test_unwritable_path_exits_2(self, capsys):
         assert cmd_table(1, 2, "/nonexistent-dir/out.csv") == 2
         assert "cannot write" in capsys.readouterr().err

@@ -434,7 +434,7 @@ class TestBranchSuprema:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 25])
     def test_factored_moments_match_the_unfactored_product(self, n):
-        # the tables' (4, 4) "branch" matrix against the outcome factors
+        # the tables' (3, 4) "branch" matrix against the outcome factors
         # (amp, re) contracted with the weighted Bloch factors of the inputs
         # on the 64-node grid the bound's search starts from
         tables = measurement._ensemble_tables(n, QUAD)
